@@ -83,9 +83,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--race", type=int, default=1, metavar="K",
-        help="race the top-K provers per sequent instead of trying them in "
-        "order; the learned prover ordering is persisted beside --cache-dir "
-        "(daemon-side with --server)",
+        help="race the top-K provers per sequent instead of trying them one "
+        "at a time (in learned order either way; daemon-side with --server)",
     )
     parser.add_argument(
         "--server", default=None, metavar="HOST:PORT",
@@ -103,20 +102,13 @@ def main() -> None:
     names = args.names or list(suite.FIGURE15_NAMES)
     provers = ["smt", "fol", "mona", "bapa"]
     prover_options = {"smt": {"timeout": 3.0}, "fol": {"timeout": 1.5}}
-    client = cache = ordering = None
+    client = cache = None
     if args.server:
         from repro.server import VerifyClient
 
         client = VerifyClient.from_address(args.server)
     elif not args.no_cache:
         cache = SequentCache(cache_dir=args.cache_dir)
-    if args.race > 1 and client is None:
-        import os
-
-        from repro.provers.ordering import DEFAULT_FILENAME, ProverOrdering
-
-        path = None if args.no_cache else os.path.join(args.cache_dir, DEFAULT_FILENAME)
-        ordering = ProverOrdering(path=path)
     reports = []
     for name in names:
         print(f"verifying {name} ...", flush=True)
@@ -139,7 +131,6 @@ def main() -> None:
                 sequent_budget=args.budget,
                 static_tier=args.static_tier,
                 race=args.race,
-                ordering=ordering,
             )
         reports.append(report)
         row = report.row(provers)
@@ -175,8 +166,6 @@ def main() -> None:
             f"cancelled, {reclaimed:.1f} s of prover budget reclaimed"
             + (f" [wins: {won}]" if won else ".")
         )
-        if ordering is not None and ordering.path:
-            print(f"Learned prover ordering ({ordering.bucket_count()} buckets) at {ordering.path!r}.")
     statically = sum(r.statically_discharged for r in reports)
     if statically:
         print(
@@ -197,7 +186,8 @@ def main() -> None:
         print(
             f"Cache: {cache.stats.hits} hits / {cache.stats.lookups} lookups "
             f"({cache.stats.hit_rate:.0%}), {cache.stats.stores} stores, "
-            f"disk tier at {args.cache_dir!r}."
+            f"disk tier at {args.cache_dir!r}; learned prover ordering "
+            f"({cache.ordering.bucket_count()} buckets) beside it."
         )
 
 

@@ -51,7 +51,6 @@ from ..provers.dispatcher import (
     make_provers,
     resolve_prover_names,
 )
-from ..provers.ordering import ProverOrdering
 from ..vcgen.sequent import Sequent
 from ..vcgen.vcgen import generate_method_vc
 from .report import ClassReport, MethodReport
@@ -96,7 +95,6 @@ def verify(
     dedup: bool = False,
     static_tier: bool = False,
     race: int = 1,
-    ordering: Optional[ProverOrdering] = None,
     race_stagger: float = DEFAULT_RACE_STAGGER,
     dispatch: Optional[DispatchFn] = None,
 ) -> MethodReport:
@@ -118,13 +116,18 @@ def verify(
     alone resolve with the ``STATIC`` verdict before the cache or any prover
     runs, counted in the report's ``statically_discharged``.
 
+    Each sequent's live provers run in the order the learned
+    :class:`repro.provers.ordering.ProverOrdering` ranks them — the table
+    ``cache`` owns, or a fresh one per call without a cache — and every
+    answer teaches the table as it lands.  The order changes which prover
+    gets credit for a sequent, never which sequents prove.
+
     ``race >= 2`` switches every non-cached, non-static sequent to racing
-    dispatch: the top-``race`` provers by ``ordering`` (a learned
-    :class:`repro.provers.ordering.ProverOrdering`; portfolio order when
-    omitted) run concurrently with hedged starts (``race_stagger`` seconds
-    apart) and the first PROVED answer — wave order breaking ties — wins,
-    cancelling the losers via the shared-token ``Deadline`` contract.  The
-    report gains ``races_run`` / ``race_wins`` / ``cancelled_answers`` /
+    dispatch: the top-``race`` provers by the learned order run
+    concurrently with hedged starts (``race_stagger`` seconds apart) and the
+    first PROVED answer — wave order breaking ties — wins, cancelling the
+    losers via the shared-token ``Deadline`` contract.  The report gains
+    ``races_run`` / ``race_wins`` / ``cancelled_answers`` /
     ``cancelled_reclaimed``; proved-sequent counts are unchanged because a
     wave with no proof falls through to the remaining provers.
 
@@ -156,14 +159,14 @@ def verify(
         dispatcher = ParallelDispatcher.from_names(
             names, workers=workers, backend=backend, cache=cache,
             sequent_budget=sequent_budget, dedup=dedup, static_tier=static_tier,
-            race=race, ordering=ordering, race_stagger=race_stagger,
+            race=race, race_stagger=race_stagger,
             **options,
         )
     else:
         dispatcher = Dispatcher(
             make_provers(names, **options), cache=cache,
             sequent_budget=sequent_budget, dedup=dedup, static_tier=static_tier,
-            race=race, ordering=ordering, race_stagger=race_stagger,
+            race=race, race_stagger=race_stagger,
         )
     if dispatch is not None:
         dispatched = dispatch(method_vc.sequents)
@@ -215,7 +218,6 @@ def verify_class(
     dedup: bool = False,
     static_tier: bool = False,
     race: int = 1,
-    ordering: Optional[ProverOrdering] = None,
     race_stagger: float = DEFAULT_RACE_STAGGER,
     dispatch: Optional[DispatchFn] = None,
 ) -> ClassReport:
@@ -256,7 +258,6 @@ def verify_class(
                 dedup=dedup,
                 static_tier=static_tier,
                 race=race,
-                ordering=ordering,
                 race_stagger=race_stagger,
                 dispatch=dispatch,
             )

@@ -17,6 +17,11 @@ Two tiers:
   (sequent digest, prover name, prover options) key, so whole-suite
   verification runs can be resumed across processes.
 
+Every cache also owns the :class:`repro.provers.ordering.ProverOrdering`
+that the dispatchers using it rank provers with and learn into: the table
+lives exactly as long as the verdicts it was learned from, and a disk-backed
+cache persists it as ``ordering.json`` in ``cache_dir``.
+
 All verdicts are cacheable.  ``TIMEOUT`` caching can be disabled
 (``cache_timeouts=False``) for machines with very variable load: a timeout
 recorded under one load would then be retried instead of replayed.  It is on
@@ -54,10 +59,12 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Iterator, Optional, Union
 
 from ..vcgen.sequent import Sequent
 from .base import ProverAnswer, Verdict
+from .ordering import DEFAULT_FILENAME as ORDERING_FILENAME
+from .ordering import ProverOrdering
 
 #: Verdicts replayed from the cache unconditionally.
 ALWAYS_CACHEABLE = frozenset({Verdict.PROVED, Verdict.UNKNOWN, Verdict.UNSUPPORTED})
@@ -126,6 +133,12 @@ class SequentCache:
         self._entries: "OrderedDict[str, CachedAnswer]" = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
+        #: The learned prover ordering of every dispatch that uses this cache.
+        self.ordering = ProverOrdering(
+            path=str(self.cache_dir / ORDERING_FILENAME)
+            if self.cache_dir is not None
+            else None
+        )
 
     # -- keys -----------------------------------------------------------------
 
@@ -190,6 +203,13 @@ class SequentCache:
         if self.cache_dir is None:
             return None
         return self.cache_dir / f"{cache_key}.json"
+
+    def _disk_entry_paths(self) -> Iterator[Path]:
+        """Published verdict files (the ordering table beside them is not one)."""
+        assert self.cache_dir is not None
+        for path in self.cache_dir.glob("*.json"):
+            if path.name != ORDERING_FILENAME:
+                yield path
 
     def _disk_read(self, cache_key: str) -> Optional[CachedAnswer]:
         path = self._disk_path(cache_key)
@@ -262,7 +282,7 @@ class SequentCache:
             return 0
         now = time.time()
         entries = []
-        for path in self.cache_dir.glob("*.json"):
+        for path in self._disk_entry_paths():
             try:
                 entries.append((path.stat().st_mtime, path))
             except OSError:
@@ -295,7 +315,7 @@ class SequentCache:
         """Number of published entries in the disk tier (0 when memory-only)."""
         if self.cache_dir is None:
             return 0
-        return sum(1 for _ in self.cache_dir.glob("*.json"))
+        return sum(1 for _ in self._disk_entry_paths())
 
     def clear(self, disk: bool = False) -> None:
         with self._lock:

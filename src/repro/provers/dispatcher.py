@@ -2,11 +2,16 @@
 
 This is the integrated-reasoning heart of the system (Sections 5.1-5.2): a
 verification condition is split into sequents, and every sequent is offered
-to the provers in the order the user listed them on the command line
-(``-usedp spass mona bapa`` in Figure 7).  Per-prover statistics — how many
-sequents each prover attempted and proved and how much time it spent,
-including failed attempts — are collected for the Figure 7 / Figure 15
-reports.
+to the provers until one proves it.  Jahob walks the order the user listed
+on the command line (``-usedp spass mona bapa`` in Figure 7); here that
+order is only the starting point — each sequent's live provers run in the
+order a learned :class:`repro.provers.ordering.ProverOrdering` ranks them
+for the sequent's feature bucket, and every answer is recorded in the
+table as soon as it lands.  The order sets the cost, never which sequents
+prove: a prover that fails falls through to the next.  Per-prover
+statistics — how many sequents each prover attempted and proved and how
+much time it spent, including failed attempts — are collected for the
+Figure 7 / Figure 15 reports.
 
 Splitting makes the workload embarrassingly parallel: sequents are
 independent proof obligations, so :class:`ParallelDispatcher` fans them out
@@ -14,14 +19,16 @@ to a pool of workers (``workers=N``, thread- or process-backed) while
 keeping the merged :class:`DispatchResult` deterministic — outcomes are
 merged in the original sequent order and per-prover :class:`ProverStats`
 are recorded in exactly the sequence the sequential :class:`Dispatcher`
-would have used, so ``ParallelDispatcher(workers=1)`` is indistinguishable
-from ``Dispatcher`` (timings aside).
+would have used, so a thread-backed ``ParallelDispatcher(workers=1)`` is
+indistinguishable from ``Dispatcher`` (timings aside).
 
 Both dispatchers accept a :class:`repro.provers.cache.SequentCache`: before
-running a prover on a sequent, the cache is consulted under the sequent's
-structural digest (:meth:`repro.vcgen.sequent.Sequent.digest`) plus the
-prover name and options; hits replay the stored verdict for free and are
-*not* recorded in :class:`ProverStats` (the prover did not run).
+any prover runs on a sequent, the cache is consulted for each prover of the
+chain under the sequent's structural digest
+(:meth:`repro.vcgen.sequent.Sequent.digest`) plus the prover name and
+options; hits replay the stored verdict for free and are *not* recorded in
+:class:`ProverStats` (the prover did not run).  The cache also owns the
+learned ordering, so the table lives exactly as long as the verdicts.
 
 Per-sequent budgets are *enforced*: ``sequent_budget=T`` turns into a
 :class:`repro.provers.base.Deadline` shared by the whole prover chain of one
@@ -50,7 +57,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from ..vcgen.sequent import Sequent
 from .base import Deadline, Prover, ProverAnswer, ProverStats, Verdict, registry
 from .cache import CacheStats, SequentCache
-from .ordering import ProverOrdering
+from .ordering import ProverOrdering, sequent_features
 from .syntactic import SyntacticProver
 
 if TYPE_CHECKING:  # import-cycle guard: repro.analysis imports the prover layer
@@ -296,7 +303,7 @@ def _static_outcome(sequent: Sequent, reason: str) -> SequentOutcome:
 
 
 # ---------------------------------------------------------------------------
-# The prover chain on one sequent (shared by both dispatchers)
+# The prover chain on one sequent (shared by every dispatcher and backend)
 # ---------------------------------------------------------------------------
 
 
@@ -314,69 +321,59 @@ def _chain_deadline(
     return Deadline.after(sequent_budget)
 
 
-def _run_prover_chain(
-    provers: Sequence[Prover],
+def _cache_scan(
+    cache: Optional[SequentCache],
     sequent: Sequent,
-    cache: Optional[SequentCache] = None,
-    sequent_budget: Optional[float] = None,
-    static: Optional["StaticDischarger"] = None,
-    deadline: Optional[Deadline] = None,
-) -> SequentOutcome:
-    """Offer one sequent to the provers in order, consulting the cache first.
+    signatures: Sequence[Tuple[str, str]],
+) -> Tuple[List[ProverAnswer], List[int], bool]:
+    """Replay the chain's cached verdicts, in portfolio order.
 
-    ``sequent_budget`` becomes one :class:`Deadline` shared by the whole
-    chain: each prover runs under the earlier of the chain deadline and its
-    own timeout, so a stuck decision procedure is cut off mid-flight (a
-    cooperative ``TIMEOUT``) and the next prover still gets its turn while
-    budget remains.  An outer ``deadline`` (a request-level budget threaded
-    through the daemon's batch dispatch) bounds the chain further: once it
-    passes, remaining provers are skipped and the outcome is marked
-    ``budget_exhausted``.
-
-    ``static`` (the dispatcher's :class:`StaticDischarger`, when the static
-    tier is enabled) is consulted before the cache and before any prover: a
-    sequent provable from dataflow facts alone resolves with the ``STATIC``
-    verdict for free.
+    ``signatures`` are the portfolio's (name, options signature) pairs.
+    Returns the replayed answers, the portfolio indices of the provers with
+    no cached verdict (the ones still to run live), and whether the scan
+    settled the sequent: a cached PROVED anywhere wins outright, and a chain
+    cached end to end needs no live run either.  Replays cost nothing, so
+    the scan never depends on the learned order — warm runs replay the
+    same answers whatever the table holds.
     """
-    if static is not None:
-        reason = static.check(sequent)
-        if reason is not None:
-            return _static_outcome(sequent, reason)
-    outcome = SequentOutcome(sequent=sequent, proved=False)
-    deadline = _chain_deadline(sequent_budget, deadline)
-    for prover in provers:
-        if deadline.expired():
-            outcome.budget_exhausted = True
-            break
-        answer: Optional[ProverAnswer] = None
-        if cache is not None:
-            entry = cache.lookup(sequent, prover.name, prover.options_signature())
-            if entry is not None:
-                answer = entry.to_answer(prover.name)
-        if answer is None:
-            answer = prover.prove(sequent, deadline=deadline)
-            # A *truncated* TIMEOUT — the chain deadline left the prover less
-            # than its configured timeout (the option that keys the cache
-            # entry) — reflects the budget's remainder, not the prover, and
-            # storing it would poison later runs that grant the full budget.
-            # ``Prover.prove`` sets the flag from the slack it actually had,
-            # so a TIMEOUT that did get its whole configured budget is a
-            # genuine verdict and stays cacheable even under a sequent
-            # budget.  (This used to blanket-suppress every TIMEOUT whenever
-            # ``sequent_budget`` was set, so cold runs re-paid them forever.)
-            if cache is not None and not answer.truncated:
-                cache.store(sequent, prover.name, answer, prover.options_signature())
-        outcome.answers.append(answer)
-        if answer.proved:
-            outcome.proved = True
-            outcome.prover = prover.name
-            break
+    answers: List[ProverAnswer] = []
+    live: List[int] = []
+    for index, (name, signature) in enumerate(signatures):
+        entry = cache.lookup(sequent, name, signature) if cache is not None else None
+        if entry is None:
+            live.append(index)
+            continue
+        answers.append(entry.to_answer(name))
+        if entry.verdict is Verdict.PROVED:
+            return answers, live, True
+    return answers, live, not live
+
+
+def _ranked(
+    ordering: ProverOrdering,
+    sequent: Sequent,
+    names: Sequence[str],
+    live: Sequence[int],
+) -> Tuple[str, List[int]]:
+    """The sequent's feature bucket and its live provers in learned order.
+
+    Called only once the cache scan has left provers to run, so a sequent
+    settled by dedup, the static tier or the cache never pays for
+    :func:`sequent_features`.
+    """
+    bucket = sequent_features(sequent)
+    order = ordering.rank_bucket(bucket, [names[index] for index in live])
+    return bucket, [live[position] for position in order]
+
+
+def _settled_outcome(sequent: Sequent, answers: List[ProverAnswer]) -> SequentOutcome:
+    """The outcome of a sequent the cache scan settled (no live run)."""
+    outcome = SequentOutcome(sequent=sequent, proved=False, answers=answers)
+    if answers and answers[-1].proved:
+        outcome.proved = True
+        outcome.prover = answers[-1].prover
     return outcome
 
-
-# ---------------------------------------------------------------------------
-# The racing prover chain (race=K dispatch mode, shared by both dispatchers)
-# ---------------------------------------------------------------------------
 
 #: Hedged-start delay between racers of one wave: racer ``i`` starts only
 #: after ``i * stagger`` seconds, and not at all if the wave has settled by
@@ -460,32 +457,48 @@ def _run_wave(
     return answers, slices, sum(started)
 
 
-def _race_prover_chain(
+def _run_prover_chain(
     provers: Sequence[Prover],
     sequent: Sequent,
-    race: int,
     cache: Optional[SequentCache] = None,
     sequent_budget: Optional[float] = None,
     static: Optional["StaticDischarger"] = None,
-    ordering: Optional["ProverOrdering"] = None,
-    stagger: float = DEFAULT_RACE_STAGGER,
     deadline: Optional[Deadline] = None,
+    ordering: Optional[ProverOrdering] = None,
+    race: int = 1,
+    stagger: float = DEFAULT_RACE_STAGGER,
 ) -> SequentOutcome:
-    """Offer one sequent to the portfolio in racing mode (``race >= 2``).
+    """Offer one sequent to the portfolio: cache first, then the live
+    provers in learned order until one proves.
 
-    The chain runs in *waves*: the cache is scanned once over the whole
-    learned order (any cached ``PROVED`` settles the sequent without racing
-    anything), then the remaining provers race in groups of up to ``race``
-    — concurrently, under one shared cancellation token — with the order
-    chosen by ``ordering`` (portfolio order when no table is given or the
-    table has nothing for this sequent's feature bucket).
+    ``static`` (the dispatcher's :class:`StaticDischarger`, when the static
+    tier is enabled) is consulted before the cache and before any prover: a
+    sequent provable from dataflow facts alone resolves with the ``STATIC``
+    verdict for free.  Then every cached verdict replays (see
+    :func:`_cache_scan`; a cached PROVED settles the sequent).
 
-    A wave with no ``PROVED`` answer falls through to the next, so every
-    prover still gets its turn and the set of provable sequents is exactly
-    the fixed-order chain's.  When several racers prove, the *wave-order*
-    (learned rank, portfolio tie-break) answer wins — completion order
-    never decides, so attribution is reproducible.  ``TIMEOUT`` answers
-    from contended waves are marked ``truncated`` (racers share the
+    The provers left run in the order ``ordering`` ranks them for this
+    sequent's feature bucket (portfolio order when no table is given or it
+    knows nothing of the bucket), and every live answer is recorded in the
+    table as soon as it lands, so the next sequent of the bucket — even in
+    the same batch — already benefits.  The order decides the cost, never
+    which sequents prove: a prover that fails falls through to the next.
+
+    ``sequent_budget`` becomes one :class:`Deadline` shared by the whole
+    chain: each prover runs under the earlier of the chain deadline and its
+    own timeout, so a stuck decision procedure is cut off mid-flight (a
+    cooperative ``TIMEOUT``) and the next prover still gets its turn while
+    budget remains.  An outer ``deadline`` (a request-level budget threaded
+    through the daemon's batch dispatch) bounds the chain further: once it
+    passes, remaining provers are skipped and the outcome is marked
+    ``budget_exhausted``.
+
+    ``race >= 2`` runs the live provers in *waves* of ``race``, concurrently
+    under one shared cancellation token (see :func:`_run_wave`).  A wave
+    with no ``PROVED`` answer falls through to the next.  When several
+    racers prove, the wave-order (learned rank) answer wins — completion
+    order never decides, so attribution is reproducible.  ``TIMEOUT``
+    answers from contended waves are marked ``truncated`` (racers share the
     interpreter, so a wall-clock timeout under contention says nothing a
     cache entry should remember); cancelled attempts yield ``CANCELLED``
     answers that are never cached and never counted as cache misses.
@@ -494,37 +507,22 @@ def _race_prover_chain(
         reason = static.check(sequent)
         if reason is not None:
             return _static_outcome(sequent, reason)
-    outcome = SequentOutcome(sequent=sequent, proved=False)
     deadline = _chain_deadline(sequent_budget, deadline)
+    signatures = [(prover.name, prover.options_signature()) for prover in provers]
+    replayed, live, settled = _cache_scan(cache, sequent, signatures)
+    if settled:
+        return _settled_outcome(sequent, replayed)
+    outcome = SequentOutcome(sequent=sequent, proved=False, answers=replayed)
+    bucket: Optional[str] = None
     if ordering is not None:
-        order = ordering.rank(sequent, [prover.name for prover in provers])
-    else:
-        order = list(range(len(provers)))
-
-    # Cache scan over the ranked order: replayed verdicts cost nothing, so
-    # every cached answer is collected up front and a cached PROVED wins
-    # outright — racing only ever spends CPU on genuinely open provers.
-    live: List[Prover] = []
-    for index in order:
-        prover = provers[index]
-        if cache is not None:
-            entry = cache.lookup(sequent, prover.name, prover.options_signature())
-            if entry is not None:
-                answer = entry.to_answer(prover.name)
-                outcome.answers.append(answer)
-                if answer.proved:
-                    outcome.proved = True
-                    outcome.prover = prover.name
-                    return outcome
-                continue
-        live.append(prover)
+        bucket, live = _ranked(ordering, sequent, [name for name, _ in signatures], live)
 
     position = 0
     while position < len(live):
         if deadline.expired():
             outcome.budget_exhausted = True
             break
-        wave = live[position:position + race]
+        wave = [provers[index] for index in live[position:position + race]]
         position += len(wave)
         answers, slices, started_count = _run_wave(wave, sequent, deadline, stagger)
         contended = started_count >= 2
@@ -543,7 +541,16 @@ def _race_prover_chain(
             if answer.verdict is Verdict.CANCELLED:
                 outcome.reclaimed += max(0.0, slices[slot] - answer.time)
             elif cache is not None and not answer.truncated:
+                # A *truncated* TIMEOUT — the chain deadline left the prover
+                # less than its configured timeout (the option that keys the
+                # cache entry) — reflects the budget's remainder, not the
+                # prover, and storing it would poison later runs that grant
+                # the full budget.  ``Prover.prove`` sets the flag from the
+                # slack it actually had, so a TIMEOUT that did get its whole
+                # configured budget is a genuine verdict and stays cacheable.
                 cache.store(sequent, prover.name, answer, prover.options_signature())
+            if ordering is not None:
+                ordering.observe(sequent, answer, bucket)
             outcome.answers.append(answer)
             if winner is None and answer.proved:
                 winner = answer
@@ -556,20 +563,19 @@ def _race_prover_chain(
     return outcome
 
 
-def _observe_outcomes(
-    ordering: Optional["ProverOrdering"], outcomes: Sequence[SequentOutcome]
-) -> None:
-    """Feed a batch's live answers to the learned ordering and persist it.
+def _dispatch_ordering(
+    cache: Optional[SequentCache], ordering: Optional[ProverOrdering]
+) -> ProverOrdering:
+    """The table a dispatcher ranks with: an explicit override, else the
+    cache's own, else a fresh in-memory one."""
+    if ordering is not None:
+        return ordering
+    return cache.ordering if cache is not None else ProverOrdering()
 
-    Replays, ``CANCELLED`` and truncated answers teach nothing (the
-    ordering skips them itself); the table is saved after the batch when it
-    has a path and learned anything new.
-    """
-    if ordering is None:
-        return
-    for outcome in outcomes:
-        for answer in outcome.answers:
-            ordering.observe(outcome.sequent, answer)
+
+def _save_ordering(ordering: ProverOrdering) -> None:
+    """Persist the learned ordering once per batch, when it has a path and
+    learned anything new (the chains record every answer as it lands)."""
     if ordering.dirty and ordering.path:
         ordering.save()
 
@@ -632,6 +638,12 @@ def _merge_outcomes(
 class Dispatcher:
     """Runs the prover portfolio over sequents sequentially, in order.
 
+    Every sequent's live provers run in the order the learned
+    :class:`ProverOrdering` ranks them (see :func:`_run_prover_chain`).  The
+    table is the cache's (``cache.ordering``), so it lives as long as the
+    verdicts it was learned from; a dispatcher without a cache learns in a
+    fresh in-memory table.  ``ordering=`` overrides either (tests).
+
     ``dedup=True`` enables the digest-grouping pre-pass: one representative
     per group of structurally identical sequents is proved and its verdict
     replayed for the duplicates.
@@ -661,12 +673,11 @@ class Dispatcher:
         self.sequent_budget = sequent_budget
         self.dedup = dedup
         self.static = _make_static_tier(static_tier)
-        #: ``race >= 2`` switches every non-cached, non-static sequent to the
-        #: racing chain (:func:`_race_prover_chain`): the top-``race``
-        #: provers by the learned ``ordering`` run concurrently and the
+        #: ``race >= 2`` runs the live provers in waves of ``race``: the
+        #: top-``race`` by the learned ordering run concurrently and the
         #: first PROVED answer (wave order breaking ties) wins.
         self.race = max(1, int(race))
-        self.ordering = ordering
+        self.ordering = _dispatch_ordering(cache, ordering)
         self.race_stagger = race_stagger
 
     @classmethod
@@ -688,18 +699,6 @@ class Dispatcher:
     def _chain(
         self, sequent: Sequent, deadline: Optional[Deadline] = None
     ) -> SequentOutcome:
-        if self.race > 1:
-            return _race_prover_chain(
-                self.provers,
-                sequent,
-                self.race,
-                self.cache,
-                self.sequent_budget,
-                self.static,
-                ordering=self.ordering,
-                stagger=self.race_stagger,
-                deadline=deadline,
-            )
         return _run_prover_chain(
             self.provers,
             sequent,
@@ -707,6 +706,9 @@ class Dispatcher:
             self.sequent_budget,
             self.static,
             deadline=deadline,
+            ordering=self.ordering,
+            race=self.race,
+            stagger=self.race_stagger,
         )
 
     def prove_sequent(self, sequent: Sequent, result: DispatchResult) -> SequentOutcome:
@@ -737,7 +739,7 @@ class Dispatcher:
             if self.stop_on_failure and not outcome.proved:
                 break
         _merge_outcomes(result, outcomes, self.stop_on_failure, self.cache is not None)
-        _observe_outcomes(self.ordering, outcomes)
+        _save_ordering(self.ordering)
         result.total_time = time.perf_counter() - start
         result.wall_time = result.total_time
         return result
@@ -755,35 +757,26 @@ _PROCESS_PORTFOLIOS: Dict[Tuple, List[Prover]] = {}
 
 
 def _process_worker_chain(
-    payload: Tuple[
-        Sequence[str], dict, Optional[float], Sequent, int, int,
-        Optional[Sequence[int]], float,
-    ]
+    payload: Tuple[Sequence[str], dict, Optional[float], Sequent, int, Sequence[int], float]
 ) -> SequentOutcome:
     """Top-level function (picklable) executed inside process-pool workers.
 
-    ``start`` skips the provers whose verdicts the parent already replayed
-    from its cache (the cached prefix of the chain).  With ``race >= 2``
-    the worker races instead: ``order`` lists the portfolio indices of the
-    provers still open for this sequent, already in learned-rank order (the
-    parent ranks and cache-scans; the ordering table and the cache both
-    live in the parent), and the worker runs the racing chain over exactly
-    those provers with its own in-process racer threads.
+    ``order`` lists the portfolio indices of the provers still open for this
+    sequent, already in learned-rank order: the cache and the ordering table
+    both live in the parent, which cache-scans and ranks before submitting
+    and learns from the answers when they come back.  The worker runs the
+    chain over exactly those provers (racing them in waves when ``race >=
+    2``, with its own in-process racer threads).
     """
-    names, options, sequent_budget, sequent, start, race, order, stagger = payload
+    names, options, sequent_budget, sequent, race, order, stagger = payload
     key = (tuple(names), repr(sorted(options.items())))
     provers = _PROCESS_PORTFOLIOS.get(key)
     if provers is None:
         provers = make_provers(names, **options)
         _PROCESS_PORTFOLIOS[key] = provers
-    if race > 1:
-        chain = [provers[index] for index in (order or range(len(provers)))]
-        return _race_prover_chain(
-            chain, sequent, race, cache=None, sequent_budget=sequent_budget,
-            stagger=stagger,
-        )
     return _run_prover_chain(
-        provers[start:], sequent, cache=None, sequent_budget=sequent_budget
+        [provers[index] for index in order], sequent,
+        sequent_budget=sequent_budget, race=race, stagger=stagger,
     )
 
 
@@ -807,8 +800,12 @@ class ParallelDispatcher:
 
     Whatever the backend, outcomes are merged in the original sequent order
     and per-prover statistics are recorded in the sequence the sequential
-    :class:`Dispatcher` would use, so results (and, for ``workers=1``,
-    statistics) are reproducible.
+    :class:`Dispatcher` would use.  The learned ordering (the cache's, as
+    for :class:`Dispatcher`) learns in completion order: thread workers
+    record each answer as it lands, while the process backend ranks every
+    sequent at submit time and learns when the answers come back.  With
+    ``workers > 1`` which prover gets credit for a sequent may therefore
+    differ from a serial run — which sequents prove never does.
 
     ``executor=`` lends the dispatcher a long-lived pool (matching the
     backend: a ``ThreadPoolExecutor`` for threads, a ``ProcessPoolExecutor``
@@ -854,10 +851,10 @@ class ParallelDispatcher:
         # discharger's counters stay single-threaded.
         self.static = _make_static_tier(static_tier)
         # Racing (race >= 2): each worker slot races the top-``race``
-        # provers of its sequent; the learned ordering (and the cache scan,
-        # for the process backend) always runs in the parent.
+        # provers of its sequent.  For the process backend the cache scan
+        # and the learned ordering run in the parent.
         self.race = max(1, int(race))
-        self.ordering = ordering
+        self.ordering = _dispatch_ordering(cache, ordering)
         self.race_stagger = race_stagger
         self.executor = executor
         self._names = list(_names) if _names is not None else None
@@ -928,7 +925,7 @@ class ParallelDispatcher:
                 1 for index in range(len(outcomes)) if rep[index] != index
             )
         _merge_outcomes(result, outcomes, self.stop_on_failure, self.cache is not None)
-        _observe_outcomes(self.ordering, outcomes)
+        _save_ordering(self.ordering)
         result.total_time = time.perf_counter() - start
         result.wall_time = result.total_time
         if result.wall_time > 0:
@@ -962,17 +959,11 @@ class ParallelDispatcher:
                 provers = self._factory()
                 local.provers = provers
             started = time.perf_counter()
-            if self.race > 1:
-                outcome = _race_prover_chain(
-                    provers, sequent, self.race, self.cache, self.sequent_budget,
-                    ordering=self.ordering, stagger=self.race_stagger,
-                    deadline=deadline,
-                )
-            else:
-                outcome = _run_prover_chain(
-                    provers, sequent, self.cache, self.sequent_budget,
-                    deadline=deadline,
-                )
+            outcome = _run_prover_chain(
+                provers, sequent, self.cache, self.sequent_budget,
+                deadline=deadline, ordering=self.ordering, race=self.race,
+                stagger=self.race_stagger,
+            )
             elapsed = time.perf_counter() - started
             name = threading.current_thread().name
             with busy_lock:
@@ -1020,54 +1011,6 @@ class ParallelDispatcher:
 
     # -- process backend -------------------------------------------------------
 
-    def _cached_chain_prefix(
-        self, sequent: Sequent, signatures: List[Tuple[str, str]]
-    ) -> Tuple[List[ProverAnswer], bool]:
-        """Replay the chain's cached prefix; ``complete`` means no live run
-        is needed (a cached PROVED was found or every prover is cached)."""
-        answers: List[ProverAnswer] = []
-        if self.cache is None:
-            return answers, False
-        for prover_name, signature in signatures:
-            entry = self.cache.lookup(sequent, prover_name, signature)
-            if entry is None:
-                return answers, False
-            answers.append(entry.to_answer(prover_name))
-            if entry.verdict is Verdict.PROVED:
-                return answers, True
-        return answers, True
-
-    def _cached_race_scan(
-        self,
-        sequent: Sequent,
-        signatures: List[Tuple[str, str]],
-        ranked: Sequence[int],
-    ) -> Tuple[List[ProverAnswer], List[int], bool]:
-        """The racing chain's cache scan, run parent-side (the cache never
-        crosses into process workers).
-
-        Mirrors :func:`_race_prover_chain`'s scan phase exactly: cached
-        answers replay in ranked order, a cached PROVED completes the
-        sequent outright, and the returned ``live`` indices — the provers
-        still open, in rank order — are what the worker will race.
-        """
-        answers: List[ProverAnswer] = []
-        live: List[int] = []
-        for index in ranked:
-            prover_name, signature = signatures[index]
-            entry = (
-                self.cache.lookup(sequent, prover_name, signature)
-                if self.cache is not None
-                else None
-            )
-            if entry is None:
-                live.append(index)
-                continue
-            answers.append(entry.to_answer(prover_name))
-            if entry.verdict is Verdict.PROVED:
-                return answers, live, True
-        return answers, live, not live
-
     def _prove_all_processes(
         self,
         sequents: Sequence[Sequent],
@@ -1082,11 +1025,15 @@ class ParallelDispatcher:
             probe = self._probe = self._factory()
         signatures = [(p.name, p.options_signature()) for p in probe]
         by_prover = {p.name: p for p in probe}
+        names = [name for name, _ in signatures]
 
-        def finish(sequent: Sequent, prefix: List[ProverAnswer], tail: SequentOutcome):
+        def finish(
+            sequent: Sequent, prefix: List[ProverAnswer], bucket: str, tail: SequentOutcome
+        ) -> SequentOutcome:
             """Splice the cached prefix and the worker's live tail, storing
             the freshly computed verdicts back into the parent's cache
-            (except budget-truncated TIMEOUTs — see _run_prover_chain)."""
+            (except budget-truncated TIMEOUTs — see _run_prover_chain) and
+            recording them in the learned ordering."""
             for answer in tail.answers:
                 prover = by_prover.get(answer.prover)
                 if (
@@ -1102,7 +1049,8 @@ class ParallelDispatcher:
                     self.cache.store(
                         sequent, answer.prover, answer, prover.options_signature()
                     )
-            outcome = SequentOutcome(
+                self.ordering.observe(sequent, answer, bucket)
+            return SequentOutcome(
                 sequent=sequent,
                 proved=tail.proved,
                 prover=tail.prover,
@@ -1112,43 +1060,30 @@ class ParallelDispatcher:
                 race_won_by=tail.race_won_by,
                 reclaimed=tail.reclaimed,
             )
-            return outcome
 
         # The static pre-pass outranks the cache: a statically discharged
-        # sequent is never prefix-scanned or submitted.  Duplicates are
-        # never scanned or submitted either — their outcome is fanned out
-        # from the representative's at merge time.
-        statics: List[Optional[SequentOutcome]] = [
-            None
-            if rep is not None and rep[index] != index
-            else self._static_check(sequent)
-            for index, sequent in enumerate(sequents)
-        ]
-        # ``prefixes[i]`` is (cached answers, complete); ``race_orders[i]``
-        # additionally carries, in racing mode, the ranked indices of the
-        # provers the worker should race (the ordering table and the cache
-        # both live parent-side, so ranking and the scan happen here).
-        prefixes: List[Tuple[List[ProverAnswer], bool]] = []
-        race_orders: List[Optional[List[int]]] = []
-        names_in_order = [prover.name for prover in probe]
+        # sequent is never scanned or submitted.  Duplicates are never
+        # scanned or submitted either — their outcome is fanned out from the
+        # representative's at merge time.  Everything else is cache-scanned
+        # here (the cache lives parent-side), and only a sequent the scan
+        # leaves open is ranked: ``scans[i]`` is (cached answers, settled,
+        # feature bucket, live provers in learned order).
+        statics: List[Optional[SequentOutcome]] = []
+        scans: List[Tuple[List[ProverAnswer], bool, str, List[int]]] = []
         for index, sequent in enumerate(sequents):
-            if statics[index] is not None or (rep is not None and rep[index] != index):
-                prefixes.append(([], False))
-                race_orders.append(None)
-            elif self.race > 1:
-                ranked = (
-                    self.ordering.rank(sequent, names_in_order)
-                    if self.ordering is not None
-                    else list(range(len(signatures)))
-                )
-                answers, live, complete = self._cached_race_scan(
-                    sequent, signatures, ranked
-                )
-                prefixes.append((answers, complete))
-                race_orders.append(live)
-            else:
-                prefixes.append(self._cached_chain_prefix(sequent, signatures))
-                race_orders.append(None)
+            if rep is not None and rep[index] != index:
+                statics.append(None)
+                scans.append(([], True, "", []))
+                continue
+            statics.append(self._static_check(sequent))
+            if statics[index] is not None:
+                scans.append(([], True, "", []))
+                continue
+            answers, live, settled = _cache_scan(self.cache, sequent, signatures)
+            bucket = ""
+            if not settled:
+                bucket, live = _ranked(self.ordering, sequent, names, live)
+            scans.append((answers, settled, bucket, live))
 
         busy: Dict[str, float] = {}
         outcomes: List[SequentOutcome] = []
@@ -1159,12 +1094,8 @@ class ParallelDispatcher:
             owned = pool = ProcessPoolExecutor(max_workers=self.workers)
         try:
             futures = []
-            for index, (sequent, (prefix, complete)) in enumerate(zip(sequents, prefixes)):
-                if (
-                    complete
-                    or statics[index] is not None
-                    or (rep is not None and rep[index] != index)
-                ):
+            for index, (sequent, (_, settled, _, live)) in enumerate(zip(sequents, scans)):
+                if settled:
                     futures.append(None)
                     continue
                 # A Deadline cannot cross the process boundary (its expiry
@@ -1180,10 +1111,12 @@ class ParallelDispatcher:
                     budget = slack if budget is None else min(budget, slack)
                 payload = (
                     self._names, self._options, budget, sequent,
-                    len(prefix), self.race, race_orders[index], self.race_stagger,
+                    self.race, live, self.race_stagger,
                 )
                 futures.append(pool.submit(_process_worker_chain, payload))
-            for index, (sequent, (prefix, complete)) in enumerate(zip(sequents, prefixes)):
+            for index, (sequent, (prefix, settled, bucket, _)) in enumerate(
+                zip(sequents, scans)
+            ):
                 if rep is not None and rep[index] != index:
                     outcome = _replayed_outcome(sequent, outcomes[rep[index]])
                 elif statics[index] is not None:
@@ -1193,14 +1126,11 @@ class ParallelDispatcher:
                         sequent=sequent, proved=False, answers=list(prefix),
                         budget_exhausted=True,
                     )
-                elif complete:
-                    outcome = SequentOutcome(sequent=sequent, proved=False, answers=prefix)
-                    if prefix and prefix[-1].proved:
-                        outcome.proved = True
-                        outcome.prover = prefix[-1].prover
+                elif settled:
+                    outcome = _settled_outcome(sequent, prefix)
                 else:
                     tail = futures[index].result()
-                    outcome = finish(sequent, prefix, tail)
+                    outcome = finish(sequent, prefix, bucket, tail)
                     # The pool does not reveal which process ran the task, so
                     # report the *average* per-worker busy fraction: total
                     # prover CPU spread across the pool (keeps the documented

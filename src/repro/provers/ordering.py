@@ -1,10 +1,12 @@
-"""Learned prover ordering for the racing dispatcher (ROADMAP: racing
-portfolio).
+"""Learned prover ordering: the order every dispatcher offers a sequent to
+the portfolio.
 
 The paper's Figure 7 command line fixes one prover order for a whole run
 (``-usedp spass mona bapa``), so a sequent that only MONA can discharge
 still pays the full SPASS budget first.  This module learns a better
-per-sequent order from the outcomes the dispatcher has already observed:
+per-sequent order from the outcomes the dispatcher has already observed
+(the order decides the cost, never which sequents prove: every prover
+still gets its turn until one proves):
 
 * :func:`sequent_features` maps a sequent to a small, stable *feature
   bucket* — the goal's head connective/operator, the logic-fragment flags
@@ -20,18 +22,22 @@ per-sequent order from the outcomes the dispatcher has already observed:
   *portfolio position* as the tie-break), provers the table knows nothing
   about keep their portfolio order next, and provers that were attempted
   ``min_attempts``+ times without a single proof sink to the back.  With an
-  empty table the ranking *is* the portfolio order, so racing with a cold
-  table reproduces the fixed-order prover choice exactly.
+  empty table the ranking *is* the portfolio order, so a cold table
+  reproduces the fixed-order prover choice exactly.
 
-The table persists as one small JSON document beside the sequent cache /
-sharded verdict store (``ordering.json``): :meth:`ProverOrdering.save`
-writes atomically (tmp + ``os.replace``), and concurrent daemons may
-overwrite each other wholesale — the stats are advisory scheduling hints,
-never part of a verdict, so losing an update is harmless.
+The table lives as long as the verdict cache it learns beside: every
+:class:`repro.provers.cache.SequentCache` and
+:class:`repro.server.store.ShardedVerdictStore` owns one, and a disk-backed
+cache persists it as one small JSON document (``ordering.json``) in its
+directory.  :meth:`ProverOrdering.save` writes atomically (a per-writer
+staging file + ``os.replace``), and concurrent daemons may overwrite each
+other wholesale — the stats are advisory scheduling hints, never part of a
+verdict, so losing an update is harmless.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -48,6 +54,10 @@ FORMAT_VERSION = 1
 
 #: Default file name, placed beside the cache/store directory it learns from.
 DEFAULT_FILENAME = "ordering.json"
+
+#: Per-process counter making staging names unique per save (``next()`` on
+#: an ``itertools.count`` is atomic under the GIL).
+_TMP_COUNTER = itertools.count()
 
 
 def _goal_head(term: F.Term) -> str:
@@ -187,8 +197,8 @@ class ProverOrdering:
     many failed attempts a bucket needs before it demotes a prover below
     the unknowns — fewer and one unlucky timeout would exile an engine.
 
-    Thread-safe: the dispatchers observe outcomes from worker threads and
-    the daemon ranks from its event loop.
+    Thread-safe: dispatcher worker threads and concurrent daemon lanes rank
+    and observe on one shared table.
     """
 
     path: Optional[str] = None
@@ -257,7 +267,10 @@ class ProverOrdering:
             self.dirty = 0
         directory = os.path.dirname(os.path.abspath(target))
         os.makedirs(directory, exist_ok=True)
-        tmp = f"{target}.tmp.{os.getpid()}"
+        # Unique per save, not just per process: daemon lanes are threads of
+        # one process and may save at once, and a staging name they shared
+        # would let one lane's os.replace move it out from under another's.
+        tmp = f"{target}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -266,13 +279,17 @@ class ProverOrdering:
 
     # -- learning ----------------------------------------------------------
 
-    def observe(self, sequent: Sequent, answer: ProverAnswer) -> None:
+    def observe(
+        self, sequent: Sequent, answer: ProverAnswer, bucket: Optional[str] = None
+    ) -> None:
         """Record one live outcome (called by the dispatchers per answer).
 
-        Cached replays teach nothing new (their stats were recorded when
-        first proved); ``CANCELLED`` answers say nothing about the sequent;
-        truncated answers reflect a clipped slice, not the prover; and
-        ``STATIC`` discharges never ran a prover at all.  All are ignored.
+        ``bucket`` is the sequent's feature key when the caller already
+        computed it for :meth:`rank_bucket`.  Cached replays teach nothing
+        new (their stats were recorded when first proved); ``CANCELLED``
+        answers say nothing about the sequent; truncated answers reflect a
+        clipped slice, not the prover; and ``STATIC`` discharges never ran a
+        prover at all.  All are ignored.
         """
         if (
             answer.cached
@@ -282,7 +299,7 @@ class ProverOrdering:
         ):
             return
         self.observe_outcome(
-            sequent_features(sequent), answer.prover, answer.proved, answer.time
+            bucket or sequent_features(sequent), answer.prover, answer.proved, answer.time
         )
 
     def observe_outcome(
@@ -309,7 +326,7 @@ class ProverOrdering:
         unknowns in portfolio order, then known-hopeless provers
         (``min_attempts``+ attempts, zero proofs) in portfolio order.  An
         empty table therefore yields ``[0, 1, ..., n-1]`` — the fixed
-        portfolio order — which keeps cold racing reproducible.
+        portfolio order — which keeps cold dispatch reproducible.
         """
         return self.rank_bucket(sequent_features(sequent), provers)
 

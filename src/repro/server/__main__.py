@@ -80,8 +80,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--race", type=int, default=1,
-        help="race the top-K provers per sequent (learned ordering persisted "
-        "beside --store-dir; default: fixed portfolio order)",
+        help="race the top-K provers per sequent in learned order "
+        "(default: 1, one prover at a time in learned order)",
     )
     parser.add_argument(
         "--max-request-bytes", type=int, default=DEFAULT_MAX_REQUEST_BYTES,

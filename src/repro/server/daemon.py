@@ -26,7 +26,9 @@ sharded verdict store:
 * :class:`ShardedVerdictStore` (``repro.server.store``) backs the verdicts:
   content-addressed by structural digest, N shard directories with per-shard
   locks and LRU tiers, safe under concurrent multi-process access — several
-  daemons may share one store root.  Long-lived deployments bound the disk
+  daemons may share one store root.  The store also owns the learned prover
+  ordering every lane ranks with (``<store-dir>/ordering.json``).
+  Long-lived deployments bound the disk
   tier with ``--store-max-entries`` / ``--store-max-age``; the daemon
   compacts at startup and every ``compact_interval`` seconds (and on the
   ``compact`` op).
@@ -105,8 +107,6 @@ from ..provers.dispatcher import (
     _merge_outcomes,
     resolve_prover_names,
 )
-from ..provers.ordering import DEFAULT_FILENAME as ORDERING_FILENAME
-from ..provers.ordering import ProverOrdering
 from ..vcgen.sequent import Sequent
 from .store import ShardedVerdictStore
 from .wire import (
@@ -225,7 +225,6 @@ class VerifyService:
         workers: Optional[int] = None,
         backend: Optional[str] = None,
         race: int = 1,
-        ordering: Optional[ProverOrdering] = None,
     ) -> None:
         self.store = store
         self.window = window
@@ -246,15 +245,6 @@ class VerifyService:
         # (contended TIMEOUTs are truncated and never stored), so racing
         # and fixed-order requests may share one batch and one store.
         self.race = max(1, int(race))
-        self.ordering = ordering
-        if self.ordering is None and self.race > 1 and store.root_dir is not None:
-            # Learn beside the verdict store by default, so a daemon's
-            # ranking table survives restarts next to the verdicts it ranks.
-            # ProverOrdering is internally locked, so concurrent lanes may
-            # share it.
-            self.ordering = ProverOrdering(
-                path=str(store.root_dir / ORDERING_FILENAME)
-            )
         self.stats = ServiceStats()
         self._pending: Deque[_PendingRequest] = deque()
         self._wakeup = asyncio.Event()
@@ -620,7 +610,6 @@ class VerifyService:
             sequent_budget=request.sequent_budget,
             dedup=True,
             race=self.race,
-            ordering=self.ordering,
             executor=executor,
             **request.options,
         )

@@ -32,9 +32,12 @@ reading/writing the same root — an evicted verdict re-proves, it never
 tears.
 
 The store quacks like a :class:`SequentCache` (``lookup`` / ``store`` /
-``stats`` / ``clear`` / ``len``), so it can be passed anywhere a cache is
-accepted — in particular as the ``cache=`` of the dispatchers the daemon's
-batch service runs.
+``stats`` / ``ordering`` / ``clear`` / ``len``), so it can be passed anywhere
+a cache is accepted — in particular as the ``cache=`` of the dispatchers the
+daemon's batch service runs.  Like a cache it owns one learned
+:class:`repro.provers.ordering.ProverOrdering` for all its shards, persisted
+as ``<root>/ordering.json`` when the store is disk-backed, so a daemon's
+ranking table survives restarts next to the verdicts it ranks.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from typing import Iterator, Optional, Union
 
 from ..provers.base import ProverAnswer
 from ..provers.cache import CachedAnswer, CacheStats, SequentCache
+from ..provers.ordering import DEFAULT_FILENAME as ORDERING_FILENAME
+from ..provers.ordering import ProverOrdering
 from ..vcgen.sequent import Sequent
 
 #: Default shard count: enough to spread lock contention and directory sizes
@@ -86,6 +91,12 @@ class ShardedVerdictStore:
                 cache_timeouts=cache_timeouts,
             )
             for index in range(shards)
+        )
+        #: One learned prover ordering for the whole store (not per shard).
+        self.ordering = ProverOrdering(
+            path=str(self.root_dir / ORDERING_FILENAME)
+            if self.root_dir is not None
+            else None
         )
 
     # -- sharding -------------------------------------------------------------

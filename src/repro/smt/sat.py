@@ -25,7 +25,8 @@ without poisoning the solver (only a level-0 conflict is recorded as
 permanently unsatisfiable).  ``incremental=False`` reproduces the previous
 engine exactly — every call rebuilds watches, activities and the trail from
 scratch (learned clauses and phases still persist) — and is kept as the
-measured baseline for ``benchmarks/bench_hot_paths.py``.
+baseline of the incremental-trail differential tests; its wall-clock
+comparison is recorded in ``BENCH_hot_paths.json``.
 
 Correctness note on the watch scheme: a clause is re-scanned in full
 whenever one of its watched literals is falsified, and its watches are

@@ -1,10 +1,11 @@
 """The learned prover ordering: feature buckets, the three-tier deterministic
-ranking, JSON persistence, and which answers teach it anything."""
+ranking, JSON persistence (including concurrent saves), which answers teach
+it anything, and how the dispatch chain learns from each answer."""
 
 import json
 
 from repro.form.parser import parse_formula as parse
-from repro.provers.base import ProverAnswer, Verdict
+from repro.provers.base import Prover, ProverAnswer, Verdict
 from repro.provers.ordering import (
     DEFAULT_FILENAME,
     FORMAT_VERSION,
@@ -177,3 +178,101 @@ def test_racing_dispatch_persists_the_table(tmp_path):
     bucket = sequent_features(corpus[0])
     # smt proved it live; syntactic answered UNKNOWN: smt must rank first.
     assert reloaded.rank_bucket(bucket, ["syntactic", "smt"])[0] == 1
+
+
+def test_concurrent_saves_never_collide(tmp_path):
+    """Daemon lanes are threads of one process and may save the shared table
+    at once: every save stages under its own name, so none of them loses its
+    staging file to another's ``os.replace``."""
+    import threading
+
+    path = str(tmp_path / DEFAULT_FILENAME)
+    ordering = ProverOrdering(path=path)
+    errors = []
+    barrier = threading.Barrier(8)
+
+    def saver(index):
+        try:
+            barrier.wait()
+            for _ in range(20):
+                ordering.observe_outcome(f"b{index}", "smt", proved=True, time=0.1)
+                ordering.save()
+        except Exception as exc:  # noqa: BLE001 - collected for the assert
+            errors.append(exc)
+
+    threads = [threading.Thread(target=saver, args=(i,)) for i in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert not list(tmp_path.glob("*.tmp"))
+    reloaded = ProverOrdering(path=path)
+    assert reloaded.bucket_count() >= 1
+    ordering.save()
+    assert ProverOrdering(path=path).bucket_count() == 8
+
+
+# -- learning inside the dispatch chain ---------------------------------------
+
+
+class _Refuses(Prover):
+    name = "refuses"
+
+    def attempt(self, sequent, deadline=None):
+        return ProverAnswer(Verdict.UNKNOWN, self.name)
+
+
+class _Proves(Prover):
+    name = "proves"
+
+    def attempt(self, sequent, deadline=None):
+        return ProverAnswer(Verdict.PROVED, self.name)
+
+
+def test_dispatch_learns_within_one_batch():
+    """After ``refuses`` fails and ``proves`` proves in a feature bucket, the
+    next sequent of that bucket in the *same* batch goes straight to
+    ``proves``: each answer is learned as it lands, not at batch end."""
+    from repro.provers.dispatcher import Dispatcher
+
+    batch = [sequent([parse(f"p{i}")], parse(f"q{i}")) for i in range(3)]
+    assert len({sequent_features(s) for s in batch}) == 1
+    result = Dispatcher([_Refuses(), _Proves()]).prove_all(batch)
+    assert result.proved == 3
+    assert [[a.prover for a in o.answers] for o in result.outcomes] == [
+        ["refuses", "proves"], ["proves"], ["proves"],
+    ]
+    assert (result.stats["refuses"].attempted, result.stats["refuses"].proved) == (1, 0)
+    assert (result.stats["proves"].attempted, result.stats["proves"].proved) == (3, 3)
+
+
+def test_disk_cache_owns_and_persists_the_table(tmp_path):
+    """``SequentCache(cache_dir=d)`` learns into ``d/ordering.json``, which a
+    new cache over the same directory reloads; the table is not a verdict
+    entry of the disk tier."""
+    from repro.provers.cache import SequentCache
+    from repro.provers.dispatcher import Dispatcher
+
+    cache = SequentCache(cache_dir=tmp_path)
+    seq = sequent([parse("p")], parse("q"))
+    Dispatcher([_Refuses(), _Proves()], cache=cache).prove_all([seq])
+    assert (tmp_path / DEFAULT_FILENAME).is_file()
+    assert cache.disk_entries() == 2  # the two verdicts, not the table
+
+    reloaded = SequentCache(cache_dir=tmp_path).ordering
+    assert reloaded.path == str(tmp_path / DEFAULT_FILENAME)
+    assert reloaded.rank(seq, ["refuses", "proves"]) == [1, 0]
+
+
+def test_dispatcher_without_cache_learns_in_a_fresh_table():
+    from repro.provers.cache import SequentCache
+    from repro.provers.dispatcher import Dispatcher, ParallelDispatcher
+
+    one, two = Dispatcher([_Proves()]), Dispatcher([_Proves()])
+    assert one.ordering is not two.ordering and one.ordering.path is None
+    cache = SequentCache()
+    assert Dispatcher([_Proves()], cache=cache).ordering is cache.ordering
+    assert ParallelDispatcher.from_names(["syntactic"], cache=cache).ordering is cache.ordering
+    override = ProverOrdering()
+    assert Dispatcher([_Proves()], cache=cache, ordering=override).ordering is override

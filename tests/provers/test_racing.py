@@ -20,7 +20,7 @@ from repro.provers.cache import SequentCache
 from repro.provers.dispatcher import (
     Dispatcher,
     ParallelDispatcher,
-    _race_prover_chain,
+    _run_prover_chain,
     make_provers,
 )
 from repro.provers.ordering import ProverOrdering
@@ -109,7 +109,7 @@ def test_race_winner_is_wave_order_not_completion_order():
     """Both racers prove; the rank-0 prover must win every time, however the
     threads are actually scheduled."""
     for _ in range(5):
-        outcome = _race_prover_chain(
+        outcome = _run_prover_chain(
             [InstantProver(), InstantProver2()], _seq(), race=2, stagger=0.0
         )
         assert outcome.proved and outcome.prover == "instant"
@@ -165,7 +165,7 @@ def test_no_prover_overruns_cancellation_beyond_checkpoint_granularity():
     polling interval (plus scheduling slack) — not run out its own budget."""
     slow, fast = SlowProver(timeout=30.0), FastProver(timeout=10.0)
     start = time.perf_counter()
-    outcome = _race_prover_chain([slow, fast], _seq(), race=2, stagger=0.01)
+    outcome = _run_prover_chain([slow, fast], _seq(), race=2, stagger=0.01)
     elapsed = time.perf_counter() - start
     assert outcome.proved and outcome.prover == "fast"
     slow_answer = next(a for a in outcome.answers if a.prover == "slow")
@@ -284,9 +284,7 @@ def test_learned_ordering_reorders_the_race():
 
     bucket = sequent_features(seq)
     ordering.observe_outcome(bucket, "instant", proved=True, time=0.001)
-    outcome = _race_prover_chain(
-        provers, seq, race=1, ordering=ordering, stagger=0.0
-    )
+    outcome = _run_prover_chain(provers, seq, ordering=ordering)
     assert outcome.proved and outcome.prover == "instant"
     # Rank-first instant proved in the first (single-prover) wave: the
     # unknowns were never consulted at all.
@@ -345,39 +343,85 @@ def _race_counters(result):
     )
 
 
+def _proved(result):
+    return [o.proved for o in result.outcomes]
+
+
 @pytest.mark.parametrize("seed", [7, 1009])
 def test_racing_stats_identical_across_backends(seed):
-    """The seeded-corpus determinism property: sequential, thread-parallel
-    and process-parallel racing dispatch agree on outcomes, per-prover
-    stats and the racing counters (merge order is the sequent order, and
-    winners are wave-deterministic, so backends cannot drift)."""
+    """The seeded-corpus determinism property.  At ``workers=1`` sequential
+    and thread-parallel racing dispatch agree on outcomes, per-prover stats
+    and the racing counters (merge order is the sequent order, the learned
+    ordering sees the answers in the same order, and winners are
+    wave-deterministic).  With ``workers > 1`` the ordering learns in
+    completion order — the process backend ranks a whole batch at submit
+    time — so credit may move between provers, but both parallel backends
+    still prove exactly the sequents the serial run proves."""
     corpus = _seeded_corpus(seed)
     sequential = Dispatcher(
         make_provers(PROVERS, **OPTIONS), race=2
     ).prove_all(corpus)
-    threaded = ParallelDispatcher.from_names(
-        PROVERS, workers=2, backend="thread", race=2, **OPTIONS
+    single = ParallelDispatcher.from_names(
+        PROVERS, workers=1, backend="thread", race=2, **OPTIONS
     ).prove_all(corpus)
-    processed = ParallelDispatcher.from_names(
-        PROVERS, workers=2, backend="process", race=2, **OPTIONS
-    ).prove_all(corpus)
-    assert _shape(threaded) == _shape(sequential)
-    assert _shape(processed) == _shape(sequential)
-    assert _stat_counts(threaded) == _stat_counts(sequential)
-    assert _stat_counts(processed) == _stat_counts(sequential)
-    assert _race_counters(threaded) == _race_counters(sequential)
-    assert _race_counters(processed) == _race_counters(sequential)
+    assert _shape(single) == _shape(sequential)
+    assert _stat_counts(single) == _stat_counts(sequential)
+    assert _race_counters(single) == _race_counters(sequential)
+    for backend in ("thread", "process"):
+        parallel = ParallelDispatcher.from_names(
+            PROVERS, workers=2, backend=backend, race=2, **OPTIONS
+        ).prove_all(corpus)
+        assert _proved(parallel) == _proved(sequential)
+
+
+class _PortfolioOrder(ProverOrdering):
+    """A table that never reorders: Jahob's fixed, user-given order."""
+
+    def rank_bucket(self, bucket, provers):
+        return list(range(len(provers)))
 
 
 @pytest.mark.parametrize("seed", [23])
 def test_racing_proves_exactly_what_fixed_order_proves(seed):
-    """Racing never changes *what* is proved — only how fast: wave
-    fall-through guarantees every prover still gets its turn."""
+    """Neither the learned order nor racing changes *what* is proved — only
+    how fast: every prover still gets its turn until one proves."""
     corpus = _seeded_corpus(seed, count=12)
-    fixed = Dispatcher(make_provers(PROVERS, **OPTIONS)).prove_all(corpus)
+    fixed = Dispatcher(
+        make_provers(PROVERS, **OPTIONS), ordering=_PortfolioOrder()
+    ).prove_all(corpus)
+    ordered = Dispatcher(make_provers(PROVERS, **OPTIONS)).prove_all(corpus)
     racing = Dispatcher(make_provers(PROVERS, **OPTIONS), race=2).prove_all(corpus)
-    assert racing.proved == fixed.proved
-    assert [o.proved for o in racing.outcomes] == [o.proved for o in fixed.outcomes]
+    assert ordered.proved == racing.proved == fixed.proved
+    assert _proved(ordered) == _proved(racing) == _proved(fixed)
+
+
+#: Cheap suite methods (a few seconds in all) for the suite-level check.
+CHEAP_METHODS = [
+    ("SizedList", "size"),
+    ("SizedList", "clear"),
+    ("ArrayList", "size"),
+    ("SinglyLinkedList", "clear"),
+    ("CursorList", "done"),
+]
+
+
+def test_learned_order_proves_the_fixed_order_set_on_cheap_methods():
+    """Suite obligations: the learned order proves sequent for sequent what
+    the portfolio order proves."""
+    from repro import suite
+    from repro.java.resolver import parse_program
+    from repro.vcgen.vcgen import generate_method_vc
+
+    names = ["syntactic", "smt", "fol", "mona", "bapa"]
+    options = {"smt": {"timeout": 3.0}, "fol": {"timeout": 1.5}}
+    fixed = Dispatcher(make_provers(names, **options), ordering=_PortfolioOrder())
+    ordered = Dispatcher(make_provers(names, **options))
+    for structure, method in CHEAP_METHODS:
+        program = parse_program(suite.source(structure))
+        sequents = generate_method_vc(program, structure, method).sequents
+        assert _proved(ordered.prove_all(sequents)) == _proved(
+            fixed.prove_all(sequents)
+        ), f"{structure}.{method}"
 
 
 def test_race_through_verify_keeps_report_counts():
