@@ -82,11 +82,6 @@ def main() -> None:
         "prover runs (adds the Static column to the table)",
     )
     parser.add_argument(
-        "--race", type=int, default=1, metavar="K",
-        help="race the top-K provers per sequent instead of trying them one "
-        "at a time (in learned order either way; daemon-side with --server)",
-    )
-    parser.add_argument(
         "--server", default=None, metavar="HOST:PORT",
         help="verify through a running daemon (python -m repro.server) "
         "instead of in-process; its sharded store replaces --cache-dir",
@@ -130,7 +125,6 @@ def main() -> None:
                 workers=args.workers,
                 sequent_budget=args.budget,
                 static_tier=args.static_tier,
-                race=args.race,
             )
         reports.append(report)
         row = report.row(provers)
@@ -150,22 +144,6 @@ def main() -> None:
         f"{dispatched} sequents dispatched: {live} proved live, "
         f"{replayed} replayed (shared cache + dedup pre-pass)."
     )
-    races = sum(r.races_run for r in reports)
-    if races:
-        cancelled = sum(r.cancelled_answers for r in reports)
-        reclaimed = sum(r.cancelled_reclaimed for r in reports)
-        wins: dict = {}
-        for r in reports:
-            for prover, count in r.race_wins.items():
-                wins[prover] = wins.get(prover, 0) + count
-        won = ", ".join(f"{p} {n}" for p, n in sorted(wins.items(), key=lambda kv: -kv[1]))
-        # With --server the daemon chooses K; the client only sees the counters.
-        top = "server-side" if args.server else f"top-{args.race}"
-        print(
-            f"Raced {races} waves ({top}): {cancelled} attempts "
-            f"cancelled, {reclaimed:.1f} s of prover budget reclaimed"
-            + (f" [wins: {won}]" if won else ".")
-        )
     statically = sum(r.statically_discharged for r in reports)
     if statically:
         print(

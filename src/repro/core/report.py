@@ -83,19 +83,6 @@ class MethodReport:
     #: program, zero when an already-parsed program was passed) and
     #: ``vcgen`` (weakest-precondition generation plus splitting).
     frontend_phases: Dict[str, float] = field(default_factory=dict)
-    # -- racing instrumentation (race >= 2 dispatch mode) ----------------------
-    #: Contended racing waves run (waves where >= 2 provers actually started
-    #: concurrently); zero outside ``race >= 2`` dispatch.
-    races_run: int = 0
-    #: Winning PROVED answers per prover across contended waves (wave-order
-    #: tie-break, so attribution is deterministic).
-    race_wins: Dict[str, int] = field(default_factory=dict)
-    #: Prover attempts cancelled mid-flight because a rival settled their
-    #: sequent first; never cached, never counted as cache misses.
-    cancelled_answers: int = 0
-    #: CPU seconds reclaimed by those cancellations: the unspent remainder
-    #: of each cancelled attempt's time slice.
-    cancelled_reclaimed: float = 0.0
     #: Wall time of the *merged daemon batch* this method's sequents rode in
     #: (zero for local dispatch): several co-batched requests share one
     #: batch, so this is deliberately separate from ``total_time`` /
@@ -193,17 +180,6 @@ class MethodReport:
                 f"Dispatched on {self.workers} workers: wall {self.wall_time:.1f} s, "
                 f"prover CPU {self.cpu_time:.1f} s"
                 + (f" [{utilization}]" if utilization else "")
-            )
-        if self.races_run:
-            # Printed only when racing actually contended, so fixed-order
-            # reports (and their byte-identical server pins) are unchanged.
-            wins = ", ".join(
-                f"{prover}={count}" for prover, count in sorted(self.race_wins.items())
-            )
-            lines.append(
-                f"Raced {self.races_run} waves: {self.cancelled_answers} attempts "
-                f"cancelled, {self.cancelled_reclaimed:.1f} s reclaimed"
-                + (f" [wins: {wins}]" if wins else "")
             )
         lines.append("=" * 56)
         lines.append(
@@ -304,26 +280,6 @@ class ClassReport:
     @property
     def cpu_time(self) -> float:
         return sum(method.cpu_time for method in self.methods)
-
-    @property
-    def races_run(self) -> int:
-        return sum(method.races_run for method in self.methods)
-
-    @property
-    def race_wins(self) -> Dict[str, int]:
-        merged: Dict[str, int] = {}
-        for method in self.methods:
-            for prover, count in method.race_wins.items():
-                merged[prover] = merged.get(prover, 0) + count
-        return merged
-
-    @property
-    def cancelled_answers(self) -> int:
-        return sum(method.cancelled_answers for method in self.methods)
-
-    @property
-    def cancelled_reclaimed(self) -> float:
-        return sum(method.cancelled_reclaimed for method in self.methods)
 
     def proved_by(self, prover: str) -> int:
         return sum(method.proved_by(prover) for method in self.methods)

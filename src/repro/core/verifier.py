@@ -44,7 +44,6 @@ from ..provers.base import ProverStats
 from ..provers.cache import SequentCache
 from ..provers.dispatcher import (
     DEFAULT_ORDER,
-    DEFAULT_RACE_STAGGER,
     DispatchResult,
     Dispatcher,
     ParallelDispatcher,
@@ -94,8 +93,6 @@ def verify(
     sequent_budget: Optional[float] = None,
     dedup: bool = False,
     static_tier: bool = False,
-    race: int = 1,
-    race_stagger: float = DEFAULT_RACE_STAGGER,
     dispatch: Optional[DispatchFn] = None,
 ) -> MethodReport:
     """Verify one method and return its report (Figure 7).
@@ -121,15 +118,6 @@ def verify(
     ``cache`` owns, or a fresh one per call without a cache — and every
     answer teaches the table as it lands.  The order changes which prover
     gets credit for a sequent, never which sequents prove.
-
-    ``race >= 2`` switches every non-cached, non-static sequent to racing
-    dispatch: the top-``race`` provers by the learned order run
-    concurrently with hedged starts (``race_stagger`` seconds apart) and the
-    first PROVED answer — wave order breaking ties — wins, cancelling the
-    losers via the shared-token ``Deadline`` contract.  The report gains
-    ``races_run`` / ``race_wins`` / ``cancelled_answers`` /
-    ``cancelled_reclaimed``; proved-sequent counts are unchanged because a
-    wave with no proof falls through to the remaining provers.
 
     ``dispatch`` replaces the dispatch backend entirely: the split sequents
     are handed to the callable and its :class:`DispatchResult` feeds the
@@ -159,14 +147,12 @@ def verify(
         dispatcher = ParallelDispatcher.from_names(
             names, workers=workers, backend=backend, cache=cache,
             sequent_budget=sequent_budget, dedup=dedup, static_tier=static_tier,
-            race=race, race_stagger=race_stagger,
             **options,
         )
     else:
         dispatcher = Dispatcher(
             make_provers(names, **options), cache=cache,
             sequent_budget=sequent_budget, dedup=dedup, static_tier=static_tier,
-            race=race, race_stagger=race_stagger,
         )
     if dispatch is not None:
         dispatched = dispatch(method_vc.sequents)
@@ -195,10 +181,6 @@ def verify(
         trusted_assumes=method_vc.trusted_assumes,
         statically_discharged=dispatched.statically_discharged,
         frontend_phases={"parse": parse_time, "vcgen": vcgen_time},
-        races_run=dispatched.races_run,
-        race_wins=dict(dispatched.race_wins),
-        cancelled_answers=dispatched.cancelled_answers,
-        cancelled_reclaimed=dispatched.cancelled_reclaimed,
         batch_wall_time=dispatched.batch_wall_time,
     )
     return report
@@ -217,8 +199,6 @@ def verify_class(
     sequent_budget: Optional[float] = None,
     dedup: bool = False,
     static_tier: bool = False,
-    race: int = 1,
-    race_stagger: float = DEFAULT_RACE_STAGGER,
     dispatch: Optional[DispatchFn] = None,
 ) -> ClassReport:
     """Verify every contracted method of a class (one Figure 15 row).
@@ -257,8 +237,6 @@ def verify_class(
                 sequent_budget=sequent_budget,
                 dedup=dedup,
                 static_tier=static_tier,
-                race=race,
-                race_stagger=race_stagger,
                 dispatch=dispatch,
             )
         )

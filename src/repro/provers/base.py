@@ -37,7 +37,6 @@ procedure can be cut off and the next prover tried, so time budgets are
 from __future__ import annotations
 
 import math
-import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -45,22 +44,6 @@ from enum import Enum
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..vcgen.sequent import Sequent
-
-
-class Cancelled(Exception):
-    """Raised by :meth:`Deadline.checkpoint` when the deadline's shared
-    cancellation token has been set — a racing prover already settled the
-    sequent, so this attempt's answer is no longer needed.
-
-    Unlike :class:`DeadlineExpired`, cancellation says nothing about the
-    sequent or the budget: the attempt was abandoned mid-flight, so
-    :meth:`Prover.prove` converts it into a ``CANCELLED`` answer that the
-    dispatchers never cache and never count as a cache miss.
-    """
-
-    def __init__(self, detail: str = "") -> None:
-        self.detail = detail
-        super().__init__(detail or "cancelled")
 
 
 class DeadlineExpired(Exception):
@@ -91,23 +74,16 @@ class Deadline:
     amortises the clock read over ``every`` calls and raises
     :class:`DeadlineExpired` once the instant has passed.
 
-    A deadline may additionally carry a shared *cancellation token*
-    (``cancel``, a :class:`threading.Event`): the racing dispatcher hands
-    every racer of one sequent a deadline sharing one token and sets it the
-    moment a racer answers ``PROVED``, so the losers unwind with
-    :class:`Cancelled` at their very next :meth:`checkpoint` poll — the same
-    polls that already enforce the time budget, so cancellation latency is
-    bounded by the engines' checkpoint granularity.  :meth:`expired` and
-    :meth:`remaining` deliberately ignore the token: a cancelled attempt
-    must surface as ``CANCELLED`` (worthless, never cached), never as a
-    ``TIMEOUT`` (which states a fact about the budget and may be cached).
+    Budgets nest by clipping: :meth:`bounded_by` yields the earlier of this
+    instant and a fresh duration, so a prover's own timeout, the per-sequent
+    budget and a request-level deadline all bound one attempt, and whichever
+    expires first cuts it off.
     """
 
-    __slots__ = ("expires_at", "cancel", "_ticks")
+    __slots__ = ("expires_at", "_ticks")
 
-    def __init__(self, expires_at: float, cancel: Optional[threading.Event] = None) -> None:
+    def __init__(self, expires_at: float) -> None:
         self.expires_at = expires_at
-        self.cancel = cancel
         self._ticks = 0
 
     @classmethod
@@ -123,20 +99,8 @@ class Deadline:
     def bounded_by(self, seconds: Optional[float]) -> "Deadline":
         """The earlier of this deadline and ``seconds`` from now."""
         if seconds is None:
-            return Deadline(self.expires_at, cancel=self.cancel)
-        return Deadline(
-            min(self.expires_at, time.monotonic() + seconds), cancel=self.cancel
-        )
-
-    def with_cancel(self, cancel: threading.Event) -> "Deadline":
-        """A copy of this deadline carrying ``cancel`` as its shared token
-        (each racer gets its own copy so checkpoint tick counters do not
-        interleave, but all copies share the one event)."""
-        return Deadline(self.expires_at, cancel=cancel)
-
-    def cancelled(self) -> bool:
-        """True when the shared cancellation token (if any) has been set."""
-        return self.cancel is not None and self.cancel.is_set()
+            return Deadline(self.expires_at)
+        return Deadline(min(self.expires_at, time.monotonic() + seconds))
 
     def remaining(self) -> float:
         """Seconds until expiry; ``inf`` for :meth:`never`, never negative."""
@@ -154,13 +118,11 @@ class Deadline:
 
         ``detail`` (a string, or a zero-argument callable evaluated only on
         expiry) describes the partial work done so far and is carried on the
-        :class:`DeadlineExpired` (or :class:`Cancelled`) exception.
+        :class:`DeadlineExpired` exception.
         """
         self._ticks += 1
         if every > 1 and self._ticks % every:
             return
-        if self.cancel is not None and self.cancel.is_set():
-            raise Cancelled(detail() if callable(detail) else detail)
         if time.monotonic() >= self.expires_at:
             raise DeadlineExpired(detail() if callable(detail) else detail)
 
@@ -221,10 +183,6 @@ class Verdict(Enum):
     #: Resolved by the static-discharge pre-pass (dataflow facts alone, no
     #: prover ran); counts as proved.
     STATIC = "static"
-    #: The attempt was abandoned mid-flight because a racing prover already
-    #: settled the sequent (the shared cancellation token fired).  Says
-    #: nothing about the sequent: never cached, never a cache miss.
-    CANCELLED = "cancelled"
 
 
 @dataclass
@@ -250,9 +208,8 @@ class ProverAnswer:
     #: True when this answer's verdict reflects a *clipped* run rather than
     #: the prover's configured budget: a ``TIMEOUT`` produced while the chain
     #: deadline left less than the prover's own ``timeout`` (the option that
-    #: keys the cache), or any answer computed while sharing the interpreter
-    #: with concurrent racers (wall-deadlines then cut off partial work).
-    #: Truncated answers are never stored in the sequent cache.
+    #: keys the cache).  Truncated answers are never stored in the sequent
+    #: cache.
     truncated: bool = False
 
     @property
@@ -341,12 +298,6 @@ class Prover(ABC):
         start = time.perf_counter()
         try:
             answer = self.attempt(sequent, effective)
-        except Cancelled as exc:
-            answer = ProverAnswer(
-                Verdict.CANCELLED,
-                self.name,
-                detail=exc.detail or "cancelled: a racing prover settled this sequent",
-            )
         except DeadlineExpired as exc:
             answer = ProverAnswer(
                 Verdict.TIMEOUT, self.name, detail=exc.detail or "deadline expired"
@@ -393,11 +344,6 @@ class ProverStats:
     #: instantiation work behind the verdicts; only the SMT engine reports
     #: a non-zero count today).
     instances: int = 0
-    #: Racing-mode attempts of this prover that were cancelled because a
-    #: rival settled the sequent first.  Cancelled attempts are *not* part
-    #: of :attr:`attempted`/:attr:`time` — they say nothing about the
-    #: prover — but the count shows how often the engine lost a race.
-    cancelled: int = 0
     #: Per-phase wall time summed across the recorded attempts; every
     #: recorded answer contributes (its ``other`` bucket covers whatever its
     #: engine did not attribute), so the phase totals sum to :attr:`time`.

@@ -217,12 +217,14 @@ class SequentCache:
             return None
         try:
             payload = json.loads(path.read_text())
+            if not isinstance(payload, dict):
+                return None  # well-formed JSON, but not an entry
             return CachedAnswer(
                 Verdict(payload["verdict"]),
                 payload.get("detail", ""),
-                payload.get("proof_time", 0.0),
+                float(payload.get("proof_time", 0.0)),
             )
-        except (ValueError, KeyError, OSError):
+        except (ValueError, KeyError, TypeError, OSError):
             return None  # a corrupt entry is just a miss
 
     def _disk_write(self, cache_key: str, entry: CachedAnswer) -> None:

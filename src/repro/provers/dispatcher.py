@@ -117,16 +117,6 @@ class SequentOutcome:
     answers: List[ProverAnswer] = field(default_factory=list)
     #: True when the per-sequent time budget ran out before the chain ended.
     budget_exhausted: bool = False
-    #: Contended racing waves run on this sequent (waves where >= 2 racers
-    #: actually started; single-starter waves are plain chain steps).
-    raced: int = 0
-    #: The prover whose PROVED answer won a contended wave (portfolio-order
-    #: tie-break when several proved); ``None`` when the sequent was settled
-    #: outside a race.
-    race_won_by: Optional[str] = None
-    #: CPU seconds reclaimed by cancelling losing racers: the unspent part
-    #: of each cancelled attempt's time slice.
-    reclaimed: float = 0.0
 
     @property
     def from_cache(self) -> bool:
@@ -163,14 +153,6 @@ class DispatchResult:
     #: sequent in the batch, by structural digest): their verdicts were fanned
     #: out from the representative's, not computed.
     dedup_replayed: int = 0
-    #: Racing instrumentation (all zero outside ``race >= 2`` dispatch):
-    #: contended waves run, winning PROVED answers per prover, attempts
-    #: cancelled mid-flight, and the CPU seconds those cancellations
-    #: reclaimed (the unspent remainder of each cancelled attempt's slice).
-    races_run: int = 0
-    race_wins: Dict[str, int] = field(default_factory=dict)
-    cancelled_answers: int = 0
-    cancelled_reclaimed: float = 0.0
     #: Wall time of the merged daemon batch this result was sliced from
     #: (zero for local dispatch): co-batched requests share one batch, so
     #: a slice's own ``total_time``/``wall_time`` carry only its answer-time
@@ -253,11 +235,6 @@ def _replayed_outcome(sequent: Sequent, representative: SequentOutcome) -> Seque
     """
     answers = []
     for answer in representative.answers:
-        if answer.verdict is Verdict.CANCELLED:
-            # A cancelled racing attempt says nothing about the sequent;
-            # replaying it would fabricate phantom cancellations on the
-            # duplicates.  The wave's real verdicts replay on their own.
-            continue
         detail = answer.detail if answer.cached else (
             f"dedup replay: {answer.detail}" if answer.detail else "dedup replay"
         )
@@ -311,9 +288,9 @@ def _chain_deadline(
     sequent_budget: Optional[float], deadline: Optional[Deadline]
 ) -> Deadline:
     """The deadline one sequent's chain runs under: the per-sequent budget
-    bounded by an outer (request-level) deadline when the caller has one.
-    ``bounded_by`` keeps the outer cancellation token, so a request deadline
-    expiring mid-batch still cuts provers off cooperatively."""
+    bounded by an outer (request-level) deadline when the caller has one, so
+    a request deadline expiring mid-batch still cuts provers off
+    cooperatively."""
     if deadline is not None:
         return deadline.bounded_by(sequent_budget)
     if sequent_budget is None:
@@ -375,88 +352,6 @@ def _settled_outcome(sequent: Sequent, answers: List[ProverAnswer]) -> SequentOu
     return outcome
 
 
-#: Hedged-start delay between racers of one wave: racer ``i`` starts only
-#: after ``i * stagger`` seconds, and not at all if the wave has settled by
-#: then.  The bundled provers are pure Python, so concurrent racers share
-#: the GIL; staggering keeps a well-ordered portfolio at (almost) its
-#: fixed-order speed — the rank-0 prover runs contention-free until the
-#: hedge fires — while still letting a later prover overtake an engine that
-#: is heading for its timeout.  0.15 s sits above the bulk of the suite's
-#: genuine proof times (so winners rarely get contended) and far below the
-#: engine budgets the hedge is there to cut short (1.5-3 s).
-DEFAULT_RACE_STAGGER = 0.15
-
-
-def _run_wave(
-    wave: Sequence[Prover],
-    sequent: Sequent,
-    deadline: Deadline,
-    stagger: float,
-) -> Tuple[List[Optional[ProverAnswer]], List[float], int]:
-    """Race one wave of provers on one sequent.
-
-    Every racer runs under a copy of ``deadline`` sharing one cancellation
-    token; the first racer to answer ``PROVED`` sets the token and the rest
-    unwind with ``CANCELLED`` at their next checkpoint poll.  Racer ``i``
-    hedges its start by ``i * stagger`` seconds, releasing early when (a)
-    the wave settles — it then never starts at all, contributing no answer
-    and no statistics, exactly as if the fixed-order chain had stopped
-    before reaching it — or (b) ``i`` racers have already answered without
-    a proof (the interpreter is idle, so waiting out the hedge would just
-    sleep where the fixed-order chain falls straight through).
-
-    Returns the per-slot answers (``None`` for never-started racers), the
-    per-slot time slice each started racer was granted (for the reclaimed-
-    CPU accounting of cancelled attempts), and how many racers started.
-    """
-    if len(wave) == 1:
-        prover = wave[0]
-        slice_granted = min(deadline.remaining(), prover.timeout)
-        return [prover.prove(sequent, deadline=deadline)], [slice_granted], 1
-
-    cancel = threading.Event()
-    answers: List[Optional[ProverAnswer]] = [None] * len(wave)
-    slices: List[float] = [0.0] * len(wave)
-    started: List[bool] = [False] * len(wave)
-    progress = threading.Condition()
-    finished = [0]  # racers that have answered (proof or not), under progress
-
-    def racer(slot: int, prover: Prover) -> None:
-        hedge_until = time.monotonic() + slot * stagger
-        with progress:
-            while not cancel.is_set() and finished[0] < slot:
-                remaining = hedge_until - time.monotonic()
-                if remaining <= 0.0:
-                    break
-                progress.wait(remaining)
-        if cancel.is_set():
-            return  # a rival settled the sequent before this hedge fired
-        started[slot] = True
-        slices[slot] = min(deadline.remaining(), prover.timeout)
-        answer = prover.prove(sequent, deadline=deadline.with_cancel(cancel))
-        answers[slot] = answer
-        with progress:
-            finished[0] += 1
-            if answer.proved:
-                cancel.set()  # stop the losers at their next checkpoint poll
-            progress.notify_all()
-
-    threads = [
-        threading.Thread(
-            target=racer,
-            args=(slot, prover),
-            name=f"racer-{slot}-{prover.name}",
-            daemon=True,
-        )
-        for slot, prover in enumerate(wave)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return answers, slices, sum(started)
-
-
 def _run_prover_chain(
     provers: Sequence[Prover],
     sequent: Sequent,
@@ -465,8 +360,6 @@ def _run_prover_chain(
     static: Optional["StaticDischarger"] = None,
     deadline: Optional[Deadline] = None,
     ordering: Optional[ProverOrdering] = None,
-    race: int = 1,
-    stagger: float = DEFAULT_RACE_STAGGER,
 ) -> SequentOutcome:
     """Offer one sequent to the portfolio: cache first, then the live
     provers in learned order until one proves.
@@ -492,16 +385,6 @@ def _run_prover_chain(
     through the daemon's batch dispatch) bounds the chain further: once it
     passes, remaining provers are skipped and the outcome is marked
     ``budget_exhausted``.
-
-    ``race >= 2`` runs the live provers in *waves* of ``race``, concurrently
-    under one shared cancellation token (see :func:`_run_wave`).  A wave
-    with no ``PROVED`` answer falls through to the next.  When several
-    racers prove, the wave-order (learned rank) answer wins — completion
-    order never decides, so attribution is reproducible.  ``TIMEOUT``
-    answers from contended waves are marked ``truncated`` (racers share the
-    interpreter, so a wall-clock timeout under contention says nothing a
-    cache entry should remember); cancelled attempts yield ``CANCELLED``
-    answers that are never cached and never counted as cache misses.
     """
     if static is not None:
         reason = static.check(sequent)
@@ -517,48 +400,27 @@ def _run_prover_chain(
     if ordering is not None:
         bucket, live = _ranked(ordering, sequent, [name for name, _ in signatures], live)
 
-    position = 0
-    while position < len(live):
+    for index in live:
         if deadline.expired():
             outcome.budget_exhausted = True
             break
-        wave = [provers[index] for index in live[position:position + race]]
-        position += len(wave)
-        answers, slices, started_count = _run_wave(wave, sequent, deadline, stagger)
-        contended = started_count >= 2
-        if contended:
-            outcome.raced += 1
-        winner: Optional[ProverAnswer] = None
-        for slot, prover in enumerate(wave):
-            answer = answers[slot]
-            if answer is None:
-                continue  # hedge never fired: not an attempt, no record
-            if contended and answer.verdict is Verdict.TIMEOUT:
-                # Racers share the interpreter: a wall-clock deadline under
-                # contention clips real work, so the verdict reflects the
-                # race, not the configured budget — never cache it.
-                answer.truncated = True
-            if answer.verdict is Verdict.CANCELLED:
-                outcome.reclaimed += max(0.0, slices[slot] - answer.time)
-            elif cache is not None and not answer.truncated:
-                # A *truncated* TIMEOUT — the chain deadline left the prover
-                # less than its configured timeout (the option that keys the
-                # cache entry) — reflects the budget's remainder, not the
-                # prover, and storing it would poison later runs that grant
-                # the full budget.  ``Prover.prove`` sets the flag from the
-                # slack it actually had, so a TIMEOUT that did get its whole
-                # configured budget is a genuine verdict and stays cacheable.
-                cache.store(sequent, prover.name, answer, prover.options_signature())
-            if ordering is not None:
-                ordering.observe(sequent, answer, bucket)
-            outcome.answers.append(answer)
-            if winner is None and answer.proved:
-                winner = answer
-        if winner is not None:
+        prover = provers[index]
+        answer = prover.prove(sequent, deadline=deadline)
+        if cache is not None and not answer.truncated:
+            # A *truncated* TIMEOUT — the chain deadline left the prover less
+            # than its configured timeout (the option that keys the cache
+            # entry) — reflects the budget's remainder, not the prover, and
+            # storing it would poison later runs that grant the full budget.
+            # ``Prover.prove`` sets the flag from the slack it actually had,
+            # so a TIMEOUT that did get its whole configured budget is a
+            # genuine verdict and stays cacheable.
+            cache.store(sequent, prover.name, answer, prover.options_signature())
+        if ordering is not None:
+            ordering.observe(sequent, answer, bucket)
+        outcome.answers.append(answer)
+        if answer.proved:
             outcome.proved = True
-            outcome.prover = winner.prover
-            if contended:
-                outcome.race_won_by = winner.prover
+            outcome.prover = answer.prover
             break
     return outcome
 
@@ -594,15 +456,6 @@ def _record_answer(result: DispatchResult, answer: ProverAnswer, cache_enabled: 
     if answer.verdict is Verdict.STATIC:
         result.stats.setdefault(answer.prover, ProverStats()).record(answer)
         return
-    if answer.verdict is Verdict.CANCELLED:
-        # A cancelled racing attempt is neither a hit nor a miss — the
-        # lookup happened, but no verdict was computed or stored — and it
-        # is not an *attempt* in the Figure 7 sense: only the dedicated
-        # cancellation counters (and the real CPU it burned) are recorded.
-        result.cancelled_answers += 1
-        result.cpu_time += answer.time
-        result.stats.setdefault(answer.prover, ProverStats()).cancelled += 1
-        return
     if cache_enabled:
         result.cache_stats.misses += 1
     result.stats.setdefault(answer.prover, ProverStats()).record(answer)
@@ -625,12 +478,6 @@ def _merge_outcomes(
         result.outcomes.append(outcome)
         for answer in outcome.answers:
             _record_answer(result, answer, cache_enabled)
-        result.races_run += outcome.raced
-        result.cancelled_reclaimed += outcome.reclaimed
-        if outcome.race_won_by:
-            result.race_wins[outcome.race_won_by] = (
-                result.race_wins.get(outcome.race_won_by, 0) + 1
-            )
         if stop_on_failure and not outcome.proved:
             break
 
@@ -663,9 +510,7 @@ class Dispatcher:
         sequent_budget: Optional[float] = None,
         dedup: bool = False,
         static_tier: bool = False,
-        race: int = 1,
         ordering: Optional[ProverOrdering] = None,
-        race_stagger: float = DEFAULT_RACE_STAGGER,
     ) -> None:
         self.provers = list(provers)
         self.stop_on_failure = stop_on_failure
@@ -673,28 +518,7 @@ class Dispatcher:
         self.sequent_budget = sequent_budget
         self.dedup = dedup
         self.static = _make_static_tier(static_tier)
-        #: ``race >= 2`` runs the live provers in waves of ``race``: the
-        #: top-``race`` by the learned ordering run concurrently and the
-        #: first PROVED answer (wave order breaking ties) wins.
-        self.race = max(1, int(race))
         self.ordering = _dispatch_ordering(cache, ordering)
-        self.race_stagger = race_stagger
-
-    @classmethod
-    def from_names(
-        cls,
-        names: Sequence[str] = DEFAULT_ORDER,
-        race: int = 1,
-        ordering: Optional[ProverOrdering] = None,
-        race_stagger: float = DEFAULT_RACE_STAGGER,
-        **options,
-    ) -> "Dispatcher":
-        return cls(
-            make_provers(names, **options),
-            race=race,
-            ordering=ordering,
-            race_stagger=race_stagger,
-        )
 
     def _chain(
         self, sequent: Sequent, deadline: Optional[Deadline] = None
@@ -707,16 +531,7 @@ class Dispatcher:
             self.static,
             deadline=deadline,
             ordering=self.ordering,
-            race=self.race,
-            stagger=self.race_stagger,
         )
-
-    def prove_sequent(self, sequent: Sequent, result: DispatchResult) -> SequentOutcome:
-        """Prove one sequent, recording stats into ``result`` (legacy API)."""
-        outcome = self._chain(sequent)
-        for answer in outcome.answers:
-            _record_answer(result, answer, self.cache is not None)
-        return outcome
 
     def prove_all(
         self, sequents: Sequence[Sequent], deadline: Optional[Deadline] = None
@@ -757,7 +572,7 @@ _PROCESS_PORTFOLIOS: Dict[Tuple, List[Prover]] = {}
 
 
 def _process_worker_chain(
-    payload: Tuple[Sequence[str], dict, Optional[float], Sequent, int, Sequence[int], float]
+    payload: Tuple[Sequence[str], dict, Optional[float], Sequent, Sequence[int]]
 ) -> SequentOutcome:
     """Top-level function (picklable) executed inside process-pool workers.
 
@@ -765,18 +580,16 @@ def _process_worker_chain(
     sequent, already in learned-rank order: the cache and the ordering table
     both live in the parent, which cache-scans and ranks before submitting
     and learns from the answers when they come back.  The worker runs the
-    chain over exactly those provers (racing them in waves when ``race >=
-    2``, with its own in-process racer threads).
+    chain over exactly those provers.
     """
-    names, options, sequent_budget, sequent, race, order, stagger = payload
+    names, options, sequent_budget, sequent, order = payload
     key = (tuple(names), repr(sorted(options.items())))
     provers = _PROCESS_PORTFOLIOS.get(key)
     if provers is None:
         provers = make_provers(names, **options)
         _PROCESS_PORTFOLIOS[key] = provers
     return _run_prover_chain(
-        [provers[index] for index in order], sequent,
-        sequent_budget=sequent_budget, race=race, stagger=stagger,
+        [provers[index] for index in order], sequent, sequent_budget=sequent_budget
     )
 
 
@@ -826,9 +639,7 @@ class ParallelDispatcher:
         sequent_budget: Optional[float] = None,
         dedup: bool = False,
         static_tier: bool = False,
-        race: int = 1,
         ordering: Optional[ProverOrdering] = None,
-        race_stagger: float = DEFAULT_RACE_STAGGER,
         executor: Optional[Executor] = None,
         _names: Optional[List[str]] = None,
         _options: Optional[dict] = None,
@@ -850,12 +661,7 @@ class ParallelDispatcher:
         # statically discharged sequents never reach a worker, and the
         # discharger's counters stay single-threaded.
         self.static = _make_static_tier(static_tier)
-        # Racing (race >= 2): each worker slot races the top-``race``
-        # provers of its sequent.  For the process backend the cache scan
-        # and the learned ordering run in the parent.
-        self.race = max(1, int(race))
         self.ordering = _dispatch_ordering(cache, ordering)
-        self.race_stagger = race_stagger
         self.executor = executor
         self._names = list(_names) if _names is not None else None
         self._options = dict(_options) if _options is not None else {}
@@ -877,9 +683,7 @@ class ParallelDispatcher:
         sequent_budget: Optional[float] = None,
         dedup: bool = False,
         static_tier: bool = False,
-        race: int = 1,
         ordering: Optional[ProverOrdering] = None,
-        race_stagger: float = DEFAULT_RACE_STAGGER,
         executor: Optional[Executor] = None,
         **options,
     ) -> "ParallelDispatcher":
@@ -893,9 +697,7 @@ class ParallelDispatcher:
             sequent_budget=sequent_budget,
             dedup=dedup,
             static_tier=static_tier,
-            race=race,
             ordering=ordering,
-            race_stagger=race_stagger,
             executor=executor,
             _names=resolved,
             _options=options,
@@ -961,8 +763,7 @@ class ParallelDispatcher:
             started = time.perf_counter()
             outcome = _run_prover_chain(
                 provers, sequent, self.cache, self.sequent_budget,
-                deadline=deadline, ordering=self.ordering, race=self.race,
-                stagger=self.race_stagger,
+                deadline=deadline, ordering=self.ordering,
             )
             elapsed = time.perf_counter() - started
             name = threading.current_thread().name
@@ -1043,9 +844,8 @@ class ParallelDispatcher:
                 ):
                     # ``truncated`` travels on the pickled answer, so the
                     # parent applies the same suppression rule as the
-                    # in-process chain (budget-clipped or race-contended
-                    # TIMEOUTs only; genuine verdicts are stored).  The
-                    # cache itself refuses CANCELLED.
+                    # in-process chain (budget-clipped TIMEOUTs only;
+                    # genuine verdicts are stored).
                     self.cache.store(
                         sequent, answer.prover, answer, prover.options_signature()
                     )
@@ -1056,9 +856,6 @@ class ParallelDispatcher:
                 prover=tail.prover,
                 answers=prefix + tail.answers,
                 budget_exhausted=tail.budget_exhausted,
-                raced=tail.raced,
-                race_won_by=tail.race_won_by,
-                reclaimed=tail.reclaimed,
             )
 
         # The static pre-pass outranks the cache: a statically discharged
@@ -1109,10 +906,7 @@ class ParallelDispatcher:
                         futures.append(None)
                         continue
                     budget = slack if budget is None else min(budget, slack)
-                payload = (
-                    self._names, self._options, budget, sequent,
-                    self.race, live, self.race_stagger,
-                )
+                payload = (self._names, self._options, budget, sequent, live)
                 futures.append(pool.submit(_process_worker_chain, payload))
             for index, (sequent, (prefix, settled, bucket, _)) in enumerate(
                 zip(sequents, scans)

@@ -286,17 +286,11 @@ class ProverOrdering:
 
         ``bucket`` is the sequent's feature key when the caller already
         computed it for :meth:`rank_bucket`.  Cached replays teach nothing
-        new (their stats were recorded when first proved); ``CANCELLED``
-        answers say nothing about the sequent; truncated answers reflect a
-        clipped slice, not the prover; and ``STATIC`` discharges never ran a
-        prover at all.  All are ignored.
+        new (their stats were recorded when first proved); truncated answers
+        reflect a clipped slice, not the prover; and ``STATIC`` discharges
+        never ran a prover at all.  All are ignored.
         """
-        if (
-            answer.cached
-            or answer.truncated
-            or answer.verdict is Verdict.CANCELLED
-            or answer.verdict is Verdict.STATIC
-        ):
+        if answer.cached or answer.truncated or answer.verdict is Verdict.STATIC:
             return
         self.observe_outcome(
             bucket or sequent_features(sequent), answer.prover, answer.proved, answer.time

@@ -79,11 +79,6 @@ def main() -> None:
         help="threads serving verify_class/verify_method requests",
     )
     parser.add_argument(
-        "--race", type=int, default=1,
-        help="race the top-K provers per sequent in learned order "
-        "(default: 1, one prover at a time in learned order)",
-    )
-    parser.add_argument(
         "--max-request-bytes", type=int, default=DEFAULT_MAX_REQUEST_BYTES,
         help="cap on one request frame; oversized frames get a structured "
         "error, not a dropped connection (default: %(default)s)",
@@ -116,7 +111,6 @@ def main() -> None:
         workers=args.workers or None,
         backend=args.backend,
         request_workers=args.request_workers,
-        race=args.race,
         max_request_bytes=args.max_request_bytes,
         store_max_entries=args.store_max_entries,
         store_max_age=args.store_max_age,

@@ -224,7 +224,6 @@ class VerifyService:
         lanes: int = DEFAULT_LANES,
         workers: Optional[int] = None,
         backend: Optional[str] = None,
-        race: int = 1,
     ) -> None:
         self.store = store
         self.window = window
@@ -240,11 +239,6 @@ class VerifyService:
             raise ValueError(
                 f"unknown backend {self.backend!r}; use 'thread' or 'process'"
             )
-        # Racing is a server-wide *scheduling* knob, deliberately not part
-        # of ``_config_key``: it never changes which verdicts are computed
-        # (contended TIMEOUTs are truncated and never stored), so racing
-        # and fixed-order requests may share one batch and one store.
-        self.race = max(1, int(race))
         self.stats = ServiceStats()
         self._pending: Deque[_PendingRequest] = deque()
         self._wakeup = asyncio.Event()
@@ -609,7 +603,6 @@ class VerifyService:
             cache=self.store,
             sequent_budget=request.sequent_budget,
             dedup=True,
-            race=self.race,
             executor=executor,
             **request.options,
         )
@@ -727,7 +720,6 @@ class VerifyServer:
         backend: Optional[str] = None,
         request_workers: int = 8,
         drain_timeout: float = 30.0,
-        race: int = 1,
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
         store_max_entries: Optional[int] = None,
         store_max_age: Optional[float] = None,
@@ -747,7 +739,6 @@ class VerifyServer:
         self.lanes = lanes
         self.workers = workers
         self.backend = backend
-        self.race = max(1, int(race))
         self.max_request_bytes = max(1024, int(max_request_bytes))
         self.compact_interval = compact_interval
         self.drain_timeout = drain_timeout
@@ -822,7 +813,6 @@ class VerifyServer:
             lanes=self.lanes,
             workers=self.workers,
             backend=self.backend,
-            race=self.race,
         )
         await self.service.start()
         server = await asyncio.start_server(

@@ -111,9 +111,6 @@ def outcome_to_wire(outcome: "SequentOutcome") -> Dict[str, Any]:  # noqa: F821
         "from_cache": outcome.from_cache,
         "origin": outcome.sequent.origin,
         "answers": [answer_to_wire(a) for a in outcome.answers],
-        "raced": outcome.raced,
-        "race_won_by": outcome.race_won_by,
-        "reclaimed": outcome.reclaimed,
     }
 
 

@@ -120,6 +120,20 @@ def test_disk_write_failure_leaves_no_staging_file(tmp_path, monkeypatch):
     assert cache.lookup(seq, "smt", OPTIONS_SIG) is not None
 
 
+@pytest.mark.parametrize(
+    "payload",
+    ["null", "[]", '{"verdict": "proved", "proof_time": "x"}'],
+    ids=["null", "list", "string-proof-time"],
+)
+def test_disk_entry_that_is_not_a_verdict_object_is_a_miss(tmp_path, payload):
+    seq = _corpus()[0]
+    key = SequentCache.key(seq, "smt", OPTIONS_SIG)
+    (tmp_path / f"{key}.json").write_text(payload)
+    cache = SequentCache(cache_dir=tmp_path)
+    assert cache.lookup(seq, "smt", OPTIONS_SIG) is None
+    assert cache.stats.misses == 1 and cache.stats.hits == 0
+
+
 # -- multi-process hammer -----------------------------------------------------
 
 

@@ -232,40 +232,24 @@ def test_cobatched_clients_are_billed_their_own_latency(tmp_path):
     assert slow["wall_time"] >= 1.0
 
 
-def test_daemon_racing_mode_matches_fixed_order(tmp_path):
-    """A race=2 daemon proves exactly what a race=1 daemon proves, and both
-    leave the store's learned ordering table in the store root."""
+def test_daemon_persists_the_learned_ordering(tmp_path):
+    """A daemon proves the whole batch in learned order and leaves the
+    store's ordering table in the store root."""
     import os
 
     from repro.provers.ordering import DEFAULT_FILENAME
 
-    batch = _corpus(4)
-    fixed = VerifyServer(
-        port=0, store_dir=str(tmp_path / "fixed"), shards=4, window=0.01
-    ).start()
+    store_dir = str(tmp_path / "store")
+    daemon = VerifyServer(port=0, store_dir=store_dir, shards=4, window=0.01).start()
     try:
-        with VerifyClient(port=fixed.port) as c:
-            baseline = c.prove_sequents(batch, provers=PROVERS, prover_options=OPTIONS)
+        with VerifyClient(port=daemon.port) as c:
+            response = c.prove_sequents(_corpus(4), provers=PROVERS, prover_options=OPTIONS)
     finally:
-        fixed.stop()
+        daemon.stop()
 
-    racing_dir = str(tmp_path / "racing")
-    racing = VerifyServer(
-        port=0, store_dir=racing_dir, shards=4, window=0.01, race=2
-    ).start()
-    try:
-        with VerifyClient(port=racing.port) as c:
-            raced = c.prove_sequents(batch, provers=PROVERS, prover_options=OPTIONS)
-    finally:
-        racing.stop()
-
-    assert raced["proved"] == baseline["proved"] == 4
-    assert [o["proved"] for o in raced["outcomes"]] == [
-        o["proved"] for o in baseline["outcomes"]
-    ]
-    # Whatever the race width, the store owns the ordering and persists it.
-    assert os.path.exists(os.path.join(racing_dir, DEFAULT_FILENAME))
-    assert os.path.exists(os.path.join(str(tmp_path / "fixed"), DEFAULT_FILENAME))
+    assert response["proved"] == 4
+    assert all(o["proved"] for o in response["outcomes"])
+    assert os.path.exists(os.path.join(store_dir, DEFAULT_FILENAME))
 
 
 # -- server-backed verify: byte-identical reports -----------------------------
