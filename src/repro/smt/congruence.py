@@ -23,82 +23,106 @@ instantiation engine matches trigger patterns against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..fol.terms import FApp, FTerm
 
 #: Why two terms were merged: an input equation (carrying the caller's tag)
-#: or a congruence step between two applications.
-_Reason = Tuple  # ("input", tag) | ("congruence", FApp, FApp)
+#: or a congruence step between two applications (by id).
+_Reason = Tuple  # ("input", tag) | ("congruence", int, int)
 
 
 class CongruenceClosure:
-    """Incremental-ish congruence closure (rebuilt per check, which is fine
-    for the sequent sizes produced by splitting)."""
+    """Congruence closure over interned integer ids (rebuilt per check,
+    which is fine for the sequent sizes produced by splitting).
+
+    :meth:`intern` gives each distinct term an int id in first-seen
+    (pre-order) order; the union-find parent pointers are a ``List[int]``
+    and :meth:`close` keys its signature table on ``(head, root ids)``, so
+    the fixed-point loop hashes small tuples of ints instead of walking
+    terms.  The public queries still speak terms: :meth:`find` returns the
+    stored (first-interned) term of a class root, and
+    :meth:`members_by_class` lists members in interning order.
+    """
 
     def __init__(self) -> None:
-        self._parent: Dict[FTerm, FTerm] = {}
-        self._subterms: List[FApp] = []
-        self._equalities: List[Tuple[FTerm, FTerm, object]] = []
-        self._disequalities: List[Tuple[FTerm, FTerm, object]] = []
+        #: term -> id, and the inverse: the stored term of every id.
+        self._ids: Dict[FTerm, int] = {}
+        self._terms: List[FTerm] = []
+        #: Argument ids of every interned term (empty for constants).
+        self._args: List[Tuple[int, ...]] = []
+        self._parent: List[int] = []
+        #: ``(id, head, argument ids)`` of every non-constant application,
+        #: in post-order (arguments before the application).
+        self._subterms: List[Tuple[int, str, Tuple[int, ...]]] = []
+        self._equalities: List[Tuple[int, int, object]] = []
+        self._disequalities: List[Tuple[int, int, object]] = []
         #: Interned applications grouped by ``(head symbol, arity)`` — the
         #: term-graph view the E-matcher walks (pattern heads retrieve their
         #: candidate occurrences here instead of scanning every term).
         self._by_head: Dict[Tuple[str, int], List[FApp]] = {}
-        #: The proof forest: ``term -> (neighbour, reason)`` edges; each
+        #: The proof forest: ``id -> (neighbour id, reason)`` edges; each
         #: union links the two *asserted* terms (not their roots).
-        self._proof: Dict[FTerm, Tuple[FTerm, _Reason]] = {}
+        self._proof: Dict[int, Tuple[int, _Reason]] = {}
         self._closed = False
         self._explain_incomplete = False
 
     # -- construction ---------------------------------------------------------
 
-    def intern(self, term: FTerm) -> None:
-        if term in self._parent:
-            return
-        self._parent[term] = term
+    def intern(self, term: FTerm) -> int:
+        """The id of ``term``, assigning a fresh one (and interning its
+        arguments) on first sight."""
+        known = self._ids.get(term)
+        if known is not None:
+            return known
+        index = len(self._terms)
+        self._ids[term] = index
+        self._terms.append(term)
+        self._parent.append(index)
+        self._args.append(())
         if isinstance(term, FApp):
             self._by_head.setdefault((term.func, len(term.args)), []).append(term)
-            for arg in term.args:
-                self.intern(arg)
             if term.args:
-                self._subterms.append(term)
+                args = tuple(self.intern(arg) for arg in term.args)
+                self._args[index] = args
+                self._subterms.append((index, term.func, args))
+        return index
 
     def assert_equal(self, lhs: FTerm, rhs: FTerm, tag: object = None) -> None:
-        self.intern(lhs)
-        self.intern(rhs)
-        self._equalities.append((lhs, rhs, tag))
+        self._equalities.append((self.intern(lhs), self.intern(rhs), tag))
 
     def assert_distinct(self, lhs: FTerm, rhs: FTerm, tag: object = None) -> None:
-        self.intern(lhs)
-        self.intern(rhs)
-        self._disequalities.append((lhs, rhs, tag))
+        self._disequalities.append((self.intern(lhs), self.intern(rhs), tag))
 
     # -- union-find -----------------------------------------------------------
 
     def find(self, term: FTerm) -> FTerm:
-        root = term
+        """The stored term of the root of ``term``'s class (``term`` must
+        be interned)."""
+        return self._terms[self._find(self._ids[term])]
+
+    def _find(self, index: int) -> int:
         parent = self._parent
+        root = index
         while parent[root] != root:
             root = parent[root]
         # Path compression.
-        while parent[term] != root:
-            parent[term], term = root, parent[term]
+        while parent[index] != root:
+            parent[index], index = root, parent[index]
         return root
 
-    def _union(self, a: FTerm, b: FTerm, reason: _Reason) -> None:
-        ra, rb = self.find(a), self.find(b)
+    def _union(self, a: int, b: int, reason: _Reason) -> None:
+        ra, rb = self._find(a), self._find(b)
         if ra != rb:
             self._parent[ra] = rb
             self._proof_link(a, b, reason)
 
     # -- proof forest ----------------------------------------------------------
 
-    def _proof_link(self, a: FTerm, b: FTerm, reason: _Reason) -> None:
+    def _proof_link(self, a: int, b: int, reason: _Reason) -> None:
         """Add the proof edge ``a — b``: reroot ``a``'s proof tree at ``a``,
         then hang it under ``b``."""
-        path: List[Tuple[FTerm, FTerm, _Reason]] = []
+        path: List[Tuple[int, int, _Reason]] = []
         node = a
         while node in self._proof:
             neighbour, edge_reason = self._proof[node]
@@ -111,7 +135,7 @@ class CongruenceClosure:
         self._proof[a] = (b, reason)
 
     def _explain_pair(
-        self, a: FTerm, b: FTerm, tags: Set[object], visited: Set[Tuple[FTerm, FTerm]]
+        self, a: int, b: int, tags: Set[object], visited: Set[Tuple[int, int]]
     ) -> None:
         """Collect the input tags proving ``a = b`` from the proof forest."""
         if a == b:
@@ -121,11 +145,11 @@ class CongruenceClosure:
             return
         visited.add(key)
         # Nearest common ancestor in the proof forest.
-        ancestors: Dict[FTerm, None] = {a: None}
+        ancestors: Set[int] = {a}
         node = a
         while node in self._proof:
             node = self._proof[node][0]
-            ancestors[node] = None
+            ancestors.add(node)
         common = b
         while common not in ancestors and common in self._proof:
             common = self._proof[common][0]
@@ -138,7 +162,7 @@ class CongruenceClosure:
             self._explain_incomplete = True
             return
 
-        def walk(start: FTerm) -> None:
+        def walk(start: int) -> None:
             node = start
             while node != common:
                 neighbour, reason = self._proof[node]
@@ -147,7 +171,7 @@ class CongruenceClosure:
                         tags.add(reason[1])
                 else:
                     _kind, t1, t2 = reason
-                    for arg1, arg2 in zip(t1.args, t2.args):
+                    for arg1, arg2 in zip(self._args[t1], self._args[t2]):
                         self._explain_pair(arg1, arg2, tags, visited)
                 node = neighbour
 
@@ -163,17 +187,18 @@ class CongruenceClosure:
         aware term graph it matches patterns against."""
         for lhs, rhs, tag in self._equalities[:]:
             self._union(lhs, rhs, ("input", tag))
+        find = self._find
         changed = True
         while changed:
             changed = False
-            signature: Dict[Tuple[str, Tuple[FTerm, ...]], FApp] = {}
-            for term in self._subterms:
-                key = (term.func, tuple(self.find(a) for a in term.args))
+            signature: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+            for index, func, args in self._subterms:
+                key = (func, tuple([find(a) for a in args]))
                 other = signature.get(key)
                 if other is None:
-                    signature[key] = term
-                elif self.find(other) != self.find(term):
-                    self._union(other, term, ("congruence", other, term))
+                    signature[key] = index
+                elif find(other) != find(index):
+                    self._union(other, index, ("congruence", other, index))
                     changed = True
         self._closed = True
 
@@ -181,7 +206,7 @@ class CongruenceClosure:
         """Return True when the asserted literals are EUF-consistent."""
         self.close()
         for lhs, rhs, _tag in self._disequalities:
-            if self.find(lhs) == self.find(rhs):
+            if self._find(lhs) == self._find(rhs):
                 return False
         return True
 
@@ -196,7 +221,7 @@ class CongruenceClosure:
         if not self._closed:
             self.close()
         for lhs, rhs, tag in self._disequalities:
-            if self.find(lhs) == self.find(rhs):
+            if self._find(lhs) == self._find(rhs):
                 tags: Set[object] = set()
                 if tag is not None:
                     tags.add(tag)
@@ -212,10 +237,7 @@ class CongruenceClosure:
         return None
 
     def equivalence_classes(self) -> List[Set[FTerm]]:
-        classes: Dict[FTerm, Set[FTerm]] = {}
-        for term in self._parent:
-            classes.setdefault(self.find(term), set()).add(term)
-        return list(classes.values())
+        return [set(members) for members in self.members_by_class().values()]
 
     # -- term-graph queries (the E-matcher's view) ------------------------------
 
@@ -225,14 +247,16 @@ class CongruenceClosure:
         return self._by_head.get((func, arity), [])
 
     def members_by_class(self) -> Dict[FTerm, List[FTerm]]:
-        """The full partition: class representative -> interned members."""
-        classes: Dict[FTerm, List[FTerm]] = {}
-        for term in self._parent:
-            classes.setdefault(self.find(term), []).append(term)
-        return classes
+        """The full partition: class root term -> interned members, both in
+        interning order."""
+        by_root: Dict[int, List[FTerm]] = {}
+        terms = self._terms
+        for index, term in enumerate(terms):
+            by_root.setdefault(self._find(index), []).append(term)
+        return {terms[root]: members for root, members in by_root.items()}
 
     def __contains__(self, term: FTerm) -> bool:
-        return term in self._parent
+        return term in self._ids
 
 
 TRUE_TERM = FApp("$tt", ())
