@@ -492,7 +492,25 @@ class SmtProver(Prover):
                 -(var_id if value else -var_id) for var_id, value, _ in literals
             ]
 
-        arith_literals = [entry for entry in literals if is_arith_atom(entry[2])]
+        # Positive equalities between terms the selected arithmetic atoms
+        # mention go to LIA as well (``i = j`` against ``i < j``): EUF
+        # knows no order, and ``is_arith_atom`` only takes an equality with
+        # an arithmetic side.  Sound: each is an asserted equality between
+        # terms LIA already treats as unknowns.
+        unknowns = {
+            sub for _v, _value, atom in literals if is_arith_atom(atom)
+            for sub in F.subterms(atom)
+        }
+        arith_literals = [
+            entry for entry in literals
+            if is_arith_atom(entry[2])
+            or (
+                entry[1]
+                and isinstance(entry[2], F.Eq)
+                and entry[2].lhs in unknowns
+                and entry[2].rhs in unknowns
+            )
+        ]
         if not self._lia_consistent(arith_literals, deadline):
             core = self._deletion_filter(
                 arith_literals,

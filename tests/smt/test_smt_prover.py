@@ -61,6 +61,23 @@ def test_never_proves_invalid_sequents(assumptions, goal):
     assert not _proves(assumptions, goal, timeout=2.5)
 
 
+@pytest.mark.parametrize(
+    "assumptions, goal, proved",
+    [
+        (["i = j"], "~(i < j)", True),
+        (["i = j"], "i <= j", True),
+        (["i = j"], "i < j", False),
+        (["f a = g b"], "f a <= g b", True),
+        (["i = j", "j < k"], "i < k", True),
+        (["f a = g b"], "f a < c", False),
+    ],
+)
+def test_asserted_equalities_reach_linear_arithmetic(assumptions, goal, proved):
+    """A plain equality between the unknowns of the arithmetic atoms is an
+    arithmetic fact: EUF knows no order, so LIA must see it."""
+    assert _proves(assumptions, goal, timeout=2.5) == proved
+
+
 # -- the SAT core ------------------------------------------------------------------------
 
 
