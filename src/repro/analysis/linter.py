@@ -10,7 +10,7 @@ from ..java.parser import parse_java
 from ..java.resolver import Program, ResolveError, resolve
 from .diagnostics import Diagnostic, Severity
 from .frames import check_frames
-from .lints import check_cfgs, check_specs
+from .lints import check_cfgs, check_hints, check_specs
 
 
 @dataclass
@@ -54,6 +54,7 @@ def lint_program(program: Program, file: str = "<source>") -> LintReport:
     """Run every lint pass over an already-resolved program."""
     diagnostics: List[Diagnostic] = []
     diagnostics.extend(check_specs(program, file))
+    diagnostics.extend(check_hints(program, file))
     diagnostics.extend(check_frames(program, file))
     diagnostics.extend(check_cfgs(program, file))
     diagnostics.sort(key=Diagnostic.sort_key)

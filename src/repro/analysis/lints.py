@@ -12,6 +12,7 @@ rule              severity  finding
                             (``smt/instantiate.py`` will fall back to ground
                             enumeration)
 ``SPEC04``        error     spec formula fails to parse
+``SPEC05``        error     a ``by`` hint names no assumption of its sequent
 ``CFG01``         warning   unreachable code
 ``CFG02``         error     reachable ``assume`` statement (the suite is
                             verified assume-free; ``assume False`` would
@@ -23,16 +24,27 @@ rule              severity  finding
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..form import ast as F
 from ..form.rewrite import simplify
 from ..form.subst import free_vars
-from ..gcl.commands import Assume, Command, desugar, seq_of
+from ..gcl.commands import (
+    Assert,
+    Assume,
+    Choice,
+    Command,
+    If,
+    Loop,
+    Note,
+    Seq,
+    desugar,
+    seq_of,
+)
 from ..gcl.translate import MethodTranslator, TranslationError
 from ..java.resolver import Program
 from ..smt.instantiate import InstantiationConfig, infer_triggers
-from ..vcgen.vcgen import _command_map
+from ..vcgen.vcgen import _command_map, generate_method_vc
 from .cfg import build_cfg
 from .diagnostics import Diagnostic, Severity
 from .discharge import find_dominated_asserts
@@ -244,6 +256,59 @@ def check_specs(program: Program, file: str = "<source>") -> List[Diagnostic]:
                     rule="SPEC01", severity=Severity.ERROR,
                     message=f"modifies clause lists unknown state variable {name!r}",
                     file=file, line=contract.modifies_line or info.decl.line,
+                    class_name=class_name, method_name=method_name,
+                ))
+    return diagnostics
+
+
+def _hinted(command: Command) -> List[Union[Assert, Note]]:
+    """The ``assert``/``note`` statements of a method body that carry ``by``
+    hints, in program order."""
+    if isinstance(command, (Assert, Note)):
+        return [command] if command.hints else []
+    if isinstance(command, Seq):
+        return [found for sub in command.commands for found in _hinted(sub)]
+    if isinstance(command, Choice):
+        return _hinted(command.left) + _hinted(command.right)
+    if isinstance(command, If):
+        return _hinted(command.then_branch) + _hinted(command.else_branch)
+    if isinstance(command, Loop):
+        return _hinted(command.body)
+    return []
+
+
+def check_hints(program: Program, file: str = "<source>") -> List[Diagnostic]:
+    """SPEC05: every ``by`` hint must select an assumption of its sequent.
+
+    A hint that selects nothing is silently useless: the prover sees the
+    other hints' assumptions only (or, if none match, all of them), not the
+    fact the author meant.  Only methods with hinted statements pay for VC
+    generation.
+    """
+    diagnostics: List[Diagnostic] = []
+    for (class_name, method_name), info in sorted(program.methods.items()):
+        if info.decl.body is None:
+            continue
+        translator = MethodTranslator(program, class_name, info.decl, postcondition=F.TRUE)
+        try:
+            hinted = _hinted(translator.translate().command)
+        except TranslationError:
+            continue
+        if not hinted:
+            continue
+        lines = {command.label: command.line for command in hinted}
+        reported = set()
+        for sequent in generate_method_vc(program, class_name, method_name).sequents:
+            label = sequent.origin[len(f"{class_name}.{method_name}:"):]
+            for hint in sequent.unmatched_hints():
+                if (label, hint) in reported:
+                    continue
+                reported.add((label, hint))
+                diagnostics.append(Diagnostic(
+                    rule="SPEC05", severity=Severity.ERROR,
+                    message=(f"'by' hint {hint!r} of {label!r} names no assumption "
+                             "(neither a label nor an invariant)"),
+                    file=file, line=lines.get(label, info.decl.line),
                     class_name=class_name, method_name=method_name,
                 ))
     return diagnostics

@@ -17,6 +17,7 @@ from ..form.rewrite import expand_field_writes, nnf, simplify
 from ..form.subst import beta_reduce
 from ..provers.approximation import approximate, relevant_assumptions
 from ..provers.base import Deadline, Prover, ProverAnswer, Verdict
+from ..smt.lia import Feasibility
 from ..vcgen.sequent import Sequent
 from .venn import BapaError, conjunction_satisfiable
 
@@ -174,7 +175,12 @@ class BapaProver(Prover):
                         f"{closed} of {len(disjuncts)} refutation branches closed"
                     )
                 )
-                if conjunction_satisfiable(literals, set_vars, deadline):
+                feasibility = conjunction_satisfiable(literals, set_vars, deadline)
+                if feasibility is Feasibility.GAVE_UP:
+                    return ProverAnswer(
+                        Verdict.UNKNOWN, self.name, detail="gave up: Fourier-Motzkin row cap"
+                    )
+                if feasibility:
                     return ProverAnswer(
                         Verdict.UNKNOWN, self.name, detail="refutation branch is satisfiable"
                     )

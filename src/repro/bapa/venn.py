@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from ..form import ast as F
 from ..form.printer import to_str
 from ..provers.base import Deadline
-from ..smt.lia import Constraint, fourier_motzkin_consistent
+from ..smt.lia import Constraint, Feasibility, fourier_motzkin
 
 
 class BapaError(Exception):
@@ -325,10 +325,11 @@ def conjunction_satisfiable(
     literals: Sequence[Tuple[F.Term, bool]],
     set_vars: Set[str],
     deadline: Optional[Deadline] = None,
-) -> bool:
+) -> Feasibility:
     """Decide (soundly refute) satisfiability of a conjunction of BAPA literals.
 
-    Returns False only when the conjunction is definitely unsatisfiable.
+    ``INFEASIBLE`` (falsy) only when the conjunction is definitely
+    unsatisfiable; ``GAVE_UP`` when the elimination hit its row cap.
     Raises :class:`BapaError` when a literal is outside the fragment.
     ``deadline`` is polled per literal translated (each translation
     enumerates up to ``2**dimension`` Venn regions) and per elimination step
@@ -363,4 +364,4 @@ def conjunction_satisfiable(
                 )
             )
         add_literal(atom, positive, problem, set_vars)
-    return fourier_motzkin_consistent(problem.finalize(), deadline=deadline)
+    return fourier_motzkin(problem.finalize(), deadline=deadline)

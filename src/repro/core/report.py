@@ -52,6 +52,9 @@ class MethodReport:
     prover_stats: Dict[str, ProverStats] = field(default_factory=dict)
     prover_order: List[str] = field(default_factory=list)
     unproved_origins: List[str] = field(default_factory=list)
+    #: One ``"origin: countermodel ..."`` line per unproved sequent a prover
+    #: refuted with a checked countermodel (a subset of ``unproved_origins``).
+    refuted: List[str] = field(default_factory=list)
     total_time: float = 0.0
     # -- dispatch instrumentation (parallel cached dispatcher) ----------------
     cache_hits: int = 0
@@ -196,6 +199,8 @@ class MethodReport:
             lines.append(f"0=== Verification FAILED ({len(self.unproved_origins)} sequents unproved).")
             for origin in self.unproved_origins[:10]:
                 lines.append(f"    unproved: {origin}")
+            for line in self.refuted[:10]:
+                lines.append(f"    refuted: {line}")
         return "\n".join(lines)
 
     # Figure 7 in the paper prints this after running `jahob List.java -method ...`.

@@ -168,6 +168,11 @@ def verify(
         prover_stats=dispatched.stats,
         prover_order=list(names),
         unproved_origins=[outcome.sequent.origin for outcome in dispatched.unproved()],
+        refuted=[
+            f"{outcome.sequent.origin}: {outcome.countermodel}"
+            for outcome in dispatched.unproved()
+            if outcome.countermodel
+        ],
         total_time=time.perf_counter() - start,
         cache_hits=dispatched.cache_stats.hits,
         cache_misses=dispatched.cache_stats.misses,

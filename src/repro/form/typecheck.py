@@ -15,7 +15,7 @@ the same symbol, e.g. ``content = old content - {(k0, result)} Un ...``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ast as F
 from .types import (
@@ -247,6 +247,38 @@ def annotate(term: F.Term, env: Optional[TypeEnv] = None, expect: Optional[Type]
 def check_formula(term: F.Term, env: Optional[TypeEnv] = None) -> F.Term:
     """Check that ``term`` is a well-typed boolean formula; return it annotated."""
     return annotate(term, env, expect=BOOL)
+
+
+def check_formulas(
+    terms: Sequence[F.Term], env: Optional[TypeEnv] = None
+) -> Tuple[List[F.Term], Dict[str, Type]]:
+    """Check several boolean formulas under one shared inference.
+
+    Unlike :func:`check_formula`, a free name that ``env`` does not know gets
+    its type from how the formulas use it (``f`` in ``p (f a)`` becomes a
+    function) instead of defaulting to ``obj``.  Returns the annotated
+    formulas and the type of every free name; type variables left
+    unconstrained default to ``obj``, as unconstrained binders do.
+    Raises :class:`TypeError_` when the formulas are ill-typed.
+    """
+    from .subst import free_vars
+
+    scope = env.copy() if env is not None else TypeEnv()
+    inference = _Inference(scope)
+    names = sorted({name for term in terms for name in free_vars(term)})
+    for name in names:
+        if scope.lookup(name) is None:
+            scope.bind(name, inference.fresh())
+    annotated = []
+    for term in terms:
+        typ, new_term = inference.infer(term, {})
+        inference.unify(typ, BOOL, "formula")
+        annotated.append(new_term)
+    annotated = [_apply_param_subst(term, inference) for term in annotated]
+    resolved = {name: inference.resolve(scope.vars[name]) for name in names}
+    defaults = {var: OBJ for typ in resolved.values() for var in type_vars(typ)}
+    signature = {name: subst_type(typ, defaults) for name, typ in resolved.items()}
+    return annotated, signature
 
 
 def _apply_param_subst(term: F.Term, inference: _Inference) -> F.Term:

@@ -4,7 +4,9 @@ The paper treats each prover as a black box (Section 1.5, "Splitting"):
 a prover receives one sequent at a time and answers *proved* or *gives up*.
 Soundness of the whole system only requires that a prover never answers
 *proved* for an invalid sequent; incompleteness is expected and handled by
-trying the next prover in the user-specified order.
+trying the next prover in the user-specified order.  A prover may also
+answer *refuted*, but only with a countermodel it has checked exactly; that
+ends the chain just as a proof does.
 
 Deadline contract (budget semantics)
 ------------------------------------
@@ -183,6 +185,11 @@ class Verdict(Enum):
     #: Resolved by the static-discharge pre-pass (dataflow facts alone, no
     #: prover ran); counts as proved.
     STATIC = "static"
+    #: The sequent is invalid: the answer's detail is a finite countermodel
+    #: that an exact evaluation checked against every assumption and the
+    #: goal (:mod:`repro.provers.countermodel`).  Counts as not proved, but
+    #: settles the sequent like a proof does — no other prover can prove it.
+    REFUTED = "refuted"
 
 
 @dataclass
@@ -215,6 +222,12 @@ class ProverAnswer:
     @property
     def proved(self) -> bool:
         return self.verdict is Verdict.PROVED or self.verdict is Verdict.STATIC
+
+    @property
+    def settles(self) -> bool:
+        """True when this answer decides the sequent, either way: a proof or
+        a checked countermodel.  The prover chain stops at such an answer."""
+        return self.proved or self.verdict is Verdict.REFUTED
 
 
 class Prover(ABC):

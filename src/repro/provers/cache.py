@@ -34,7 +34,8 @@ store a ``TIMEOUT`` computed under a per-sequent budget: such an answer may
 reflect the budget's truncated remainder rather than the prover's
 configured timeout that keys the entry.  Soundness note: caching a ``PROVED`` verdict is
 sound because the digest is injective up to alpha-renaming of generated
-variables and assumption order, both of which preserve validity.
+variables and assumption order, both of which preserve validity (and
+invalidity, so a cached ``REFUTED`` replays just as soundly).
 
 Cache-invalidation note (options signatures): the options part of the key
 is ``Prover.options_signature()``, which serialises only *verdict-affecting*
@@ -66,8 +67,11 @@ from .base import ProverAnswer, Verdict
 from .ordering import DEFAULT_FILENAME as ORDERING_FILENAME
 from .ordering import ProverOrdering
 
-#: Verdicts replayed from the cache unconditionally.
-ALWAYS_CACHEABLE = frozenset({Verdict.PROVED, Verdict.UNKNOWN, Verdict.UNSUPPORTED})
+#: Verdicts replayed from the cache unconditionally.  ``REFUTED`` is as
+#: definitive as ``PROVED``: its detail carries the checked countermodel.
+ALWAYS_CACHEABLE = frozenset(
+    {Verdict.PROVED, Verdict.REFUTED, Verdict.UNKNOWN, Verdict.UNSUPPORTED}
+)
 
 #: Monotonic per-process counter making disk-tier temp names unique per
 #: writer (``next()`` on an ``itertools.count`` is atomic under the GIL).

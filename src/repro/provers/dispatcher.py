@@ -2,10 +2,12 @@
 
 This is the integrated-reasoning heart of the system (Sections 5.1-5.2): a
 verification condition is split into sequents, and every sequent is offered
-to the provers until one proves it.  Jahob walks the order the user listed
-on the command line (``-usedp spass mona bapa`` in Figure 7); here that
-order is only the starting point — each sequent's live provers run in the
-order a learned :class:`repro.provers.ordering.ProverOrdering` ranks them
+to the provers until one proves it (or refutes it with a checked
+countermodel, which ends the chain just as well).  Jahob walks the order
+the user listed on the command line (``-usedp spass mona bapa`` in
+Figure 7); here that order is only the starting point — each sequent's
+live provers run in the order a learned
+:class:`repro.provers.ordering.ProverOrdering` ranks them
 for the sequent's feature bucket, and every answer is recorded in the
 table as soon as it lands.  The order sets the cost, never which sequents
 prove: a prover that fails falls through to the next.  Per-prover
@@ -113,10 +115,30 @@ class SequentOutcome:
 
     sequent: Sequent
     proved: bool
+    #: The prover whose answer settled the sequent (its proof, or its
+    #: refutation when ``proved`` is False); None while nothing settled it.
     prover: Optional[str] = None
     answers: List[ProverAnswer] = field(default_factory=list)
     #: True when the per-sequent time budget ran out before the chain ended.
     budget_exhausted: bool = False
+
+    @property
+    def settled(self) -> bool:
+        """True when an answer decided the sequent: a proof, or a checked
+        countermodel (``proved`` stays False then)."""
+        return self.prover is not None
+
+    @property
+    def countermodel(self) -> str:
+        """The checked countermodel of a refuted sequent ('' otherwise),
+        without the replay prefixes cache and dedup put on the detail."""
+        if not self.answers or self.answers[-1].verdict is not Verdict.REFUTED:
+            return ""
+        detail = self.answers[-1].detail
+        for prefix in ("dedup replay: ", "cached: "):
+            if detail.startswith(prefix):
+                detail = detail[len(prefix):]
+        return detail
 
     @property
     def from_cache(self) -> bool:
@@ -308,10 +330,11 @@ def _cache_scan(
     ``signatures`` are the portfolio's (name, options signature) pairs.
     Returns the replayed answers, the portfolio indices of the provers with
     no cached verdict (the ones still to run live), and whether the scan
-    settled the sequent: a cached PROVED anywhere wins outright, and a chain
-    cached end to end needs no live run either.  Replays cost nothing, so
-    the scan never depends on the learned order — warm runs replay the
-    same answers whatever the table holds.
+    settled the sequent: a cached answer that settles it (a proof or a
+    checked countermodel, see :attr:`ProverAnswer.settles`) wins outright,
+    and a chain cached end to end needs no live run either.  Replays cost
+    nothing, so the scan never depends on the learned order — warm runs
+    replay the same answers whatever the table holds.
     """
     answers: List[ProverAnswer] = []
     live: List[int] = []
@@ -321,7 +344,7 @@ def _cache_scan(
             live.append(index)
             continue
         answers.append(entry.to_answer(name))
-        if entry.verdict is Verdict.PROVED:
+        if answers[-1].settles:
             return answers, live, True
     return answers, live, not live
 
@@ -346,10 +369,23 @@ def _ranked(
 def _settled_outcome(sequent: Sequent, answers: List[ProverAnswer]) -> SequentOutcome:
     """The outcome of a sequent the cache scan settled (no live run)."""
     outcome = SequentOutcome(sequent=sequent, proved=False, answers=answers)
-    if answers and answers[-1].proved:
-        outcome.proved = True
-        outcome.prover = answers[-1].prover
+    if answers:
+        _settle(outcome, answers[-1])
     return outcome
+
+
+def _settle(outcome: SequentOutcome, answer: ProverAnswer) -> bool:
+    """The stop rule of every chain: whether ``answer`` decides the sequent.
+
+    A proof settles it proved; a checked countermodel (``REFUTED``) settles
+    it unproved, since no later prover could prove it.  Either way the
+    deciding prover is credited on the outcome.
+    """
+    if not answer.settles:
+        return False
+    outcome.proved = answer.proved
+    outcome.prover = answer.prover
+    return True
 
 
 def _run_prover_chain(
@@ -362,13 +398,13 @@ def _run_prover_chain(
     ordering: Optional[ProverOrdering] = None,
 ) -> SequentOutcome:
     """Offer one sequent to the portfolio: cache first, then the live
-    provers in learned order until one proves.
+    provers in learned order until one settles it.
 
     ``static`` (the dispatcher's :class:`StaticDischarger`, when the static
     tier is enabled) is consulted before the cache and before any prover: a
     sequent provable from dataflow facts alone resolves with the ``STATIC``
     verdict for free.  Then every cached verdict replays (see
-    :func:`_cache_scan`; a cached PROVED settles the sequent).
+    :func:`_cache_scan`; a cached proof or refutation settles the sequent).
 
     The provers left run in the order ``ordering`` ranks them for this
     sequent's feature bucket (portfolio order when no table is given or it
@@ -418,9 +454,7 @@ def _run_prover_chain(
         if ordering is not None:
             ordering.observe(sequent, answer, bucket)
         outcome.answers.append(answer)
-        if answer.proved:
-            outcome.proved = True
-            outcome.prover = answer.prover
+        if _settle(outcome, answer):
             break
     return outcome
 

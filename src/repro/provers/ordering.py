@@ -16,10 +16,12 @@ still gets its turn until one proves):
   handful of outcomes per bucket is enough to rank four engines, and the
   bucket string doubles as a readable JSON key.
 * :class:`ProverOrdering` keeps, per bucket and prover, the outcome stats
-  (attempted / proved / total time) and ranks a dispatcher's portfolio for
-  one sequent.  Ranking is fully deterministic: provers with a proof record
-  in the bucket come first (higher success rate, then lower mean time, then
-  *portfolio position* as the tie-break), provers the table knows nothing
+  (attempted / proved / total time; a checked refutation counts as
+  "proved" here, since it settles the sequent just as a proof does) and
+  ranks a dispatcher's portfolio for one sequent.  Ranking is fully
+  deterministic: provers with a proof record in the bucket come first
+  (higher success rate, then lower mean time, then *portfolio position*
+  as the tie-break), provers the table knows nothing
   about keep their portfolio order next, and provers that were attempted
   ``min_attempts``+ times without a single proof sink to the back.  With an
   empty table the ranking *is* the portfolio order, so a cold table
@@ -292,8 +294,11 @@ class ProverOrdering:
         """
         if answer.cached or answer.truncated or answer.verdict is Verdict.STATIC:
             return
+        # A refutation settles the sequent as surely as a proof: counting it
+        # as a failure would demote the refuting prover to the hopeless tier
+        # of exactly the buckets where it ends the chain soonest.
         self.observe_outcome(
-            bucket or sequent_features(sequent), answer.prover, answer.proved, answer.time
+            bucket or sequent_features(sequent), answer.prover, answer.settles, answer.time
         )
 
     def observe_outcome(

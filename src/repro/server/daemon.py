@@ -670,7 +670,7 @@ def _slice_result(
         # did not settle in time is a budget casualty, marked as such (the
         # module contract: post-deadline outcomes are ``budget_exhausted``).
         for outcome in merged.outcomes[start:stop]:
-            if not outcome.proved:
+            if not outcome.settled:
                 outcome.budget_exhausted = True
     result = DispatchResult()
     _merge_outcomes(

@@ -22,6 +22,7 @@ increases the number of genuine conflicts detected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
@@ -173,6 +174,22 @@ def _is_int_term(term: F.Term) -> bool:
     )
 
 
+class Feasibility(Enum):
+    """What Fourier–Motzkin elimination established about a system.
+
+    ``GAVE_UP`` means the elimination passed its row cap and established
+    nothing; it is truthy like ``FEASIBLE`` because treating it as
+    consistent is the sound reading for a refutation procedure.
+    """
+
+    INFEASIBLE = "infeasible"
+    FEASIBLE = "feasible"
+    GAVE_UP = "gave up"
+
+    def __bool__(self) -> bool:
+        return self is not Feasibility.INFEASIBLE
+
+
 def fourier_motzkin_consistent(
     constraints: List[Constraint],
     max_constraints: int = 4000,
@@ -182,7 +199,21 @@ def fourier_motzkin_consistent(
 
     Returns False only when the system is definitely infeasible; gives up
     (returns True) if the elimination blows past ``max_constraints``.
-    ``deadline`` is polled per constraint combination during elimination.
+    :func:`fourier_motzkin` tells the give-up apart.
+    """
+    return bool(fourier_motzkin(constraints, max_constraints, deadline))
+
+
+def fourier_motzkin(
+    constraints: List[Constraint],
+    max_constraints: int = 4000,
+    deadline: Optional[Deadline] = None,
+) -> Feasibility:
+    """Fourier–Motzkin elimination over a conjunction of <= constraints.
+
+    ``INFEASIBLE`` is definite; ``GAVE_UP`` is returned as soon as the
+    elimination blows past ``max_constraints`` rows.  ``deadline`` is
+    polled per constraint combination during elimination.
 
     Rows are kept as integers: each input row is scaled by the lcm of its
     denominators, and eliminating ``x`` between a lower row ``l``
@@ -197,7 +228,7 @@ def fourier_motzkin_consistent(
     system = [c for c in system if not _drop_if_trivial(c)]
     for coeffs, bound in system:
         if not coeffs and bound < 0:
-            return False
+            return Feasibility.INFEASIBLE
 
     variables = sorted({v for coeffs, _ in system for v in coeffs})
     eliminated = 0
@@ -234,7 +265,7 @@ def fourier_motzkin_consistent(
                 bound = lower_bound * upper_coeff + upper_bound * lower_coeff
                 if not coeffs:
                     if bound < 0:
-                        return False
+                        return Feasibility.INFEASIBLE
                     continue
                 divisor = gcd(bound, *coeffs.values())
                 if divisor > 1:
@@ -242,13 +273,13 @@ def fourier_motzkin_consistent(
                     bound //= divisor
                 new_system.append((coeffs, bound))
         if len(new_system) > max_constraints:
-            return True  # give up: treated as consistent (sound)
+            return Feasibility.GAVE_UP
         system = new_system
         eliminated += 1
     for coeffs, bound in system:
         if not coeffs and bound < 0:
-            return False
-    return True
+            return Feasibility.INFEASIBLE
+    return Feasibility.FEASIBLE
 
 
 def _integer_row(constraint: Constraint) -> Tuple[Dict[str, int], int]:

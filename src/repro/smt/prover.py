@@ -18,7 +18,11 @@ A lazy SMT loop over ground formulas:
    linear integer arithmetic — and refuted models are blocked with a new
    clause; in E-matching mode a theory-consistent model additionally
    triggers an instantiation round (its equalities refine the term graph),
-   and only when no new instance can be generated does the prover give up.
+   and only when no new instance can be generated does the prover give up,
+5. except when the sequent is plainly false: before giving up, the final
+   model seeds the exact finite-countermodel check of
+   :mod:`repro.provers.countermodel`, and a countermodel of the original
+   sequent turns the answer into ``REFUTED``.
 """
 
 from __future__ import annotations
@@ -375,6 +379,16 @@ class SmtProver(Prover):
                     # was pooled: the next round can match it — that is
                     # progress, not saturation.
                     continue
+            with timer("countermodel"):
+                refuted = self._countermodel(sequent, result.assignment, encoder, deadline)
+            if refuted is not None:
+                return ProverAnswer(
+                    Verdict.REFUTED,
+                    self.name,
+                    detail=refuted,
+                    instances=engine.stats.instances if engine is not None else stats.instances,
+                    phases=dict(timer.phases),
+                )
             return self._answer(
                 Verdict.UNKNOWN, stats, engine,
                 "theory-consistent propositional model found",
@@ -386,6 +400,31 @@ class SmtProver(Prover):
         )
 
     # -- helpers ---------------------------------------------------------------
+
+    @staticmethod
+    def _countermodel(
+        sequent: Sequent,
+        assignment: Dict[int, bool],
+        encoder: "_TseitinEncoder",
+        deadline: Deadline,
+    ) -> Optional[str]:
+        """Try to turn the theory-consistent model into a checked finite
+        countermodel of the *original* sequent; its description, or None.
+
+        The propositional model belongs to the sliced and approximated
+        problem, so it only seeds the search: the finder checks every
+        assumption of ``sequent`` itself.  Imported here, on this exit only,
+        so attempts that prove never load the finder.
+        """
+        from ..provers.countermodel import find_countermodel
+
+        model = [
+            (atom, assignment[var_id])
+            for var_id, atom in encoder.atoms.items()
+            if var_id in assignment
+        ]
+        found = find_countermodel(sequent, model, deadline)
+        return found.describe() if found is not None else None
 
     @staticmethod
     def _model_equalities(

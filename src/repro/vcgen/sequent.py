@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..form import ast as F
 from ..form.printer import to_str
@@ -25,6 +25,12 @@ from ..form.typecheck import TypeEnv
 #: Names produced by the splitter (``x$3``) and the VC generator's havoc
 #: incarnations (``first#2``); both are alpha-renamed away in :meth:`Sequent.digest`.
 _GENERATED_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*[$#][0-9]+")
+
+
+def _hint_labels(hints: Iterable[str]) -> Set[str]:
+    """The assumption labels a ``by`` hint list selects: each hint itself,
+    and the invariant it names by its bare name."""
+    return {label for hint in hints for label in (hint, f"inv:{hint}")}
 
 
 @dataclass(frozen=True)
@@ -69,16 +75,27 @@ class Sequent:
         return F.mk_implies(F.mk_and(self.assumption_formulas()), self.goal.formula)
 
     def relevant_assumptions(self) -> Tuple[Labeled, ...]:
-        """Assumptions filtered by the ``by`` hints (all of them if no hints)."""
+        """Assumptions filtered by the ``by`` hints (all of them if no hints).
+
+        A hint names an assumption by one of its labels, or an invariant by
+        its bare name (``by FirstData`` selects ``inv:FirstData``).
+        """
         if not self.hints:
             return self.assumptions
-        wanted = set(self.hints)
+        wanted = _hint_labels(self.hints)
         selected = tuple(
             a for a in self.assumptions if wanted.intersection(a.labels)
         )
         # An explicit hint list that matches nothing would make the sequent
         # unprovable for no good reason; fall back to all assumptions.
         return selected if selected else self.assumptions
+
+    def unmatched_hints(self) -> Tuple[str, ...]:
+        """The ``by`` hints that select no assumption (lint rule SPEC05)."""
+        labels = {label for a in self.assumptions for label in a.labels}
+        return tuple(
+            hint for hint in self.hints if not _hint_labels((hint,)) & labels
+        )
 
     def restricted(self) -> "Sequent":
         """A copy of the sequent containing only the hint-selected assumptions."""

@@ -91,3 +91,25 @@ def test_each_mutation_reports_a_source_line():
     assert findings and all(d.line > 0 for d in findings)
     rendered = findings[0].render()
     assert rendered.startswith("suite.java:")
+
+
+def test_by_hint_naming_no_assumption_triggers_spec05():
+    source = _pristine().replace("by FirstData, pre;", "by FirstDat, pre;")
+    assert source != _pristine()
+    findings = _hard_findings(lint_source(source))
+    assert [d.rule for d in findings] == ["SPEC05"]
+    assert "'FirstDat'" in findings[0].message
+    assert findings[0].method_name == "member"
+    assert findings[0].line == 55
+
+
+def test_by_hint_selects_an_invariant_by_its_bare_name():
+    from repro.java.resolver import parse_program
+    from repro.vcgen.vcgen import generate_method_vc
+
+    vc = generate_method_vc(parse_program(_pristine()), "SinglyLinkedList", "member")
+    (found,) = [s for s in vc.sequents if s.origin.endswith(":Found")]
+    assert found.hints == ("FirstData", "pre")
+    assert found.unmatched_hints() == ()
+    labels = [a.labels for a in found.relevant_assumptions()]
+    assert labels == [("pre",), ("inv:FirstData",)]
