@@ -19,7 +19,8 @@ import os
 from repro import suite, verify_class
 from repro.java.resolver import parse_program
 from repro.provers.cache import SequentCache
-from repro.provers.dispatcher import Dispatcher, ParallelDispatcher, make_provers
+from repro.provers.dispatcher import DispatchConfig, Dispatcher, make_provers
+from repro.provers.ordering import ProverOrdering
 from repro.vcgen.vcgen import generate_method_vc
 
 from conftest import run_once
@@ -30,6 +31,18 @@ STRUCTURE = "SinglyLinkedList"
 #: obligations of the harder methods from dominating the wall time.
 PROVERS = ["smt"]
 OPTIONS = {"smt": {"timeout": 0.5}}
+
+
+class _PortfolioOrder(ProverOrdering):
+    """A table that never reorders: Jahob's fixed, user-given order.
+
+    Both sides of the parity check run under one such table.  A learned
+    table promotes provers as answers land — in sequent order inline, in
+    completion order on a pool — so the two runs could credit different
+    provers for a sequent (which sequents prove never differs)."""
+
+    def rank_bucket(self, bucket, provers):
+        return list(range(len(provers)))
 
 
 def _sequent_batch():
@@ -46,12 +59,12 @@ def test_parallel_dispatch_matches_sequential(benchmark):
     """workers=4 over one class's sequents; outcomes must equal sequential."""
     sequents = _sequent_batch()
     names = ["syntactic"] + PROVERS
-    sequential = Dispatcher(make_provers(names, **OPTIONS)).prove_all(sequents)
+    fixed = _PortfolioOrder()
+    sequential = Dispatcher(make_provers(names, **OPTIONS), ordering=fixed).prove_all(sequents)
 
     def run():
-        return ParallelDispatcher.from_names(
-            names, workers=4, **OPTIONS
-        ).prove_all(sequents)
+        config = DispatchConfig(names, OPTIONS, workers=4)
+        return Dispatcher(config, ordering=fixed).prove_all(sequents)
 
     parallel = run_once(benchmark, run)
     benchmark.extra_info.update(

@@ -35,6 +35,7 @@ import argparse
 from repro import suite
 from repro.core.report import format_table
 from repro.provers.cache import SequentCache
+from repro.provers.dispatcher import DispatchConfig
 
 
 def _print_profile(report) -> None:
@@ -96,7 +97,16 @@ def main() -> None:
 
     names = args.names or list(suite.FIGURE15_NAMES)
     provers = ["smt", "fol", "mona", "bapa"]
-    prover_options = {"smt": {"timeout": 3.0}, "fol": {"timeout": 1.5}}
+    # What a daemon honours too; the executor, dedup and the static tier
+    # are local-dispatch settings (the daemon runs its own farm and dedup).
+    settings = dict(
+        provers=provers,
+        prover_options={"smt": {"timeout": 3.0}, "fol": {"timeout": 1.5}},
+        sequent_budget=args.budget,
+    )
+    config = DispatchConfig.for_verify(
+        **settings, dedup=True, workers=args.workers, static_tier=args.static_tier
+    )
     client = cache = None
     if args.server:
         from repro.server import VerifyClient
@@ -109,23 +119,10 @@ def main() -> None:
         print(f"verifying {name} ...", flush=True)
         if client is not None:
             report = client.verify_class(
-                suite.source(name),
-                class_name=suite.entry(name).name,
-                provers=provers,
-                prover_options=prover_options,
-                sequent_budget=args.budget,
+                suite.source(name), class_name=suite.entry(name).name, **settings
             )
         else:
-            report = suite.verify_structure(
-                name,
-                provers=provers,
-                prover_options=prover_options,
-                cache=cache,
-                dedup=True,
-                workers=args.workers,
-                sequent_budget=args.budget,
-                static_tier=args.static_tier,
-            )
+            report = suite.verify_structure(name, config=config, cache=cache)
         reports.append(report)
         row = report.row(provers)
         print("  ", {k: v for k, v in row.items() if v})

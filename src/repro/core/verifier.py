@@ -13,18 +13,21 @@ Prover names accept both this reproduction's engine names (``fol``, ``smt``,
 ``mona``, ``bapa``, ``interactive``, ``syntactic``) and the paper's tool
 names (``spass``, ``e``, ``z3``, ``cvc3``, ``isabelle``, ``coq``) as aliases.
 
-Scaling knobs (mapped onto the Figure 7 command line, see ROADMAP):
+Dispatch settings are the fields of one frozen
+:class:`repro.provers.dispatcher.DispatchConfig`.  Pass them as keywords
+(``verify(..., workers=4, dedup=True)``) or build the config once and pass
+``config=`` — :func:`verify_class` builds it once for all its methods:
 
-* ``workers=N`` dispatches the split sequents to a pool of N workers
-  (:class:`repro.provers.dispatcher.ParallelDispatcher`); ``workers=1``
-  (the default) keeps the classic sequential dispatcher and produces
-  identical outcomes and per-prover statistics.  The default thread
-  backend shares the GIL, so for multi-core speedup of these pure-Python
-  provers pass ``backend="process"`` as well.
-* ``cache=`` takes a :class:`repro.provers.cache.SequentCache`; proved (and
-  refuted) sequents are memoised under their structural digest, so
-  re-verifying a method, a class, or the whole suite replays prior verdicts
-  instead of re-proving them.  Share one cache across calls to benefit.
+* ``provers`` / ``prover_options``: the chain, as on Jahob's ``-usedp``
+  command line, and each engine's options.  The syntactic prover always
+  runs first (it is free and discharges the many trivial conjuncts every
+  VC contains).
+* ``workers=N`` / ``backend``: the executor.  ``workers=1`` (the default)
+  dispatches inline; more workers fan the split sequents out to a thread
+  pool, or with ``backend="process"`` to a process pool — the bundled
+  provers are pure Python, so only processes buy multi-core speedup.
+  Outcomes never depend on the executor; with several workers the prover
+  credited for a sequent may.
 * ``sequent_budget=T`` bounds the time the portfolio may spend on any one
   sequent — and the bound is *enforced*: every prover polls the budget's
   deadline on its hot loop and answers ``TIMEOUT`` when its slice runs out
@@ -32,23 +35,30 @@ Scaling knobs (mapped onto the Figure 7 command line, see ROADMAP):
 * ``dedup=True`` groups the split sequents by structural digest before
   dispatch, proves one representative per group and replays its verdict for
   the duplicates (reported like cache replays, never as live proofs).
+* ``static_tier=True`` enables the static-discharge pre-pass
+  (:mod:`repro.analysis.discharge`): sequents provable from dataflow facts
+  alone resolve with the ``STATIC`` verdict before the cache or any prover
+  runs, counted in the report's ``statically_discharged``.
+
+``cache=`` is not a setting but a shared resource: a
+:class:`repro.provers.cache.SequentCache` memoises proved (and refuted)
+sequents under their structural digest, so re-verifying a method, a class,
+or the whole suite replays prior verdicts instead of re-proving them.
+Share one cache across calls to benefit.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ..java.resolver import Program, parse_program
-from ..provers.base import ProverStats
 from ..provers.cache import SequentCache
-from ..provers.dispatcher import (
-    DEFAULT_ORDER,
+from ..provers.dispatcher import (  # noqa: F401 - perfbench/spans.py traces make_provers here
+    DispatchConfig,
     DispatchResult,
     Dispatcher,
-    ParallelDispatcher,
     make_provers,
-    resolve_prover_names,
 )
 from ..vcgen.sequent import Sequent
 from ..vcgen.vcgen import generate_method_vc
@@ -79,39 +89,30 @@ def _single_class_name(program: Program) -> str:
     )
 
 
+def _dispatch_config(config: Optional[DispatchConfig], settings: dict) -> DispatchConfig:
+    """The config a call dispatches with: ``config`` as given, else one built
+    from the keyword ``settings`` (never both)."""
+    if config is None:
+        return DispatchConfig.for_verify(**settings)
+    if settings:
+        raise TypeError(f"pass either config= or dispatch settings, not both: {sorted(settings)}")
+    return config
+
+
 def verify(
     source: SourceOrProgram,
     method: str,
     class_name: Optional[str] = None,
-    provers: Sequence[str] = DEFAULT_ORDER,
-    prover_options: Optional[Dict[str, dict]] = None,
-    include_frame: bool = True,
-    always_syntactic_first: bool = True,
-    workers: int = 1,
+    config: Optional[DispatchConfig] = None,
     cache: Optional[SequentCache] = None,
-    backend: str = "thread",
-    sequent_budget: Optional[float] = None,
-    dedup: bool = False,
-    static_tier: bool = False,
     dispatch: Optional[DispatchFn] = None,
+    **settings,
 ) -> MethodReport:
     """Verify one method and return its report (Figure 7).
 
-    ``provers`` is the ordered list of provers to try on each sequent, as on
-    Jahob's ``-usedp`` command line.  The syntactic prover is always run
-    first unless ``always_syntactic_first`` is disabled (it is free and
-    discharges the many trivial conjuncts every VC contains).
-
-    ``workers`` > 1 proves the split sequents in parallel; ``cache``
-    memoises prover verdicts per normalized sequent; ``sequent_budget``
-    bounds (and enforces) the time the whole portfolio may spend on any one
-    sequent; ``dedup`` proves one representative per group of structurally
-    identical sequents and replays its verdict for the rest.
-
-    ``static_tier`` enables the static-discharge pre-pass
-    (:mod:`repro.analysis.discharge`): sequents provable from dataflow facts
-    alone resolve with the ``STATIC`` verdict before the cache or any prover
-    runs, counted in the report's ``statically_discharged``.
+    ``config`` (or the keyword ``settings`` it is built from, see the module
+    docstring) says how the split sequents are dispatched; ``cache``
+    memoises prover verdicts per normalized sequent.
 
     Each sequent's live provers run in the order the learned
     :class:`repro.provers.ordering.ProverOrdering` ranks them — the table
@@ -124,9 +125,10 @@ def verify(
     report.  The verify daemon (:mod:`repro.server`) uses this to route
     sequents through its cross-request batcher while the report is still
     assembled here — which is what makes server-backed reports byte-identical
-    to local ones.  ``workers``/``cache``/``backend``/``sequent_budget``/
-    ``dedup`` are then the callable's concern and ignored locally.
+    to local ones.  Only the config's prover chain then matters here (it is
+    the report's ``prover_order``); the rest is the callable's concern.
     """
+    config = _dispatch_config(config, settings)
     parse_start = time.perf_counter()
     program = _as_program(source)
     parse_time = time.perf_counter() - parse_start
@@ -134,30 +136,13 @@ def verify(
         class_name = _single_class_name(program)
 
     start = time.perf_counter()
-    method_vc = generate_method_vc(program, class_name, method, include_frame=include_frame)
+    method_vc = generate_method_vc(program, class_name, method)
     vcgen_time = time.perf_counter() - start
 
-    names = resolve_prover_names(provers)
-    if always_syntactic_first and "syntactic" not in names:
-        names = ["syntactic"] + names
-    options = prover_options or {}
-    if dispatch is not None:
-        dispatcher = None
-    elif workers > 1:
-        dispatcher = ParallelDispatcher.from_names(
-            names, workers=workers, backend=backend, cache=cache,
-            sequent_budget=sequent_budget, dedup=dedup, static_tier=static_tier,
-            **options,
-        )
-    else:
-        dispatcher = Dispatcher(
-            make_provers(names, **options), cache=cache,
-            sequent_budget=sequent_budget, dedup=dedup, static_tier=static_tier,
-        )
     if dispatch is not None:
         dispatched = dispatch(method_vc.sequents)
     else:
-        dispatched = dispatcher.prove_all(method_vc.sequents)
+        dispatched = Dispatcher(config, cache).prove_all(method_vc.sequents)
 
     report = MethodReport(
         class_name=class_name,
@@ -166,7 +151,7 @@ def verify(
         proved_sequents=dispatched.proved,
         proved_during_splitting=method_vc.proved_during_splitting,
         prover_stats=dispatched.stats,
-        prover_order=list(names),
+        prover_order=list(config.provers),
         unproved_origins=[outcome.sequent.origin for outcome in dispatched.unproved()],
         refuted=[
             f"{outcome.sequent.origin}: {outcome.countermodel}"
@@ -194,32 +179,26 @@ def verify(
 def verify_class(
     source: SourceOrProgram,
     class_name: Optional[str] = None,
-    provers: Sequence[str] = DEFAULT_ORDER,
     methods: Optional[Sequence[str]] = None,
-    prover_options: Optional[Dict[str, dict]] = None,
-    include_frame: bool = True,
-    workers: int = 1,
+    config: Optional[DispatchConfig] = None,
     cache: Optional[SequentCache] = None,
-    backend: str = "thread",
-    sequent_budget: Optional[float] = None,
-    dedup: bool = False,
-    static_tier: bool = False,
     dispatch: Optional[DispatchFn] = None,
+    **settings,
 ) -> ClassReport:
     """Verify every contracted method of a class (one Figure 15 row).
 
-    ``workers``, ``cache``, ``sequent_budget`` and ``dedup`` are forwarded
-    to :func:`verify` for each method; sharing one cache across the class
-    lets invariant obligations that repeat between methods be proved once
-    and replayed, and ``dedup`` additionally collapses duplicates within
-    each method's batch before any prover runs.  ``dispatch`` (a pluggable
-    dispatch backend, see :func:`verify`) is forwarded as well — the verify
-    daemon passes its cross-request batcher here.
+    The dispatch config is built once and, with ``cache`` and ``dispatch``,
+    passed to :func:`verify` for each method; sharing one cache across the
+    class lets invariant obligations that repeat between methods be proved
+    once and replayed, and ``dedup`` additionally collapses duplicates
+    within each method's batch before any prover runs.  The verify daemon
+    passes its cross-request batcher as ``dispatch``.
     """
+    config = _dispatch_config(config, settings)
     program = _as_program(source)
     if class_name is None:
         class_name = _single_class_name(program)
-    report = ClassReport(class_name=class_name, prover_order=list(resolve_prover_names(provers)))
+    report = ClassReport(class_name=class_name, prover_order=list(config.provers))
     for info in program.methods_of(class_name):
         if info.decl.body is None:
             continue
@@ -233,15 +212,8 @@ def verify_class(
                 program,
                 method=info.decl.name,
                 class_name=class_name,
-                provers=provers,
-                prover_options=prover_options,
-                include_frame=include_frame,
-                workers=workers,
+                config=config,
                 cache=cache,
-                backend=backend,
-                sequent_budget=sequent_budget,
-                dedup=dedup,
-                static_tier=static_tier,
                 dispatch=dispatch,
             )
         )

@@ -1,69 +1,53 @@
-"""The prover dispatchers: sequential and parallel, with result caching.
+"""The prover dispatcher: one dispatch loop, one configuration, three executors.
 
 This is the integrated-reasoning heart of the system (Sections 5.1-5.2): a
 verification condition is split into sequents, and every sequent is offered
 to the provers until one proves it (or refutes it with a checked
 countermodel, which ends the chain just as well).  Jahob walks the order
 the user listed on the command line (``-usedp spass mona bapa`` in
-Figure 7); here that order is only the starting point — each sequent's
-live provers run in the order a learned
-:class:`repro.provers.ordering.ProverOrdering` ranks them
-for the sequent's feature bucket, and every answer is recorded in the
-table as soon as it lands.  The order sets the cost, never which sequents
-prove: a prover that fails falls through to the next.  Per-prover
-statistics — how many sequents each prover attempted and proved and how
-much time it spent, including failed attempts — are collected for the
-Figure 7 / Figure 15 reports.
+Figure 7); here that order is only the starting point, re-ranked per
+sequent by a learned :class:`repro.provers.ordering.ProverOrdering`.
+Per-prover statistics — attempts, proofs and time, failed attempts
+included — feed the Figure 7 / Figure 15 reports.
 
-Splitting makes the workload embarrassingly parallel: sequents are
-independent proof obligations, so :class:`ParallelDispatcher` fans them out
-to a pool of workers (``workers=N``, thread- or process-backed) while
-keeping the merged :class:`DispatchResult` deterministic — outcomes are
-merged in the original sequent order and per-prover :class:`ProverStats`
-are recorded in exactly the sequence the sequential :class:`Dispatcher`
-would have used, so a thread-backed ``ParallelDispatcher(workers=1)`` is
-indistinguishable from ``Dispatcher`` (timings aside).
+Every setting of a dispatch lives in one frozen :class:`DispatchConfig`:
+the prover chain (aliases resolved), the prover options, the per-sequent
+budget, the dedup and static-tier pre-passes, and the executor (``workers``
+and ``backend``).  :class:`Dispatcher` runs one batch in three steps:
 
-Both dispatchers accept a :class:`repro.provers.cache.SequentCache`: before
-any prover runs on a sequent, the cache is consulted for each prover of the
-chain under the sequent's structural digest
-(:meth:`repro.vcgen.sequent.Sequent.digest`) plus the prover name and
-options; hits replay the stored verdict for free and are *not* recorded in
-:class:`ProverStats` (the prover did not run).  The cache also owns the
-learned ordering, so the table lives exactly as long as the verdicts.
+1. the pre-pass, in the calling thread: ``dedup=True`` groups the batch by
+   structural digest so only one representative per group is proved, and
+   ``static_tier=True`` resolves sequents provable from dataflow facts
+   alone (:class:`repro.analysis.discharge.StaticDischarger`) with the
+   ``STATIC`` verdict before the cache or any prover is consulted;
+2. each sequent left open goes to an executor: inline for ``workers=1``, a
+   thread pool, or a process pool (``backend="process"``);
+3. one merge folds the outcomes back in sequent order, fanning each
+   representative's verdict out to its duplicates as replayed (``cached``)
+   answers — the accounting a warm cache would produce.
 
-Per-sequent budgets are *enforced*: ``sequent_budget=T`` turns into a
-:class:`repro.provers.base.Deadline` shared by the whole prover chain of one
-sequent, and every prover runs under the earlier of that deadline and its
-own ``timeout`` (see the Deadline contract in :mod:`repro.provers.base`).
-A prover that exceeds its slice answers ``TIMEOUT`` and the chain falls
-through to the next prover; once the whole budget is gone the outcome is
-marked ``budget_exhausted``.
-
-Both dispatchers also accept ``dedup=True``: a pre-pass groups the batch by
-structural digest, proves one representative per group and fans its verdict
-back out to the duplicates as replayed (``cached``) answers — the same
-accounting a :class:`SequentCache` hit would produce, so outcomes, per-prover
-statistics and reports are identical to a no-dedup run against a warm cache,
-while the duplicate obligations cost nothing.
+Whatever the executor, one sequent's chain is :func:`_run_prover_chain`:
+cached verdicts (a :class:`repro.provers.cache.SequentCache`, keyed by the
+sequent's structural digest plus prover name and options) replay first for
+free, then the live provers run under the enforced per-sequent budget.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..vcgen.sequent import Sequent
 from .base import Deadline, Prover, ProverAnswer, ProverStats, Verdict, registry
 from .cache import CacheStats, SequentCache
 from .ordering import ProverOrdering, sequent_features
 from .syntactic import SyntacticProver
-
-if TYPE_CHECKING:  # import-cycle guard: repro.analysis imports the prover layer
-    from ..analysis.discharge import StaticDischarger
 
 #: Aliases mapping the paper's prover names to this reproduction's engines.
 PROVER_ALIASES = {
@@ -76,6 +60,9 @@ PROVER_ALIASES = {
 }
 
 DEFAULT_ORDER = ("syntactic", "smt", "fol", "mona", "bapa", "interactive")
+
+#: The executors a dispatch with ``workers > 1`` may fan out to.
+BACKENDS = ("thread", "process")
 
 
 def _register_default_provers() -> None:
@@ -103,10 +90,68 @@ def resolve_prover_names(names: Sequence[str]) -> List[str]:
 def make_provers(names: Sequence[str], **options) -> List[Prover]:
     """Instantiate the provers named on the command line, in order."""
     _register_default_provers()
-    provers = []
-    for name in resolve_prover_names(names):
-        provers.append(registry.create(name, **options.get(name, {})))
-    return provers
+    return [registry.create(name, **options.get(name, {})) for name in resolve_prover_names(names)]
+
+
+@dataclass(frozen=True)
+class DispatchConfig:
+    """Every setting of a dispatch, each declared here with its default.
+
+    ``provers`` is the chain in portfolio order; aliases are resolved on
+    construction, so ``("z3",)`` and ``("smt",)`` are the same
+    configuration.  ``prover_options`` maps an engine name to the keyword
+    arguments its prover is built with.  ``sequent_budget`` bounds (and
+    enforces) the time the whole chain may spend on one sequent.  ``dedup``
+    and ``static_tier`` enable the two pre-passes (see the module
+    docstring).  ``workers`` and ``backend`` choose the executor: inline for
+    one worker, else a pool of ``workers`` threads or processes.
+
+    A config is immutable and picklable — the process executor ships it to
+    its workers, which rebuild the portfolio with :meth:`make_provers`.
+    """
+
+    provers: Tuple[str, ...] = DEFAULT_ORDER
+    prover_options: Dict[str, dict] = field(default_factory=dict)
+    sequent_budget: Optional[float] = None
+    dedup: bool = False
+    static_tier: bool = False
+    workers: int = 1
+    backend: str = "thread"
+
+    def __post_init__(self) -> None:
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown backend {self.backend!r}; use 'thread' or 'process'")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers!r}")
+        object.__setattr__(self, "provers", tuple(resolve_prover_names(self.provers)))
+        options = {name: dict(opts) for name, opts in (self.prover_options or {}).items()}
+        object.__setattr__(self, "prover_options", options)
+
+    @classmethod
+    def for_verify(
+        cls, provers: Sequence[str] = DEFAULT_ORDER, **settings
+    ) -> "DispatchConfig":
+        """The configuration :func:`repro.core.verifier.verify` dispatches:
+        the syntactic prover first (it is free and discharges the many
+        trivial conjuncts every VC contains), then ``provers``."""
+        names = resolve_prover_names(provers)
+        if "syntactic" not in names:
+            names = ["syntactic"] + names
+        return cls(tuple(names), **settings)
+
+    def make_provers(self) -> List[Prover]:
+        """A fresh portfolio for this chain (provers may carry mutable state,
+        so every executor thread and process builds its own)."""
+        return make_provers(self.provers, **self.prover_options)
+
+    def key(self) -> str:
+        """A canonical string naming the configuration: equal configs give
+        equal keys (the verify daemon batches requests by it)."""
+        settings = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return json.dumps(settings, sort_keys=True, default=repr)
+
+    def __hash__(self) -> int:
+        return hash(self.key())
 
 
 @dataclass
@@ -142,16 +187,10 @@ class SequentOutcome:
 
     @property
     def from_cache(self) -> bool:
-        """True when the *deciding* answer — the one that settled this
-        outcome, whatever its verdict — was replayed (cache hit or dedup
-        fan-out) rather than computed by a live prover run.
-
-        A cached ``UNKNOWN``/``TIMEOUT`` replay is warm-cache traffic just
-        like a cached ``PROVED``: the chain's final answer being a replay
-        means no prover ran to settle the sequent.  (Gating on ``proved``
-        here used to make cached non-PROVED replays invisible to the
-        dispatch/report hit accounting.)
-        """
+        """True when the *deciding* answer, whatever its verdict, was
+        replayed (cache hit or dedup fan-out) rather than computed live.
+        Not gated on ``proved``: a cached ``UNKNOWN``/``TIMEOUT`` replay is
+        warm-cache traffic too, and the hit accounting must count it."""
         return bool(self.answers) and self.answers[-1].cached
 
 
@@ -165,7 +204,7 @@ class DispatchResult:
     #: Per-run cache counters (all zero when dispatched without a cache).
     cache_stats: CacheStats = field(default_factory=CacheStats)
     #: Wall-clock time of the dispatch and the CPU time spent inside provers;
-    #: for the sequential dispatcher the two coincide (modulo bookkeeping).
+    #: for inline dispatch the two coincide (modulo bookkeeping).
     wall_time: float = 0.0
     cpu_time: float = 0.0
     workers: int = 1
@@ -227,7 +266,7 @@ class DispatchResult:
 
 
 # ---------------------------------------------------------------------------
-# Cross-method dedup pre-pass (shared by both dispatchers)
+# The pre-pass: dedup and the static tier
 # ---------------------------------------------------------------------------
 
 
@@ -264,27 +303,9 @@ def _replayed_outcome(sequent: Sequent, representative: SequentOutcome) -> Seque
         replay.cached = True
         answers.append(replay)
     return SequentOutcome(
-        sequent=sequent,
-        proved=representative.proved,
-        prover=representative.prover,
-        answers=answers,
+        sequent, representative.proved, representative.prover, answers,
         budget_exhausted=representative.budget_exhausted,
     )
-
-
-# ---------------------------------------------------------------------------
-# The static-discharge pre-pass (shared by both dispatchers)
-# ---------------------------------------------------------------------------
-
-
-def _make_static_tier(enabled: bool) -> Optional["StaticDischarger"]:
-    """Build the per-dispatcher :class:`StaticDischarger` (lazy import: the
-    analysis package sits above the prover layer in the module hierarchy)."""
-    if not enabled:
-        return None
-    from ..analysis.discharge import StaticDischarger
-
-    return StaticDischarger()
 
 
 def _static_outcome(sequent: Sequent, reason: str) -> SequentOutcome:
@@ -302,28 +323,12 @@ def _static_outcome(sequent: Sequent, reason: str) -> SequentOutcome:
 
 
 # ---------------------------------------------------------------------------
-# The prover chain on one sequent (shared by every dispatcher and backend)
+# The prover chain on one sequent (shared by every executor)
 # ---------------------------------------------------------------------------
 
 
-def _chain_deadline(
-    sequent_budget: Optional[float], deadline: Optional[Deadline]
-) -> Deadline:
-    """The deadline one sequent's chain runs under: the per-sequent budget
-    bounded by an outer (request-level) deadline when the caller has one, so
-    a request deadline expiring mid-batch still cuts provers off
-    cooperatively."""
-    if deadline is not None:
-        return deadline.bounded_by(sequent_budget)
-    if sequent_budget is None:
-        return Deadline.never()
-    return Deadline.after(sequent_budget)
-
-
 def _cache_scan(
-    cache: Optional[SequentCache],
-    sequent: Sequent,
-    signatures: Sequence[Tuple[str, str]],
+    cache: Optional[SequentCache], sequent: Sequent, signatures: Sequence[Tuple[str, str]]
 ) -> Tuple[List[ProverAnswer], List[int], bool]:
     """Replay the chain's cached verdicts, in portfolio order.
 
@@ -350,10 +355,7 @@ def _cache_scan(
 
 
 def _ranked(
-    ordering: ProverOrdering,
-    sequent: Sequent,
-    names: Sequence[str],
-    live: Sequence[int],
+    ordering: ProverOrdering, sequent: Sequent, names: Sequence[str], live: Sequence[int]
 ) -> Tuple[str, List[int]]:
     """The sequent's feature bucket and its live provers in learned order.
 
@@ -393,40 +395,24 @@ def _run_prover_chain(
     sequent: Sequent,
     cache: Optional[SequentCache] = None,
     sequent_budget: Optional[float] = None,
-    static: Optional["StaticDischarger"] = None,
     deadline: Optional[Deadline] = None,
     ordering: Optional[ProverOrdering] = None,
 ) -> SequentOutcome:
-    """Offer one sequent to the portfolio: cache first, then the live
-    provers in learned order until one settles it.
-
-    ``static`` (the dispatcher's :class:`StaticDischarger`, when the static
-    tier is enabled) is consulted before the cache and before any prover: a
-    sequent provable from dataflow facts alone resolves with the ``STATIC``
-    verdict for free.  Then every cached verdict replays (see
-    :func:`_cache_scan`; a cached proof or refutation settles the sequent).
-
-    The provers left run in the order ``ordering`` ranks them for this
-    sequent's feature bucket (portfolio order when no table is given or it
-    knows nothing of the bucket), and every live answer is recorded in the
-    table as soon as it lands, so the next sequent of the bucket — even in
-    the same batch — already benefits.  The order decides the cost, never
-    which sequents prove: a prover that fails falls through to the next.
+    """Offer one sequent to the portfolio: cached verdicts first (see
+    :func:`_cache_scan`), then the live provers in the order ``ordering``
+    ranks them for the sequent's feature bucket until one settles it.  Every
+    live answer teaches the table as it lands, so the next sequent of the
+    bucket — even in the same batch — already benefits.  The order decides
+    the cost, never which sequents prove: a failing prover falls through.
 
     ``sequent_budget`` becomes one :class:`Deadline` shared by the whole
-    chain: each prover runs under the earlier of the chain deadline and its
-    own timeout, so a stuck decision procedure is cut off mid-flight (a
-    cooperative ``TIMEOUT``) and the next prover still gets its turn while
-    budget remains.  An outer ``deadline`` (a request-level budget threaded
-    through the daemon's batch dispatch) bounds the chain further: once it
-    passes, remaining provers are skipped and the outcome is marked
-    ``budget_exhausted``.
+    chain, bounded further by the outer (request-level) ``deadline``: each
+    prover runs under the earlier of it and its own timeout, so a stuck
+    decision procedure is cut off mid-flight (a cooperative ``TIMEOUT``) and
+    the next prover still gets its turn while budget remains.  Once it
+    passes, the outcome is marked ``budget_exhausted``.
     """
-    if static is not None:
-        reason = static.check(sequent)
-        if reason is not None:
-            return _static_outcome(sequent, reason)
-    deadline = _chain_deadline(sequent_budget, deadline)
+    deadline = (deadline or Deadline.never()).bounded_by(sequent_budget)
     signatures = [(prover.name, prover.options_signature()) for prover in provers]
     replayed, live, settled = _cache_scan(cache, sequent, signatures)
     if settled:
@@ -459,520 +445,285 @@ def _run_prover_chain(
     return outcome
 
 
-def _dispatch_ordering(
-    cache: Optional[SequentCache], ordering: Optional[ProverOrdering]
-) -> ProverOrdering:
-    """The table a dispatcher ranks with: an explicit override, else the
-    cache's own, else a fresh in-memory one."""
-    if ordering is not None:
-        return ordering
-    return cache.ordering if cache is not None else ProverOrdering()
-
-
-def _save_ordering(ordering: ProverOrdering) -> None:
-    """Persist the learned ordering once per batch, when it has a path and
-    learned anything new (the chains record every answer as it lands)."""
-    if ordering.dirty and ordering.path:
-        ordering.save()
-
-
-def _record_answer(result: DispatchResult, answer: ProverAnswer, cache_enabled: bool) -> None:
-    """Account one prover answer: cached answers count as cache hits and are
-    never recorded in :class:`ProverStats` (the prover did not run); live
-    answers count as misses (when a cache was consulted) and accumulate
-    per-prover statistics and CPU time.  ``STATIC`` answers are neither: the
-    pre-pass resolved the sequent before the cache was consulted, so they
-    accrue (zero-time) stats under the ``"static"`` pseudo-prover without
-    touching the cache counters."""
-    if answer.cached:
-        result.cache_stats.hits += 1
-        return
-    if answer.verdict is Verdict.STATIC:
-        result.stats.setdefault(answer.prover, ProverStats()).record(answer)
-        return
-    if cache_enabled:
-        result.cache_stats.misses += 1
-    result.stats.setdefault(answer.prover, ProverStats()).record(answer)
-    result.cpu_time += answer.time
-
-
 def _merge_outcomes(
-    result: DispatchResult,
-    outcomes: Sequence[SequentOutcome],
-    stop_on_failure: bool,
-    cache_enabled: bool,
+    result: DispatchResult, outcomes: Sequence[SequentOutcome], cache_enabled: bool
 ) -> None:
-    """Fold worker outcomes into ``result`` in the original sequent order.
+    """Fold outcomes into ``result`` in the original sequent order.
 
-    Statistics are recorded answer by answer in exactly the order the
-    sequential dispatcher would have produced, which keeps per-prover
-    attempted/proved/time identical between backends.
+    Statistics are recorded answer by answer in sequent order, whatever
+    order the executor finished them in, which keeps per-prover
+    attempted/proved/time identical between executors.  Cached answers
+    count as cache hits and are never recorded in :class:`ProverStats` (the
+    prover did not run); live answers count as misses (when a cache was
+    consulted) and accumulate per-prover statistics and CPU time.
+    ``STATIC`` answers are neither: the pre-pass resolved the sequent before
+    the cache was consulted, so they accrue (zero-time) stats under the
+    ``"static"`` pseudo-prover without touching the cache counters.
     """
     for outcome in outcomes:
         result.outcomes.append(outcome)
         for answer in outcome.answers:
-            _record_answer(result, answer, cache_enabled)
-        if stop_on_failure and not outcome.proved:
-            break
-
-
-class Dispatcher:
-    """Runs the prover portfolio over sequents sequentially, in order.
-
-    Every sequent's live provers run in the order the learned
-    :class:`ProverOrdering` ranks them (see :func:`_run_prover_chain`).  The
-    table is the cache's (``cache.ordering``), so it lives as long as the
-    verdicts it was learned from; a dispatcher without a cache learns in a
-    fresh in-memory table.  ``ordering=`` overrides either (tests).
-
-    ``dedup=True`` enables the digest-grouping pre-pass: one representative
-    per group of structurally identical sequents is proved and its verdict
-    replayed for the duplicates.
-
-    ``static_tier=True`` enables the static-discharge pre-pass
-    (:class:`repro.analysis.discharge.StaticDischarger`): sequents provable
-    from dataflow facts alone — trivially true goals, goals structurally
-    equal to an assumption, infeasible paths — resolve with the ``STATIC``
-    verdict before the cache or any prover is consulted.
-    """
-
-    def __init__(
-        self,
-        provers: Sequence[Prover],
-        stop_on_failure: bool = False,
-        cache: Optional[SequentCache] = None,
-        sequent_budget: Optional[float] = None,
-        dedup: bool = False,
-        static_tier: bool = False,
-        ordering: Optional[ProverOrdering] = None,
-    ) -> None:
-        self.provers = list(provers)
-        self.stop_on_failure = stop_on_failure
-        self.cache = cache
-        self.sequent_budget = sequent_budget
-        self.dedup = dedup
-        self.static = _make_static_tier(static_tier)
-        self.ordering = _dispatch_ordering(cache, ordering)
-
-    def _chain(
-        self, sequent: Sequent, deadline: Optional[Deadline] = None
-    ) -> SequentOutcome:
-        return _run_prover_chain(
-            self.provers,
-            sequent,
-            self.cache,
-            self.sequent_budget,
-            self.static,
-            deadline=deadline,
-            ordering=self.ordering,
-        )
-
-    def prove_all(
-        self, sequents: Sequence[Sequent], deadline: Optional[Deadline] = None
-    ) -> DispatchResult:
-        """Prove a batch in order.  ``deadline`` is an optional *batch-level*
-        bound (e.g. a request budget): every sequent's chain runs under the
-        earlier of it and the per-sequent budget, and sequents reached after
-        it passes come back unproved with ``budget_exhausted``."""
-        result = DispatchResult()
-        start = time.perf_counter()
-        rep = _dedup_representatives(sequents) if self.dedup else None
-        outcomes: List[SequentOutcome] = []
-        for index, sequent in enumerate(sequents):
-            if rep is not None and rep[index] != index:
-                outcome = _replayed_outcome(sequent, outcomes[rep[index]])
-                result.dedup_replayed += 1
-            else:
-                outcome = self._chain(sequent, deadline)
-            outcomes.append(outcome)
-            if self.stop_on_failure and not outcome.proved:
-                break
-        _merge_outcomes(result, outcomes, self.stop_on_failure, self.cache is not None)
-        _save_ordering(self.ordering)
-        result.total_time = time.perf_counter() - start
-        result.wall_time = result.total_time
-        return result
+            if answer.cached:
+                result.cache_stats.hits += 1
+                continue
+            result.stats.setdefault(answer.prover, ProverStats()).record(answer)
+            if answer.verdict is Verdict.STATIC:
+                continue
+            if cache_enabled:
+                result.cache_stats.misses += 1
+            result.cpu_time += answer.time
 
 
 # ---------------------------------------------------------------------------
-# Parallel dispatch
+# The dispatcher
 # ---------------------------------------------------------------------------
 
 
 #: Per-worker-process portfolio cache: building provers once per process
 #: instead of once per sequent task keeps per-task overhead negligible for
 #: fine-grained sequents.
-_PROCESS_PORTFOLIOS: Dict[Tuple, List[Prover]] = {}
+_PROCESS_PORTFOLIOS: Dict[str, List[Prover]] = {}
 
 
 def _process_worker_chain(
-    payload: Tuple[Sequence[str], dict, Optional[float], Sequent, Sequence[int]]
+    payload: Tuple[DispatchConfig, Optional[float], Sequent, Sequence[int]]
 ) -> SequentOutcome:
-    """Top-level function (picklable) executed inside process-pool workers.
-
-    ``order`` lists the portfolio indices of the provers still open for this
-    sequent, already in learned-rank order: the cache and the ordering table
-    both live in the parent, which cache-scans and ranks before submitting
-    and learns from the answers when they come back.  The worker runs the
-    chain over exactly those provers.
-    """
-    names, options, sequent_budget, sequent, order = payload
-    key = (tuple(names), repr(sorted(options.items())))
+    """The chain inside a process-pool worker (a picklable top-level
+    function), over exactly the provers ``order`` lists: the parent has
+    already cache-scanned the sequent and ranked its open provers."""
+    config, sequent_budget, sequent, order = payload
+    key = config.key()
     provers = _PROCESS_PORTFOLIOS.get(key)
     if provers is None:
-        provers = make_provers(names, **options)
-        _PROCESS_PORTFOLIOS[key] = provers
+        provers = _PROCESS_PORTFOLIOS[key] = config.make_provers()
     return _run_prover_chain(
         [provers[index] for index in order], sequent, sequent_budget=sequent_budget
     )
 
 
-class ParallelDispatcher:
-    """Fans sequents out to a worker pool; the merge is deterministic.
+class Dispatcher:
+    """Runs the prover portfolio over a batch of sequents.
 
-    ``backend="thread"`` (the default) shares one process: each worker thread
-    instantiates its own prover portfolio (provers may carry mutable state,
-    e.g. the interactive lemma store) and consults the shared, lock-protected
-    :class:`SequentCache` directly.  Note that the bundled provers are pure
-    Python, so under the GIL the thread backend overlaps little CPU-bound
-    prover work — it buys cache sharing, deterministic structure and cheap
-    workers, not wall-clock speedup.  For true multi-core scaling use
-    ``backend="process"``.
+    ``provers`` is a :class:`DispatchConfig`, or a list of prover instances
+    for inline dispatch of a custom portfolio; ``settings`` override fields
+    of the config (``Dispatcher(provers, dedup=True)``).  A prover list
+    cannot be rebuilt inside pool workers, so it dispatches inline only.
 
-    ``backend="process"`` runs each sequent's prover chain in a separate
-    process (requires construction via :meth:`from_names` so the portfolio
-    can be rebuilt inside workers).  The cache then lives in the parent:
-    sequents whose whole chain is answered by the cache are never submitted,
-    and worker results are stored back on merge.
+    The learned :class:`ProverOrdering` is the cache's, so it lives as long
+    as the verdicts it was learned from; without a cache the dispatcher
+    learns in a fresh in-memory table.  ``ordering=`` overrides either.
 
-    Whatever the backend, outcomes are merged in the original sequent order
-    and per-prover statistics are recorded in the sequence the sequential
-    :class:`Dispatcher` would use.  The learned ordering (the cache's, as
-    for :class:`Dispatcher`) learns in completion order: thread workers
-    record each answer as it lands, while the process backend ranks every
-    sequent at submit time and learns when the answers come back.  With
-    ``workers > 1`` which prover gets credit for a sequent may therefore
-    differ from a serial run — which sequents prove never does.
+    Executors: with ``workers=1`` the chains run inline on one portfolio
+    built with the dispatcher.  Thread workers each build their own
+    portfolio (provers may carry mutable state, e.g. the interactive lemma
+    store) and share the lock-protected cache; the bundled provers are pure
+    Python, so under the GIL threads buy cheap workers, not wall-clock
+    speedup.  Process workers scale across cores; the cache and the ordering
+    table stay in this process, which cache-scans and ranks each open
+    sequent before submitting it and stores and learns from the answers
+    when they come back.  Inline and thread chains scan and rank when the
+    chain starts, so each answer already reorders the next sequent of its
+    bucket; with ``workers > 1`` answers land in completion order, so which
+    prover gets credit for a sequent may differ from an inline run — which
+    sequents prove never does.
 
-    ``executor=`` lends the dispatcher a long-lived pool (matching the
-    backend: a ``ThreadPoolExecutor`` for threads, a ``ProcessPoolExecutor``
-    for processes) instead of building one per ``prove_all`` call.  A
-    borrowed pool is never shut down here — the owner (e.g. the verify
+    ``executor=`` lends the dispatcher a long-lived pool matching the
+    backend (a ``ThreadPoolExecutor`` or a ``ProcessPoolExecutor``) instead
+    of building one per :meth:`prove_all`; a lent pool is used even with one
+    worker.  It is never shut down here — the owner (e.g. the verify
     daemon's prover farm, shared by every batch lane) manages its lifetime —
-    and its workers persist across batches, so per-thread prover portfolios
-    and per-process portfolio caches are built once and reused.
+    and its workers persist across batches, so per-thread portfolios and
+    per-process portfolio caches are built once and reused.
     """
 
     def __init__(
         self,
-        prover_factory: Callable[[], List[Prover]],
-        workers: Optional[int] = None,
-        backend: str = "thread",
-        stop_on_failure: bool = False,
+        provers: Union[DispatchConfig, Sequence[Prover]],
         cache: Optional[SequentCache] = None,
-        sequent_budget: Optional[float] = None,
-        dedup: bool = False,
-        static_tier: bool = False,
+        *,
         ordering: Optional[ProverOrdering] = None,
         executor: Optional[Executor] = None,
-        _names: Optional[List[str]] = None,
-        _options: Optional[dict] = None,
+        **settings,
     ) -> None:
-        import os
-
-        if backend not in ("thread", "process"):
-            raise ValueError(f"unknown backend {backend!r}; use 'thread' or 'process'")
-        if backend == "process" and _names is None:
-            raise ValueError("backend='process' requires ParallelDispatcher.from_names(...)")
-        self._factory = prover_factory
-        self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
-        self.backend = backend
-        self.stop_on_failure = stop_on_failure
+        if isinstance(provers, DispatchConfig):
+            self.config = dataclasses.replace(provers, **settings)
+            self._portfolio = self.config.make_provers()
+        else:
+            self._portfolio = list(provers)
+            self.config = DispatchConfig(tuple(p.name for p in self._portfolio), **settings)
+            if self.config.workers > 1 or executor is not None:
+                raise ValueError(
+                    "a prover list dispatches inline; pass a DispatchConfig to use a pool"
+                )
         self.cache = cache
-        self.sequent_budget = sequent_budget
-        self.dedup = dedup
-        # The static pre-pass runs in the *parent*, before pool submission:
-        # statically discharged sequents never reach a worker, and the
-        # discharger's counters stay single-threaded.
-        self.static = _make_static_tier(static_tier)
-        self.ordering = _dispatch_ordering(cache, ordering)
         self.executor = executor
-        self._names = list(_names) if _names is not None else None
-        self._options = dict(_options) if _options is not None else {}
-        # Instance-level (not call-local) per-thread portfolios: with a
-        # persistent executor the same worker threads serve many prove_all
-        # calls, so their portfolios survive across batches.  A worker thread
-        # runs one task at a time, so a portfolio is never shared.
-        self._worker_local = threading.local()
-        self._probe: Optional[List[Prover]] = None
-
-    @classmethod
-    def from_names(
-        cls,
-        names: Sequence[str] = DEFAULT_ORDER,
-        workers: Optional[int] = None,
-        backend: str = "thread",
-        stop_on_failure: bool = False,
-        cache: Optional[SequentCache] = None,
-        sequent_budget: Optional[float] = None,
-        dedup: bool = False,
-        static_tier: bool = False,
-        ordering: Optional[ProverOrdering] = None,
-        executor: Optional[Executor] = None,
-        **options,
-    ) -> "ParallelDispatcher":
-        resolved = resolve_prover_names(names)
-        return cls(
-            lambda: make_provers(resolved, **options),
-            workers=workers,
-            backend=backend,
-            stop_on_failure=stop_on_failure,
-            cache=cache,
-            sequent_budget=sequent_budget,
-            dedup=dedup,
-            static_tier=static_tier,
-            ordering=ordering,
-            executor=executor,
-            _names=resolved,
-            _options=options,
+        self.ordering = ordering if ordering is not None else (
+            cache.ordering if cache is not None else ProverOrdering()
         )
+        self.static = None
+        if self.config.static_tier:
+            # Lazy import: the analysis package sits above the prover layer.
+            from ..analysis.discharge import StaticDischarger
 
-    # -- main entry point ------------------------------------------------------
+            self.static = StaticDischarger()
+        # Pool threads keep their portfolios across batches (a lent pool
+        # serves many prove_all calls); a thread runs one task at a time, so
+        # a portfolio is never shared.
+        self._local = threading.local()
 
     def prove_all(
         self, sequents: Sequence[Sequent], deadline: Optional[Deadline] = None
     ) -> DispatchResult:
-        """Prove a batch on the worker pool.  ``deadline`` is an optional
-        batch-level bound (e.g. a request budget): thread workers enforce it
-        cooperatively inside the chains; process workers receive their
-        sequent budget clipped to the deadline's remaining slack at submit
-        time (a conservative approximation — a Deadline's monotonic expiry
-        instant cannot cross a process boundary)."""
-        result = DispatchResult()
-        result.workers = self.workers
+        """Prove a batch; outcomes come back in sequent order.  ``deadline``
+        is an optional *batch-level* bound (e.g. a request budget): every
+        chain runs under the earlier of it and the per-sequent budget, and
+        sequents reached after it passes come back ``budget_exhausted``."""
+        return self._prove_all(sequents, deadline)
+
+    def _prove_all(
+        self, sequents: Sequence[Sequent], deadline: Optional[Deadline]
+    ) -> DispatchResult:
+        """The one dispatch body: pre-pass, executor, merge."""
         start = time.perf_counter()
-        rep = _dedup_representatives(sequents) if self.dedup else None
-        if self.backend == "thread":
-            outcomes, busy = self._prove_all_threads(sequents, rep, deadline)
+        result = DispatchResult(workers=self.config.workers)
+        rep = _dedup_representatives(sequents) if self.config.dedup else None
+        outcomes: List[Optional[SequentOutcome]] = [None] * len(sequents)
+        open_indices: List[int] = []
+        for index, sequent in enumerate(sequents):
+            if rep is not None and rep[index] != index:
+                continue  # a duplicate: fanned out from its representative below
+            reason = self.static.check(sequent) if self.static is not None else None
+            if reason is not None:
+                outcomes[index] = _static_outcome(sequent, reason)
+            else:
+                open_indices.append(index)
+
+        busy: Dict[str, float] = {}
+        if self.executor is None and self.config.workers == 1:
+            for index in open_indices:
+                outcomes[index] = self._chain(self._portfolio, sequents[index], deadline)
+        elif self.config.backend == "thread":
+            busy = self._run_threads(sequents, open_indices, outcomes, deadline)
         else:
-            outcomes, busy = self._prove_all_processes(sequents, rep, deadline)
-        if rep is not None:
-            result.dedup_replayed = sum(
-                1 for index in range(len(outcomes)) if rep[index] != index
-            )
-        _merge_outcomes(result, outcomes, self.stop_on_failure, self.cache is not None)
-        _save_ordering(self.ordering)
-        result.total_time = time.perf_counter() - start
-        result.wall_time = result.total_time
+            busy = self._run_processes(sequents, open_indices, outcomes, deadline)
+
+        for index, sequent in enumerate(sequents):
+            if outcomes[index] is None:
+                outcomes[index] = _replayed_outcome(sequent, outcomes[rep[index]])
+                result.dedup_replayed += 1
+        _merge_outcomes(result, outcomes, self.cache is not None)
+        # Persist the learned ordering once per batch, when it has a path and
+        # learned anything new (the chains record every answer as it lands).
+        if self.ordering.dirty and self.ordering.path:
+            self.ordering.save()
+        result.total_time = result.wall_time = time.perf_counter() - start
         if result.wall_time > 0:
             result.worker_utilization = {
                 worker: elapsed / result.wall_time for worker, elapsed in sorted(busy.items())
             }
         return result
 
-    def _static_check(self, sequent: Sequent) -> Optional[SequentOutcome]:
-        """The static pre-pass on one sequent (None when disabled or missed)."""
-        if self.static is None:
-            return None
-        reason = self.static.check(sequent)
-        return _static_outcome(sequent, reason) if reason is not None else None
+    # -- pool executors: fill ``outcomes`` at ``indices``, return busy time --
 
-    # -- thread backend --------------------------------------------------------
+    def _chain(
+        self, provers: Sequence[Prover], sequent: Sequent, deadline: Optional[Deadline]
+    ) -> SequentOutcome:
+        return _run_prover_chain(
+            provers, sequent, self.cache, self.config.sequent_budget,
+            deadline=deadline, ordering=self.ordering,
+        )
 
-    def _prove_all_threads(
-        self,
-        sequents: Sequence[Sequent],
-        rep: Optional[List[int]] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> Tuple[List[SequentOutcome], Dict[str, float]]:
-        local = self._worker_local
+    @contextmanager
+    def _pool(self, make_pool, **options) -> Iterator[Executor]:
+        """The lent executor, or a pool owned (and shut down) by one batch."""
+        if self.executor is not None:
+            yield self.executor
+            return
+        with make_pool(max_workers=self.config.workers, **options) as pool:
+            yield pool
+
+    def _run_threads(self, sequents, indices, outcomes, deadline) -> Dict[str, float]:
         busy: Dict[str, float] = {}
         busy_lock = threading.Lock()
 
         def task(sequent: Sequent) -> SequentOutcome:
-            provers = getattr(local, "provers", None)
+            provers = getattr(self._local, "provers", None)
             if provers is None:
-                provers = self._factory()
-                local.provers = provers
+                provers = self._local.provers = self.config.make_provers()
             started = time.perf_counter()
-            outcome = _run_prover_chain(
-                provers, sequent, self.cache, self.sequent_budget,
-                deadline=deadline, ordering=self.ordering,
-            )
+            outcome = self._chain(provers, sequent, deadline)
             elapsed = time.perf_counter() - started
             name = threading.current_thread().name
             with busy_lock:
                 busy[name] = busy.get(name, 0.0) + elapsed
             return outcome
 
-        outcomes: List[SequentOutcome] = []
-        pool = self.executor
-        owned: Optional[ThreadPoolExecutor] = None
-        if pool is None:
-            owned = pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="prover-worker"
-            )
-        try:
-            # Only group representatives that the static pre-pass did not
-            # already resolve are submitted; duplicates are fanned out from
-            # the representative's outcome at merge time.
-            entries: List[Union[None, SequentOutcome, object]] = []
-            for index, sequent in enumerate(sequents):
-                if rep is not None and rep[index] != index:
-                    entries.append(None)
-                    continue
-                static = self._static_check(sequent)
-                if static is not None:
-                    entries.append(static)
-                    continue
-                entries.append(pool.submit(task, sequent))
-            for index, entry in enumerate(entries):
-                if entry is None:
-                    outcome = _replayed_outcome(sequents[index], outcomes[rep[index]])
-                elif isinstance(entry, SequentOutcome):
-                    outcome = entry
-                else:
-                    outcome = entry.result()
-                outcomes.append(outcome)
-                if self.stop_on_failure and not outcome.proved:
-                    for pending in entries[index + 1:]:
-                        if pending is not None and not isinstance(pending, SequentOutcome):
-                            pending.cancel()
-                    break
-        finally:
-            if owned is not None:
-                owned.shutdown(wait=True)
-        return outcomes, busy
+        with self._pool(ThreadPoolExecutor, thread_name_prefix="prover-worker") as pool:
+            futures = {index: pool.submit(task, sequents[index]) for index in indices}
+            for index, future in futures.items():
+                outcomes[index] = future.result()
+        return busy
 
-    # -- process backend -------------------------------------------------------
-
-    def _prove_all_processes(
-        self,
-        sequents: Sequence[Sequent],
-        rep: Optional[List[int]] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> Tuple[List[SequentOutcome], Dict[str, float]]:
-        # The probe portfolio only supplies names/signatures for the
-        # parent-side cache scans — build it once per dispatcher, not once
-        # per batch.
-        probe = self._probe
-        if probe is None:
-            probe = self._probe = self._factory()
-        signatures = [(p.name, p.options_signature()) for p in probe]
-        by_prover = {p.name: p for p in probe}
+    def _run_processes(self, sequents, indices, outcomes, deadline) -> Dict[str, float]:
+        signatures = [(p.name, p.options_signature()) for p in self._portfolio]
         names = [name for name, _ in signatures]
+        # The cache lives here, so every open sequent is cache-scanned before
+        # submission, and only a sequent the scan leaves open is ranked:
+        # ``scans[i]`` is (cached answers, feature bucket, live provers in
+        # learned order).
+        scans: Dict[int, Tuple[List[ProverAnswer], str, List[int]]] = {}
+        for index in indices:
+            answers, live, settled = _cache_scan(self.cache, sequents[index], signatures)
+            if settled:
+                outcomes[index] = _settled_outcome(sequents[index], answers)
+            elif deadline is not None and deadline.expired():
+                outcomes[index] = SequentOutcome(
+                    sequents[index], proved=False, answers=answers, budget_exhausted=True
+                )
+            else:
+                scans[index] = (answers, *_ranked(self.ordering, sequents[index], names, live))
 
-        def finish(
-            sequent: Sequent, prefix: List[ProverAnswer], bucket: str, tail: SequentOutcome
-        ) -> SequentOutcome:
-            """Splice the cached prefix and the worker's live tail, storing
-            the freshly computed verdicts back into the parent's cache
-            (except budget-truncated TIMEOUTs — see _run_prover_chain) and
-            recording them in the learned ordering."""
-            for answer in tail.answers:
-                prover = by_prover.get(answer.prover)
-                if (
-                    self.cache is not None
-                    and prover is not None
-                    and not answer.truncated
-                ):
-                    # ``truncated`` travels on the pickled answer, so the
-                    # parent applies the same suppression rule as the
-                    # in-process chain (budget-clipped TIMEOUTs only;
-                    # genuine verdicts are stored).
-                    self.cache.store(
-                        sequent, answer.prover, answer, prover.options_signature()
-                    )
-                self.ordering.observe(sequent, answer, bucket)
-            return SequentOutcome(
-                sequent=sequent,
-                proved=tail.proved,
-                prover=tail.prover,
-                answers=prefix + tail.answers,
-                budget_exhausted=tail.budget_exhausted,
-            )
-
-        # The static pre-pass outranks the cache: a statically discharged
-        # sequent is never scanned or submitted.  Duplicates are never
-        # scanned or submitted either — their outcome is fanned out from the
-        # representative's at merge time.  Everything else is cache-scanned
-        # here (the cache lives parent-side), and only a sequent the scan
-        # leaves open is ranked: ``scans[i]`` is (cached answers, settled,
-        # feature bucket, live provers in learned order).
-        statics: List[Optional[SequentOutcome]] = []
-        scans: List[Tuple[List[ProverAnswer], bool, str, List[int]]] = []
-        for index, sequent in enumerate(sequents):
-            if rep is not None and rep[index] != index:
-                statics.append(None)
-                scans.append(([], True, "", []))
-                continue
-            statics.append(self._static_check(sequent))
-            if statics[index] is not None:
-                scans.append(([], True, "", []))
-                continue
-            answers, live, settled = _cache_scan(self.cache, sequent, signatures)
-            bucket = ""
-            if not settled:
-                bucket, live = _ranked(self.ordering, sequent, names, live)
-            scans.append((answers, settled, bucket, live))
-
-        busy: Dict[str, float] = {}
-        outcomes: List[SequentOutcome] = []
-        expired = [False] * len(sequents)
-        pool = self.executor
-        owned: Optional[ProcessPoolExecutor] = None
-        if pool is None:
-            owned = pool = ProcessPoolExecutor(max_workers=self.workers)
-        try:
-            futures = []
-            for index, (sequent, (_, settled, _, live)) in enumerate(zip(sequents, scans)):
-                if settled:
-                    futures.append(None)
-                    continue
+        busy = 0.0
+        with self._pool(ProcessPoolExecutor) as pool:
+            futures = {}
+            for index, (_, _, live) in scans.items():
                 # A Deadline cannot cross the process boundary (its expiry
                 # instant is this process's monotonic clock), so the batch
                 # deadline clips each worker's sequent budget at submit time.
-                budget = self.sequent_budget
+                budget = self.config.sequent_budget
                 if deadline is not None:
-                    slack = deadline.remaining()
-                    if slack <= 0:
-                        expired[index] = True
-                        futures.append(None)
-                        continue
-                    budget = slack if budget is None else min(budget, slack)
-                payload = (self._names, self._options, budget, sequent, live)
-                futures.append(pool.submit(_process_worker_chain, payload))
-            for index, (sequent, (prefix, settled, bucket, _)) in enumerate(
-                zip(sequents, scans)
-            ):
-                if rep is not None and rep[index] != index:
-                    outcome = _replayed_outcome(sequent, outcomes[rep[index]])
-                elif statics[index] is not None:
-                    outcome = statics[index]
-                elif expired[index]:
-                    outcome = SequentOutcome(
-                        sequent=sequent, proved=False, answers=list(prefix),
-                        budget_exhausted=True,
-                    )
-                elif settled:
-                    outcome = _settled_outcome(sequent, prefix)
-                else:
-                    tail = futures[index].result()
-                    outcome = finish(sequent, prefix, bucket, tail)
-                    # The pool does not reveal which process ran the task, so
-                    # report the *average* per-worker busy fraction: total
-                    # prover CPU spread across the pool (keeps the documented
-                    # "fraction of wall-time" semantics, never exceeding ~1).
-                    busy["process-pool-avg"] = busy.get("process-pool-avg", 0.0) + (
-                        sum(a.time for a in tail.answers) / self.workers
-                    )
-                outcomes.append(outcome)
-                if self.stop_on_failure and not outcome.proved:
-                    for pending in futures[index + 1:]:
-                        if pending is not None:
-                            pending.cancel()
-                    break
-        finally:
-            if owned is not None:
-                owned.shutdown(wait=True)
-        return outcomes, busy
+                    budget = deadline.bounded_by(budget).remaining()
+                payload = (self.config, budget, sequents[index], live)
+                futures[index] = pool.submit(_process_worker_chain, payload)
+            for index, future in futures.items():
+                prefix, bucket, _ = scans[index]
+                tail = future.result()
+                # The pool does not reveal which process ran the task, so
+                # report the *average* per-worker busy fraction: total prover
+                # time spread across the pool (keeps the "fraction of
+                # wall-time" semantics, never exceeding ~1).
+                busy += sum(a.time for a in tail.answers) / self.config.workers
+                # Store the fresh verdicts here and teach the ordering.
+                # ``truncated`` travels on the pickled answer, so the rule of
+                # the in-process chain applies: budget-clipped TIMEOUTs are
+                # never stored.
+                for answer in tail.answers:
+                    if self.cache is not None and not answer.truncated:
+                        signature = signatures[names.index(answer.prover)][1]
+                        self.cache.store(sequents[index], answer.prover, answer, signature)
+                    self.ordering.observe(sequents[index], answer, bucket)
+                tail.answers[:0] = prefix
+                outcomes[index] = tail
+        return {"process-pool-avg": busy} if futures else {}
+
+
+class ParallelDispatcher(Dispatcher):
+    """The verify daemon's farm dispatcher: a :class:`Dispatcher` under its
+    own name whose ``prove_all`` never passes through
+    :meth:`Dispatcher.prove_all`, so a farm batch is told apart from a local
+    dispatch (and counted once) by whatever instruments either entry."""
+
+    def prove_all(
+        self, sequents: Sequence[Sequent], deadline: Optional[Deadline] = None
+    ) -> DispatchResult:
+        return self._prove_all(sequents, deadline)

@@ -183,8 +183,6 @@ class VerifyClient:
         class_name: Optional[str] = None,
         provers: Optional[Sequence[str]] = None,
         prover_options: Optional[Dict[str, dict]] = None,
-        include_frame: bool = True,
-        always_syntactic_first: bool = True,
         sequent_budget: Optional[float] = None,
         budget: Optional[float] = None,
     ) -> MethodReport:
@@ -196,8 +194,6 @@ class VerifyClient:
             class_name=class_name,
             provers=list(provers) if provers is not None else None,
             prover_options=prover_options,
-            include_frame=include_frame,
-            always_syntactic_first=always_syntactic_first,
             sequent_budget=sequent_budget,
             budget=budget,
         )
@@ -210,7 +206,6 @@ class VerifyClient:
         methods: Optional[Sequence[str]] = None,
         provers: Optional[Sequence[str]] = None,
         prover_options: Optional[Dict[str, dict]] = None,
-        include_frame: bool = True,
         sequent_budget: Optional[float] = None,
         budget: Optional[float] = None,
     ) -> ClassReport:
@@ -222,7 +217,6 @@ class VerifyClient:
             methods=list(methods) if methods is not None else None,
             provers=list(provers) if provers is not None else None,
             prover_options=prover_options,
-            include_frame=include_frame,
             sequent_budget=sequent_budget,
             budget=budget,
         )

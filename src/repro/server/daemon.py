@@ -76,6 +76,7 @@ lanes, then exits.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import functools
 import json
 import os
@@ -100,12 +101,12 @@ from ..core.verifier import verify, verify_class
 from ..provers.base import Deadline
 from ..provers.dispatcher import (
     DEFAULT_ORDER,
+    DispatchConfig,
     DispatchResult,
     ParallelDispatcher,
     SequentOutcome,
     _dedup_representatives,
     _merge_outcomes,
-    resolve_prover_names,
 )
 from ..vcgen.sequent import Sequent
 from .store import ShardedVerdictStore
@@ -129,41 +130,36 @@ _MAX_CACHED_DISPATCHERS = 32
 #: Seconds between periodic store compactions (when disk caps are set).
 DEFAULT_COMPACT_INTERVAL = 300.0
 
+#: Verify-request fields whose only accepted value is true: ``verify`` always
+#: runs the syntactic prover first and includes frame conditions, so a request
+#: asking otherwise is refused rather than answered with a different report.
+_ALWAYS_ON_VERIFY_FIELDS = ("always_syntactic_first", "include_frame")
+
 
 class ServiceStopped(RuntimeError):
     """Raised to pending requests when the daemon stops without draining."""
 
 
-def _config_key(
-    names: Sequence[str], options: Dict[str, dict], sequent_budget: Optional[float]
-) -> str:
-    """Requests merge into one dispatch batch only when their whole prover
-    configuration agrees — verdicts depend on prover order, options and the
-    enforced per-sequent budget, so mixing configurations would either
-    fragment the verdict-store keys or replay answers across budgets."""
-    return json.dumps(
-        {"provers": list(names), "options": options, "sequent_budget": sequent_budget},
-        sort_keys=True,
-    )
-
-
 @dataclass
 class _PendingRequest:
-    """One client request waiting for the next batch window."""
+    """One client request waiting for the next batch window.
 
-    names: Tuple[str, ...]
-    options: Dict[str, dict]
-    sequent_budget: Optional[float]
+    Requests merge into one dispatch batch only when their whole dispatch
+    configuration agrees (equal ``config.key()``) — verdicts depend on
+    prover order, options and the enforced per-sequent budget, so mixing
+    configurations would either fragment the verdict-store keys or replay
+    answers across budgets.
+    """
+
+    config: DispatchConfig
+    #: ``config.key()``, computed once: the scheduler reads it on every pass.
+    key: str
     sequents: List[Sequent]
     future: "asyncio.Future[DispatchResult]"
     deadline: Optional[Deadline] = None
     #: Event-loop timestamp of arrival: a key's batch dispatches once its
     #: oldest request has waited out the window (or the batch is full).
     arrived: float = 0.0
-
-    @property
-    def key(self) -> str:
-        return _config_key(self.names, self.options, self.sequent_budget)
 
 
 @dataclass
@@ -206,9 +202,9 @@ class ServiceStats:
 class VerifyService:
     """Accumulates sequents from concurrent requests into merged batches.
 
-    Batches are grouped by prover configuration (``_config_key``) and up to
-    ``lanes`` of them dispatch concurrently on a shared, persistent prover
-    farm.  Single-flight is per (digest, configuration), not per daemon: the
+    Batches are grouped by dispatch configuration (``DispatchConfig.key``)
+    and up to ``lanes`` of them dispatch concurrently on a shared,
+    persistent prover farm.  Single-flight is per (digest, configuration), not per daemon: the
     in-flight registry lets a lane defer digests another lane is already
     proving under the same configuration and replay their verdicts from the
     store once that dispatch lands, so a digest is proved live at most once
@@ -293,21 +289,24 @@ class VerifyService:
     async def prove(
         self,
         sequents: Sequence[Sequent],
-        provers: Sequence[str] = DEFAULT_ORDER,
-        prover_options: Optional[Dict[str, dict]] = None,
-        sequent_budget: Optional[float] = None,
+        config: DispatchConfig = DispatchConfig(),
         deadline: Optional[Deadline] = None,
     ) -> DispatchResult:
-        """Submit a batch of sequents; resolves when its window is dispatched."""
+        """Submit a batch of sequents; resolves when its window is dispatched.
+
+        ``config`` names the chain, options and per-sequent budget; the farm
+        supplies the executor, and every batch runs the dedup pre-pass."""
         if self._stopping:
             raise ServiceStopped("the verify service is shutting down")
         if not sequents:
             return DispatchResult()
         loop = asyncio.get_running_loop()
+        config = dataclasses.replace(
+            config, dedup=True, workers=self.workers, backend=self.backend
+        )
         request = _PendingRequest(
-            names=tuple(resolve_prover_names(provers)),
-            options=prover_options or {},
-            sequent_budget=sequent_budget,
+            config=config,
+            key=config.key(),
             sequents=list(sequents),
             future=loop.create_future(),
             deadline=deadline,
@@ -528,9 +527,11 @@ class VerifyService:
                 claimed[digest] = event
                 mine.append(index)
             if mine:
-                dispatcher = self._dispatcher_for(key, first)
                 self._dispatching[key] = self._dispatching.get(key, 0) + 1
                 try:
+                    # Built inside the try: a config the registry cannot
+                    # build must still release the digests claimed above.
+                    dispatcher = self._dispatcher_for(key, first.config)
                     result = await loop.run_in_executor(
                         self._executor,
                         functools.partial(
@@ -576,7 +577,7 @@ class VerifyService:
                     _slice_result(merged_result, rep, start, stop, deadline)
                 )
 
-    def _dispatcher_for(self, key: str, request: _PendingRequest) -> ParallelDispatcher:
+    def _dispatcher_for(self, key: str, config: DispatchConfig) -> ParallelDispatcher:
         """The cached dispatcher of one configuration (built on first use).
 
         Process backend: every dispatcher borrows the shared farm.  Thread
@@ -596,16 +597,7 @@ class VerifyService:
                 max_workers=self.workers, thread_name_prefix="prover-worker"
             )
             executor = pool
-        dispatcher = ParallelDispatcher.from_names(
-            request.names,
-            workers=self.workers,
-            backend=self.backend,
-            cache=self.store,
-            sequent_budget=request.sequent_budget,
-            dedup=True,
-            executor=executor,
-            **request.options,
-        )
+        dispatcher = ParallelDispatcher(config, self.store, executor=executor)
         self._dispatchers[key] = (dispatcher, pool)
         while len(self._dispatchers) > _MAX_CACHED_DISPATCHERS:
             for old_key in self._dispatchers:
@@ -641,6 +633,15 @@ class VerifyService:
         self.stats.distinct_live_digests = len(self._live_digests)
 
 
+def _wire_settings(request: Dict[str, Any]) -> Dict[str, Any]:
+    """The dispatch settings a request carries on the wire."""
+    return {
+        "provers": request.get("provers", DEFAULT_ORDER),
+        "prover_options": request.get("prover_options") or {},
+        "sequent_budget": request.get("sequent_budget"),
+    }
+
+
 def _expired_result(sequents: Sequence[Sequent]) -> DispatchResult:
     result = DispatchResult()
     for sequent in sequents:
@@ -673,14 +674,12 @@ def _slice_result(
             if not outcome.settled:
                 outcome.budget_exhausted = True
     result = DispatchResult()
-    _merge_outcomes(
-        result, merged.outcomes[start:stop], stop_on_failure=False, cache_enabled=True
-    )
+    _merge_outcomes(result, merged.outcomes[start:stop], cache_enabled=True)
     result.dedup_replayed = sum(1 for i in range(start, stop) if rep[i] != i)
     # The slice's own answer-time sum, not the merged batch's wall: stamping
-    # ``merged.total_time`` on every slice used to bill each co-batched
-    # client for the whole window, inflating per-request stats by the number
-    # of clients sharing the batch.  ``cpu_time`` was accumulated answer by
+    # ``merged.total_time`` on every slice would bill each co-batched client
+    # for the whole window, inflating per-request stats by the number of
+    # clients sharing the batch.  ``cpu_time`` was accumulated answer by
     # answer just above, so it is exactly what a standalone dispatch of this
     # slice would have measured (replays cost zero); the shared batch wall
     # stays available separately.
@@ -1003,10 +1002,8 @@ class VerifyServer:
         )
         result = await self.service.prove(
             sequents,
-            provers=request.get("provers", list(DEFAULT_ORDER)),
-            prover_options=request.get("prover_options") or {},
-            sequent_budget=request.get("sequent_budget"),
-            deadline=self._request_deadline(request),
+            DispatchConfig(**_wire_settings(request)),
+            self._request_deadline(request),
         )
         return {
             "ok": True,
@@ -1031,21 +1028,17 @@ class VerifyServer:
         source = request.get("source")
         if not source:
             return {"ok": False, "error": "missing 'source'"}
-        syntactic_first = bool(request.get("always_syntactic_first", True))
-        # Resolve the *final* prover chain here, exactly as verify() will
-        # (aliases resolved, syntactic prepended), and submit to the batcher
-        # under those names: it must dispatch the same chain (and the same
-        # options signatures) that the report declares, or server-backed runs
-        # would key the verdict store differently from local ones.  The
-        # reports themselves are built from the *requested* names so their
-        # prover_order matches a local run's byte for byte.
-        requested = request.get("provers", list(DEFAULT_ORDER))
-        chain = resolve_prover_names(requested)
-        if syntactic_first and "syntactic" not in chain:
-            chain = ["syntactic"] + chain
-        options = request.get("prover_options") or {}
-        sequent_budget = request.get("sequent_budget")
-        include_frame = bool(request.get("include_frame", True))
+        for knob in _ALWAYS_ON_VERIFY_FIELDS:
+            if not request.get(knob, True):
+                return {
+                    "ok": False,
+                    "error": f"{knob}=false is not supported: verify always runs the "
+                    "syntactic prover first and checks frame conditions",
+                }
+        # One config for the whole request: the report's prover_order and
+        # the chain the batcher dispatches are the same resolved chain, so
+        # server-backed runs key the verdict store exactly as local ones do.
+        config = DispatchConfig.for_verify(**_wire_settings(request))
         deadline = self._request_deadline(request)
         loop = asyncio.get_running_loop()
 
@@ -1053,14 +1046,7 @@ class VerifyServer:
             # Runs on a request-pool thread inside verify(): hop the sequents
             # over to the event loop's batcher and block for the verdicts.
             return asyncio.run_coroutine_threadsafe(
-                self.service.prove(
-                    list(sequents),
-                    provers=chain,
-                    prover_options=options,
-                    sequent_budget=sequent_budget,
-                    deadline=deadline,
-                ),
-                loop,
+                self.service.prove(list(sequents), config, deadline), loop
             ).result()
 
         if class_wide:
@@ -1068,10 +1054,8 @@ class VerifyServer:
                 return verify_class(
                     source,
                     class_name=request.get("class_name"),
-                    provers=requested,
                     methods=request.get("methods"),
-                    prover_options=options,
-                    include_frame=include_frame,
+                    config=config,
                     dispatch=dispatch,
                 )
 
@@ -1087,10 +1071,7 @@ class VerifyServer:
                 source,
                 method=method,
                 class_name=request.get("class_name"),
-                provers=requested,
-                prover_options=options,
-                include_frame=include_frame,
-                always_syntactic_first=syntactic_first,
+                config=config,
                 dispatch=dispatch,
             )
 

@@ -128,13 +128,14 @@ def verify_structure(name: str, provers: Optional[Sequence[str]] = None, **optio
     ``cache=SequentCache(...)`` memoises verdicts per normalized sequent, so
     re-running a row (or the whole Figure 15 table) replays prior proofs
     instead of recomputing them.  See ``benchmarks/bench_parallel_dispatch.py``.
+    Without ``provers`` (or a ``config=`` naming its own chain) the row runs
+    the structure's own prover list.
     """
     from ..core.verifier import verify_class
 
     info = entry(name)
-    return verify_class(
-        source(name),
-        class_name=info.name,
-        provers=list(provers) if provers is not None else list(info.provers),
-        **options,
-    )
+    if provers is None and "config" not in options:
+        provers = info.provers
+    if provers is not None:
+        options["provers"] = list(provers)
+    return verify_class(source(name), class_name=info.name, **options)

@@ -8,7 +8,7 @@ from repro.form.parser import parse_formula as parse
 from repro.java.resolver import parse_program
 from repro.provers.base import ProverAnswer, Verdict
 from repro.provers.cache import SequentCache
-from repro.provers.dispatcher import Dispatcher, ParallelDispatcher, make_provers
+from repro.provers.dispatcher import DispatchConfig, Dispatcher, make_provers
 from repro.vcgen.sequent import sequent
 from repro.vcgen.vcgen import generate_method_vc
 
@@ -69,25 +69,17 @@ def test_static_answers_bypass_and_never_touch_the_cache():
     assert again.cache_stats.hits == 1
 
 
-def test_parallel_thread_backend_matches_sequential():
-    sequential = Dispatcher(make_provers(["syntactic"]), static_tier=True).prove_all(
+def test_static_pre_pass_runs_in_the_caller_under_every_executor(executor):
+    reference = Dispatcher(make_provers(["syntactic"]), static_tier=True).prove_all(
         _sequents()
     )
-    parallel = ParallelDispatcher.from_names(
-        ["syntactic"], workers=2, static_tier=True
-    ).prove_all(_sequents())
-    assert [o.proved for o in parallel.outcomes] == [o.proved for o in sequential.outcomes]
-    assert [o.prover for o in parallel.outcomes] == [o.prover for o in sequential.outcomes]
-    assert parallel.statically_discharged == sequential.statically_discharged == 4
-
-
-def test_parallel_process_backend_runs_static_pre_pass_in_parent():
-    dispatcher = ParallelDispatcher.from_names(
-        ["syntactic"], workers=1, backend="process", static_tier=True
-    )
+    dispatcher = Dispatcher(DispatchConfig(["syntactic"], static_tier=True, **executor))
     result = dispatcher.prove_all(_sequents())
-    assert result.statically_discharged == 4
+    assert [o.proved for o in result.outcomes] == [o.proved for o in reference.outcomes]
+    assert [o.prover for o in result.outcomes] == [o.prover for o in reference.outcomes]
+    assert result.statically_discharged == reference.statically_discharged == 4
     assert result.proved == 5
+    # The caller's discharger saw every sequent: no pool worker ran it.
     assert dispatcher.static.checked == 5
 
 

@@ -3,15 +3,9 @@ digest) are proved once and their verdicts fanned back out, with the same
 per-sequent outcomes, correct ProverStats attribution (representative proved
 live, duplicates replayed) and byte-identical reports vs. no-dedup runs."""
 
-import pytest
-
 from repro.form.parser import parse_formula as parse
 from repro.provers.cache import SequentCache
-from repro.provers.dispatcher import (
-    Dispatcher,
-    ParallelDispatcher,
-    make_provers,
-)
+from repro.provers.dispatcher import DispatchConfig, Dispatcher, make_provers
 from repro.vcgen.sequent import sequent
 
 
@@ -104,36 +98,27 @@ def test_dedup_matches_warm_cache_accounting():
     assert deduped.proved_live == cached.proved_live
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-@pytest.mark.parametrize("workers", [1, 3])
-def test_parallel_dedup_matches_sequential_dedup(backend, workers):
+def test_dedup_matches_across_executors(executor):
     seqs = _batch_with_duplicates()
-    sequential = Dispatcher(make_provers(PROVERS), dedup=True).prove_all(seqs)
-    parallel = ParallelDispatcher.from_names(
-        PROVERS, workers=workers, backend=backend, dedup=True
-    ).prove_all(seqs)
-    assert [o.proved for o in parallel.outcomes] == [o.proved for o in sequential.outcomes]
-    assert parallel.dedup_replayed == sequential.dedup_replayed == 2
-    if workers == 1:
-        # One worker sees the answers in serial order (and the batch's
-        # representatives share no feature bucket, so the process
-        # backend's submit-time ranking matches too): full parity.
-        assert _shape(parallel) == _shape(sequential)
-        assert _verdicts(parallel) == _verdicts(sequential)
-        assert _stat_counts(parallel) == _stat_counts(sequential)
+    reference = Dispatcher(make_provers(PROVERS), dedup=True).prove_all(seqs)
+    result = Dispatcher(DispatchConfig(PROVERS, dedup=True, **executor)).prove_all(seqs)
+    assert [o.proved for o in result.outcomes] == [o.proved for o in reference.outcomes]
+    assert result.dedup_replayed == reference.dedup_replayed == 2
+    # The batch's representatives share no feature bucket, so no answer can
+    # reorder another chain, whatever order they land in: full parity.
+    assert _shape(result) == _shape(reference)
+    assert _verdicts(result) == _verdicts(reference)
+    assert _stat_counts(result) == _stat_counts(reference)
 
 
-def test_parallel_dedup_with_cache_stores_only_representatives():
+def test_dedup_with_cache_stores_only_representatives(executor):
     cache = SequentCache()
     seqs = _batch_with_duplicates()
-    ParallelDispatcher.from_names(
-        PROVERS, workers=2, cache=cache, dedup=True
-    ).prove_all(seqs)
+    config = DispatchConfig(PROVERS, dedup=True, **executor)
+    Dispatcher(config, cache).prove_all(seqs)
     # 3 distinct digests; the two proved chains store per-prover entries and
     # replaying the whole batch afterwards needs no live prover at all.
-    replay = ParallelDispatcher.from_names(
-        PROVERS, workers=2, cache=cache, dedup=True
-    ).prove_all(seqs)
+    replay = Dispatcher(config, cache).prove_all(seqs)
     assert replay.proved_live == 0
     assert not replay.stats
 

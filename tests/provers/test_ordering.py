@@ -15,8 +15,8 @@ from repro.form.parser import parse_formula as parse
 from repro.provers.base import Deadline, Prover, ProverAnswer, Verdict
 from repro.provers.cache import SequentCache
 from repro.provers.dispatcher import (
+    DispatchConfig,
     Dispatcher,
-    ParallelDispatcher,
     _run_prover_chain,
     make_provers,
 )
@@ -276,7 +276,7 @@ def test_dispatcher_without_cache_learns_in_a_fresh_table():
     assert one.ordering is not two.ordering and one.ordering.path is None
     cache = SequentCache()
     assert Dispatcher([_Proves()], cache=cache).ordering is cache.ordering
-    assert ParallelDispatcher.from_names(["syntactic"], cache=cache).ordering is cache.ordering
+    assert Dispatcher(DispatchConfig(["syntactic"], workers=2), cache).ordering is cache.ordering
     override = ProverOrdering()
     assert Dispatcher([_Proves()], cache=cache, ordering=override).ordering is override
 
@@ -451,16 +451,15 @@ def test_cached_failure_replays_and_only_uncached_provers_run():
     assert list(result.stats) == ["proves"]
 
 
-def test_process_backend_runs_the_learned_order():
-    """Process workers receive the live provers already ranked by the
-    parent's table and run them in that order."""
+def test_every_executor_runs_the_learned_order(executor):
+    """Inline and thread chains rank when they start; process workers
+    receive the live provers already ranked by the parent's table.  Either
+    way the chain runs in the learned order."""
     seq = sequent([parse("p")], parse("p"))  # both provers prove it
     ordering = ProverOrdering()
     ordering.observe_outcome(sequent_features(seq), "smt", proved=True, time=0.001)
-    result = ParallelDispatcher.from_names(
-        ["syntactic", "smt"], workers=1, backend="process", ordering=ordering,
-        smt={"timeout": 2.0},
-    ).prove_all([seq])
+    config = DispatchConfig(["syntactic", "smt"], {"smt": {"timeout": 2.0}}, **executor)
+    result = Dispatcher(config, ordering=ordering).prove_all([seq])
     (outcome,) = result.outcomes
     assert outcome.proved and outcome.prover == "smt"
     assert [a.prover for a in outcome.answers] == ["smt"]
@@ -500,26 +499,36 @@ def _proved(result):
 
 
 @pytest.mark.parametrize("seed", [7, 1009])
-def test_stats_identical_across_backends(seed):
-    """The seeded-corpus determinism property.  At ``workers=1`` sequential
-    and thread-parallel dispatch agree on outcomes and per-prover stats (the
-    merge order is the sequent order, and the learned ordering sees the
-    answers in the same order).  With ``workers > 1`` the ordering learns in
-    completion order — the process backend ranks a whole batch at submit
-    time — so credit may move between provers, but both parallel backends
-    still prove exactly the sequents the serial run proves."""
+def test_stats_identical_across_executors(seed, executor):
+    """The seeded-corpus determinism property.  Inline, a config-built
+    dispatcher agrees with one over a prover list on outcomes and
+    per-prover stats (the merge order is the sequent order, and the learned
+    ordering sees the answers in the same order).  With ``workers > 1`` the
+    ordering learns in completion order — the process executor ranks a
+    whole batch at submit time — so credit may move between provers, but
+    the pools still prove exactly the sequents the inline run proves."""
     corpus = _seeded_corpus(seed)
-    sequential = Dispatcher(make_provers(PROVERS, **OPTIONS)).prove_all(corpus)
-    single = ParallelDispatcher.from_names(
-        PROVERS, workers=1, backend="thread", **OPTIONS
+    reference = Dispatcher(make_provers(PROVERS, **OPTIONS)).prove_all(corpus)
+    result = Dispatcher(DispatchConfig(PROVERS, OPTIONS, **executor)).prove_all(corpus)
+    assert _proved(result) == _proved(reference)
+    if executor["workers"] == 1:
+        assert _shape(result) == _shape(reference)
+        assert _stat_counts(result) == _stat_counts(reference)
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+def test_fixed_order_gives_full_parity_across_executors(seed, executor):
+    """Under a table that never reorders, no answer can change another
+    chain's order, so every executor credits the same prover per sequent."""
+    corpus = _seeded_corpus(seed)
+    reference = Dispatcher(
+        make_provers(PROVERS, **OPTIONS), ordering=_PortfolioOrder()
     ).prove_all(corpus)
-    assert _shape(single) == _shape(sequential)
-    assert _stat_counts(single) == _stat_counts(sequential)
-    for backend in ("thread", "process"):
-        parallel = ParallelDispatcher.from_names(
-            PROVERS, workers=2, backend=backend, **OPTIONS
-        ).prove_all(corpus)
-        assert _proved(parallel) == _proved(sequential)
+    result = Dispatcher(
+        DispatchConfig(PROVERS, OPTIONS, **executor), ordering=_PortfolioOrder()
+    ).prove_all(corpus)
+    assert _shape(result) == _shape(reference)
+    assert _stat_counts(result) == _stat_counts(reference)
 
 
 class _PortfolioOrder(ProverOrdering):

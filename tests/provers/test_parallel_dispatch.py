@@ -1,17 +1,13 @@
-"""The parallel cached dispatch subsystem: cache semantics, stats parity,
-stop-on-failure under parallelism, and the stable sequent digests that key
-the cache."""
+"""The cached dispatch subsystem: cache semantics, parity of the three
+executors, the dispatch config, and the stable sequent digests that key the
+cache."""
 
 import pytest
 
 from repro.form.parser import parse_formula as parse
 from repro.provers.base import ProverAnswer, Verdict
 from repro.provers.cache import CacheStats, SequentCache
-from repro.provers.dispatcher import (
-    Dispatcher,
-    ParallelDispatcher,
-    make_provers,
-)
+from repro.provers.dispatcher import DispatchConfig, Dispatcher, make_provers
 from repro.vcgen.sequent import Labeled, Sequent, sequent
 
 
@@ -227,65 +223,37 @@ def test_cached_dispatch_preserves_outcomes():
     assert _shape(replayed) == _shape(baseline)
 
 
-# -- parallel dispatch --------------------------------------------------------------
+# -- one dispatcher, three executors -------------------------------------------
+
+PAIR = ("syntactic", "smt")
 
 
-def test_parallel_workers1_matches_sequential():
+def test_executor_matches_inline_prover_list(executor):
+    """Every executor proves what an inline dispatch over a prover list
+    proves.  Inline, outcomes and per-prover stats match exactly; pool
+    workers learn the ordering in completion order, so credit may differ."""
     seqs = _batch()
-    sequential = Dispatcher(make_provers(["syntactic", "smt"])).prove_all(seqs)
-    parallel = ParallelDispatcher.from_names(["syntactic", "smt"], workers=1).prove_all(seqs)
-    assert _shape(parallel) == _shape(sequential)
-    assert _stat_counts(parallel) == _stat_counts(sequential)
+    reference = Dispatcher(make_provers(PAIR)).prove_all(seqs)
+    result = Dispatcher(DispatchConfig(PAIR, **executor)).prove_all(seqs)
+    assert _proved(result) == _proved(reference)
+    assert result.workers == executor["workers"]
+    if executor["workers"] == 1:
+        assert _shape(result) == _shape(reference)
+        assert _stat_counts(result) == _stat_counts(reference)
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_many_workers_matches_sequential(workers):
-    """With several workers the learned ordering learns in completion order,
-    so credit may differ from a serial run; the proved set never does."""
-    seqs = _batch()
-    sequential = Dispatcher(make_provers(["syntactic", "smt"])).prove_all(seqs)
-    parallel = ParallelDispatcher.from_names(
-        ["syntactic", "smt"], workers=workers
-    ).prove_all(seqs)
-    assert _proved(parallel) == _proved(sequential)
-    assert parallel.workers == workers
-
-
-def test_parallel_stop_on_failure_truncates_like_sequential():
-    seqs = _batch()  # the unprovable sequent sits at index 3
-    sequential = Dispatcher(
-        make_provers(["syntactic"]), stop_on_failure=True
-    ).prove_all(seqs)
-    parallel = ParallelDispatcher.from_names(
-        ["syntactic"], workers=3, stop_on_failure=True
-    ).prove_all(seqs)
-    assert _shape(parallel) == _shape(sequential)
-    assert not parallel.outcomes[-1].proved
-    assert parallel.total < len(seqs)
-
-
-def test_parallel_with_shared_cache_replays_everything():
+def test_shared_cache_replays_everything(executor):
     cache = SequentCache()
     seqs = _batch()
-    ParallelDispatcher.from_names(["syntactic", "smt"], workers=2, cache=cache).prove_all(seqs)
-    replay = ParallelDispatcher.from_names(
-        ["syntactic", "smt"], workers=2, cache=cache
-    ).prove_all(seqs)
+    config = DispatchConfig(PAIR, **executor)
+    Dispatcher(config, cache).prove_all(seqs)
+    replay = Dispatcher(config, cache).prove_all(seqs)
     assert replay.proved_live == 0
     assert replay.cache_stats.misses == 0
     assert not replay.stats
 
 
-def test_parallel_process_backend_matches_sequential():
-    seqs = _batch()
-    sequential = Dispatcher(make_provers(["syntactic", "smt"])).prove_all(seqs)
-    parallel = ParallelDispatcher.from_names(
-        ["syntactic", "smt"], workers=2, backend="process"
-    ).prove_all(seqs)
-    assert _proved(parallel) == _proved(sequential)
-
-
-def test_parallel_process_backend_replays_cached_prefix():
+def test_partially_cached_chain_replays_the_prefix(executor):
     """A partially cached chain only re-runs the uncached suffix: the cached
     prefix is replayed as cached answers, not recomputed."""
     cache = SequentCache()
@@ -295,9 +263,7 @@ def test_parallel_process_backend_replays_cached_prefix():
     first = syn.prove(seqs[0])
     assert not first.proved
     cache.store(seqs[0], "syntactic", first, syn.options_signature())
-    result = ParallelDispatcher.from_names(
-        ["syntactic", "smt"], workers=2, backend="process", cache=cache
-    ).prove_all(seqs)
+    result = Dispatcher(DispatchConfig(PAIR, **executor), cache).prove_all(seqs)
     (outcome,) = result.outcomes
     assert [a.prover for a in outcome.answers] == ["syntactic", "smt"]
     assert outcome.answers[0].cached and not outcome.answers[1].cached
@@ -306,14 +272,47 @@ def test_parallel_process_backend_replays_cached_prefix():
     assert set(result.stats) == {"smt"}
 
 
-def test_parallel_process_backend_requires_names():
+def test_prover_list_dispatches_inline_only():
+    """Pool workers rebuild the portfolio from names; a list of prover
+    instances cannot be rebuilt, so it refuses a pool."""
     with pytest.raises(ValueError):
-        ParallelDispatcher(lambda: make_provers(["syntactic"]), backend="process")
+        Dispatcher(make_provers(["syntactic"]), workers=2)
 
 
-def test_parallel_rejects_unknown_backend():
+# -- the dispatch config ---------------------------------------------------------
+
+
+def test_config_resolves_aliases_and_prepends_syntactic_once():
+    assert DispatchConfig(["Z3", "spass"]).provers == ("smt", "fol")
+    assert DispatchConfig.for_verify(["z3", "mona"]).provers == ("syntactic", "smt", "mona")
+    assert DispatchConfig.for_verify(["smt", "syntactic"]).provers == ("smt", "syntactic")
+
+
+@pytest.mark.parametrize("settings", [{"backend": "gpu"}, {"workers": 0}, {"workers": -2}])
+def test_config_rejects_bad_executor_settings(settings):
     with pytest.raises(ValueError):
-        ParallelDispatcher.from_names(["syntactic"], backend="gpu")
+        DispatchConfig(PAIR, **settings)
+
+
+def test_config_survives_a_pickle_round_trip():
+    """The process executor ships the config to its workers."""
+    import pickle
+
+    config = DispatchConfig(
+        PAIR, {"smt": {"timeout": 2.0}}, sequent_budget=1.5, dedup=True,
+        workers=2, backend="process",
+    )
+    clone = pickle.loads(pickle.dumps(config))
+    assert clone == config and clone.key() == config.key()
+    assert [p.name for p in clone.make_provers()] == list(PAIR)
+
+
+def test_equal_configs_give_equal_keys():
+    one = DispatchConfig(["z3"], {"smt": {"timeout": 2.0}}, sequent_budget=1.0)
+    two = DispatchConfig(("smt",), {"smt": {"timeout": 2.0}}, sequent_budget=1.0)
+    assert one == two and one.key() == two.key() and hash(one) == hash(two)
+    assert one.key() != DispatchConfig(["smt"], sequent_budget=1.0).key()
+    assert one.key() != DispatchConfig(["z3"], {"smt": {"timeout": 2.0}}).key()
 
 
 def test_sequent_budget_limits_chain():

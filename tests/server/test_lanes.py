@@ -26,7 +26,7 @@ import pytest
 
 from repro.form.parser import parse_formula as parse
 from repro.provers.base import Deadline, Prover, ProverAnswer, Verdict, registry
-from repro.provers.dispatcher import make_provers  # ensures default registration
+from repro.provers.dispatcher import DispatchConfig, make_provers
 from repro.server import ShardedVerdictStore, VerifyService
 from repro.vcgen.sequent import sequent
 
@@ -91,14 +91,13 @@ def test_distinct_configs_dispatch_concurrently():
             slow = asyncio.ensure_future(
                 service.prove(
                     [_syntactic_seq(0)],
-                    provers=["sleepy"],
-                    prover_options={"sleepy": {"delay": 0.6}},
+                    DispatchConfig(["sleepy"], {"sleepy": {"delay": 0.6}}),
                 )
             )
             # Wait until the slow lane has *claimed* its digest (not merely
             # launched), so the fast request below provably overlaps it.
             await _wait_for(lambda: service._inflight)
-            fast = await service.prove([_syntactic_seq(1)], provers=["syntactic"])
+            fast = await service.prove([_syntactic_seq(1)], DispatchConfig(["syntactic"]))
             assert fast.proved == 1
             assert not slow.done(), "fast lane should finish first"
             assert service.lanes_busy >= 1
@@ -124,13 +123,13 @@ def test_inflight_registry_blocks_cross_lane_reproofs():
         try:
             first = asyncio.ensure_future(
                 service.prove(
-                    [_syntactic_seq(0)], provers=["sleepy"], prover_options=options
+                    [_syntactic_seq(0)], DispatchConfig(["sleepy"], options)
                 )
             )
             await _wait_for(lambda: service._inflight)
             second = asyncio.ensure_future(
                 service.prove(
-                    [_syntactic_seq(0)], provers=["sleepy"], prover_options=options
+                    [_syntactic_seq(0)], DispatchConfig(["sleepy"], options)
                 )
             )
             # The second batch gets its own lane while the first is in flight.
@@ -158,12 +157,11 @@ def test_all_lanes_busy_queues_the_next_batch():
             slow = asyncio.ensure_future(
                 service.prove(
                     [_syntactic_seq(0)],
-                    provers=["sleepy"],
-                    prover_options={"sleepy": {"delay": 0.3}},
+                    DispatchConfig(["sleepy"], {"sleepy": {"delay": 0.3}}),
                 )
             )
             await _wait_for(lambda: service._inflight)
-            fast = await service.prove([_syntactic_seq(1)], provers=["syntactic"])
+            fast = await service.prove([_syntactic_seq(1)], DispatchConfig(["syntactic"]))
             assert fast.proved == 1
             assert slow.done(), "one lane: the fast batch had to wait its turn"
             await slow
@@ -190,8 +188,7 @@ def test_deadline_expires_mid_dispatch():
             started = loop.time()
             result = await service.prove(
                 [_syntactic_seq(0)],
-                provers=["sleepy"],
-                prover_options={"sleepy": {"delay": 10.0}},
+                DispatchConfig(["sleepy"], {"sleepy": {"delay": 10.0}}),
                 deadline=Deadline.after(0.3),
             )
             elapsed = loop.time() - started
@@ -220,14 +217,13 @@ def test_deadlined_request_never_clips_cobatched_work():
             budgeted = asyncio.ensure_future(
                 service.prove(
                     [_syntactic_seq(0)],
-                    provers=["sleepy"],
-                    prover_options=options,
+                    DispatchConfig(["sleepy"], options),
                     deadline=Deadline.after(0.1),
                 )
             )
             plain = asyncio.ensure_future(
                 service.prove(
-                    [_syntactic_seq(1)], provers=["sleepy"], prover_options=options
+                    [_syntactic_seq(1)], DispatchConfig(["sleepy"], options)
                 )
             )
             a, b = await asyncio.gather(budgeted, plain)

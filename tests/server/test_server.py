@@ -20,6 +20,7 @@ import pytest
 from repro import suite, verify, verify_class
 from repro.form.parser import parse_formula as parse
 from repro.provers.cache import SequentCache
+from repro.provers.dispatcher import DispatchConfig
 from repro.server import VerifyClient, VerifyServer, VerifyServiceError
 from repro.vcgen.sequent import sequent
 
@@ -312,6 +313,36 @@ def test_verify_class_concurrent_clients_match_local_warm_run(server):
     assert len(warm_server.methods) == len(warm_local.methods) == 2
     for ours, theirs in zip(warm_server.methods, warm_local.methods):
         assert ours.format() == theirs.format()
+
+
+@pytest.mark.parametrize("op", ["verify_method", "verify_class"])
+@pytest.mark.parametrize("knob", ["always_syntactic_first", "include_frame"])
+def test_verify_refuses_a_disabled_syntactic_first_or_frame(client, op, knob):
+    """verify always runs the syntactic prover first and checks frame
+    conditions, so a request switching either off gets a structured error
+    instead of a report that quietly differs from what it asked for."""
+    request = dict(
+        source=suite.source("SizedList"), class_name="SizedList", method="size",
+        methods=["size"], provers=["smt"], prover_options=OPTIONS,
+    )
+    with pytest.raises(VerifyServiceError, match=f"{knob}=false is not supported"):
+        client.call(op, **request, **{knob: False})
+    assert client.call(op, **request, **{knob: True})["ok"]
+
+
+def test_alias_and_engine_name_requests_share_one_lane(server):
+    """``z3`` is an alias of ``smt``: requests naming either resolve to one
+    DispatchConfig, so they batch under one key and one cached dispatcher."""
+    alias = DispatchConfig(["syntactic", "z3"], OPTIONS)
+    engine = DispatchConfig(["syntactic", "smt"], OPTIONS)
+    assert alias.key() == engine.key()
+    with VerifyClient(port=server.port) as c:
+        cold = c.prove_sequents(_corpus(3), provers=["syntactic", "z3"], prover_options=OPTIONS)
+        warm = c.prove_sequents(_corpus(3), provers=["syntactic", "smt"], prover_options=OPTIONS)
+        stats = _service_stats(c)
+    assert cold["proved"] == warm["proved"] == 3
+    assert warm["replayed"] == 3 and stats["live_reproofs"] == 0
+    assert len(server.service._dispatchers) == 1  # one batch key, one dispatcher
 
 
 # -- store persistence and lifecycle ------------------------------------------
