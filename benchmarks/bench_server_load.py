@@ -1,6 +1,6 @@
 """P6 — verify daemon under load: concurrent request waves, warm hit rate.
 
-The service claim of the daemon (``repro.server``): once the sharded verdict
+The service claim of the daemon (``repro.server``): once the verdict
 store is warm, heavy concurrent traffic is answered by replay — no sequent
 is ever proved twice.  This benchmark fires two waves of concurrent
 ``prove_sequents`` requests at an in-process daemon:

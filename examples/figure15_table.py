@@ -24,7 +24,7 @@ of structure names to restrict it, e.g.::
 With ``--server host:port`` the table is regenerated *through a verify
 daemon* (``python -m repro.server``) instead of in-process: sources are
 shipped to the daemon, obligations are batched and deduplicated across
-every client the daemon serves, and verdicts come from its sharded store —
+every client the daemon serves, and verdicts come from its verdict store —
 a warm daemon reproduces the table without proving anything live, and the
 rows are byte-identical to a local warm-cache run.  ``--cache-dir`` /
 ``--workers`` are daemon-side concerns in that mode and are ignored.
@@ -85,7 +85,7 @@ def main() -> None:
     parser.add_argument(
         "--server", default=None, metavar="HOST:PORT",
         help="verify through a running daemon (python -m repro.server) "
-        "instead of in-process; its sharded store replaces --cache-dir",
+        "instead of in-process; its verdict store replaces --cache-dir",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -152,8 +152,8 @@ def main() -> None:
         store, service = stats["store"], stats["service"]
         print(
             f"Daemon {args.server}: store {store['hits']} hits / "
-            f"{store['hits'] + store['misses']} lookups across "
-            f"{store['shards']} shards; {service['live_proved']} proved live "
+            f"{store['hits'] + store['misses']} lookups; "
+            f"{service['live_proved']} proved live "
             f"daemon-wide, {service['live_reproofs']} re-proofs."
         )
         client.close()

@@ -31,7 +31,7 @@ Sub-packages:
 ``repro.core``         the verifier driver and reports
 ``repro.suite``        the ten verified data structures of Section 7
 ``repro.server``       the verify daemon: verification-as-a-service with a
-                       sharded cross-request verdict store (``python -m
+                       shared cross-request verdict store (``python -m
                        repro.server``; clients use ``repro.server.VerifyClient``)
 """
 

@@ -22,20 +22,18 @@ that the dispatchers using it rank provers with and learn into: the table
 lives exactly as long as the verdicts it was learned from, and a disk-backed
 cache persists it as ``ordering.json`` in ``cache_dir``.
 
-All verdicts are cacheable.  ``TIMEOUT`` caching can be disabled
-(``cache_timeouts=False``) for machines with very variable load: a timeout
-recorded under one load would then be retried instead of replayed.  It is on
-by default because the cache key includes the prover's timeout option, so a
-replayed timeout always refers to the same time budget — and since timeouts
-are *enforced* inside the engines, a cached ``TIMEOUT`` now really means
-"this budget was insufficient", not "the machine happened to be slow past
-an unenforced limit".  To keep that reading true, the dispatchers never
-store a ``TIMEOUT`` computed under a per-sequent budget: such an answer may
-reflect the budget's truncated remainder rather than the prover's
-configured timeout that keys the entry.  Soundness note: caching a ``PROVED`` verdict is
-sound because the digest is injective up to alpha-renaming of generated
-variables and assumption order, both of which preserve validity (and
-invalidity, so a cached ``REFUTED`` replays just as soundly).
+All verdicts are cacheable, ``TIMEOUT`` included: the cache key includes
+the prover's timeout option, so a replayed timeout always refers to the same
+time budget — and since timeouts are *enforced* inside the engines, a cached
+``TIMEOUT`` really means "this budget was insufficient", not "the machine
+happened to be slow past an unenforced limit".  To keep that reading true,
+the dispatchers never store a ``TIMEOUT`` computed under a per-sequent
+budget: such an answer may reflect the budget's truncated remainder rather
+than the prover's configured timeout that keys the entry.  Soundness note:
+caching a ``PROVED`` verdict is sound because the digest is injective up to
+alpha-renaming of generated variables and assumption order, both of which
+preserve validity (and invalidity, so a cached ``REFUTED`` replays just as
+soundly).
 
 Cache-invalidation note (options signatures): the options part of the key
 is ``Prover.options_signature()``, which serialises only *verdict-affecting*
@@ -67,11 +65,10 @@ from .base import ProverAnswer, Verdict
 from .ordering import DEFAULT_FILENAME as ORDERING_FILENAME
 from .ordering import ProverOrdering
 
-#: Verdicts replayed from the cache unconditionally.  ``REFUTED`` is as
-#: definitive as ``PROVED``: its detail carries the checked countermodel.
-ALWAYS_CACHEABLE = frozenset(
-    {Verdict.PROVED, Verdict.REFUTED, Verdict.UNKNOWN, Verdict.UNSUPPORTED}
-)
+#: Verdicts the cache stores: every prover answer (``STATIC`` is the
+#: pre-pass's, not a prover's).  ``REFUTED`` is as definitive as ``PROVED``:
+#: its detail carries the checked countermodel.
+CACHEABLE = frozenset(Verdict) - {Verdict.STATIC}
 
 #: Monotonic per-process counter making disk-tier temp names unique per
 #: writer (``next()`` on an ``itertools.count`` is atomic under the GIL).
@@ -127,10 +124,8 @@ class SequentCache:
         self,
         max_entries: int = 65536,
         cache_dir: Optional[Union[str, Path]] = None,
-        cache_timeouts: bool = True,
     ) -> None:
         self.max_entries = max_entries
-        self.cache_timeouts = cache_timeouts
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -183,9 +178,7 @@ class SequentCache:
         options_signature: str = "",
     ) -> bool:
         """Cache a freshly computed answer; returns False when not cacheable."""
-        if answer.verdict not in ALWAYS_CACHEABLE and not (
-            answer.verdict is Verdict.TIMEOUT and self.cache_timeouts
-        ):
+        if answer.verdict not in CACHEABLE:
             return False
         cache_key = self.key(sequent, prover_name, options_signature)
         entry = CachedAnswer(answer.verdict, answer.detail, proof_time=answer.time)

@@ -38,6 +38,7 @@ import dataclasses
 import json
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -479,10 +480,16 @@ def _merge_outcomes(
 # ---------------------------------------------------------------------------
 
 
-#: Per-worker-process portfolio cache: building provers once per process
-#: instead of once per sequent task keeps per-task overhead negligible for
-#: fine-grained sequents.
-_PROCESS_PORTFOLIOS: Dict[str, List[Prover]] = {}
+#: Cap on portfolios (and dispatchers) kept per distinct ``DispatchConfig``:
+#: a farm worker's portfolio cache and the daemon's dispatcher cache are
+#: both LRUs of this size, so a long-lived daemon serving many prover
+#: configurations keeps bounded memory.
+_MAX_CACHED_DISPATCHERS = 32
+
+#: Per-worker-process portfolio cache (LRU by config key): building provers
+#: once per process instead of once per sequent task keeps per-task overhead
+#: negligible for fine-grained sequents.
+_PROCESS_PORTFOLIOS: "OrderedDict[str, List[Prover]]" = OrderedDict()
 
 
 def _process_worker_chain(
@@ -496,6 +503,10 @@ def _process_worker_chain(
     provers = _PROCESS_PORTFOLIOS.get(key)
     if provers is None:
         provers = _PROCESS_PORTFOLIOS[key] = config.make_provers()
+        while len(_PROCESS_PORTFOLIOS) > _MAX_CACHED_DISPATCHERS:
+            _PROCESS_PORTFOLIOS.popitem(last=False)
+    else:
+        _PROCESS_PORTFOLIOS.move_to_end(key)
     return _run_prover_chain(
         [provers[index] for index in order], sequent, sequent_budget=sequent_budget
     )

@@ -28,10 +28,9 @@ still gets its turn until one proves):
   reproduces the fixed-order prover choice exactly.
 
 The table lives as long as the verdict cache it learns beside: every
-:class:`repro.provers.cache.SequentCache` and
-:class:`repro.server.store.ShardedVerdictStore` owns one, and a disk-backed
-cache persists it as one small JSON document (``ordering.json``) in its
-directory.  :meth:`ProverOrdering.save` writes atomically (a per-writer
+:class:`repro.provers.cache.SequentCache` owns one (the verify daemon's
+store is such a cache), and a disk-backed cache persists it as one small
+JSON document (``ordering.json``) in its directory, beside the verdicts.  :meth:`ProverOrdering.save` writes atomically (a per-writer
 staging file + ``os.replace``), and concurrent daemons may overwrite each
 other wholesale — the stats are advisory scheduling hints, never part of a
 verdict, so losing an update is harmless.

@@ -10,8 +10,9 @@ process-pool prover farm sized to the machine (``--workers``).  The digest
 dedup pre-pass runs over each *merged* batch so identical obligations from
 different clients are proved once, an in-flight registry keeps the
 single-flight guarantee per (digest, configuration) *across* lanes, and
-every verdict is backed by a sharded, content-addressed store safe under
-concurrent multi-process access (bounded, for long-lived deployments, by
+every verdict is backed by one content-addressed
+:class:`repro.provers.cache.SequentCache` safe under concurrent
+multi-process access (bounded, for long-lived deployments, by
 ``--store-max-entries`` / ``--store-max-age`` compaction).  Warm traffic —
 the "heavy traffic from millions of users" regime — is O(lookup).  See
 ``docs/server.md`` for operating the daemon.
@@ -45,14 +46,12 @@ zero live re-proofs on the warm wave, and p50/p95/p99 request latency
 read the output; ``SERVER_LOAD_REQUESTS`` scales the wave).
 
 Components: :class:`VerifyServer` (asyncio TCP daemon + batching service),
-:class:`VerifyClient` (sync client), :class:`ShardedVerdictStore` (N shard
-directories keyed by structural digest, per-shard locks and LRU tiers),
-``repro.server.wire`` (the JSON encodings both sides share).
+:class:`VerifyClient` (sync client), ``repro.server.wire`` (the JSON
+encodings both sides share).
 """
 
 from .client import VerifyClient, VerifyServiceError
 from .daemon import ServiceStopped, ServiceStats, VerifyServer, VerifyService
-from .store import ShardedVerdictStore
 
 __all__ = [
     "VerifyClient",
@@ -61,5 +60,4 @@ __all__ = [
     "VerifyServiceError",
     "ServiceStats",
     "ServiceStopped",
-    "ShardedVerdictStore",
 ]

@@ -16,13 +16,13 @@ def _announce(server: VerifyServer) -> None:
     ``--port 0`` prints the kernel-assigned ephemeral port instead of the
     requested ``:0`` (scripts parse this line to find the daemon).
     """
-    store = server.store
-    where = str(store.root_dir) if store.root_dir is not None else "memory"
+    store_dir = server.store.cache_dir
+    where = str(store_dir) if store_dir is not None else "memory"
     caps = []
-    if store.max_disk_entries is not None:
-        caps.append(f"max {store.max_disk_entries} entries")
-    if store.max_disk_age is not None:
-        caps.append(f"max age {store.max_disk_age:g}s")
+    if server.store_max_entries is not None:
+        caps.append(f"max {server.store_max_entries} entries")
+    if server.store_max_age is not None:
+        caps.append(f"max age {server.store_max_age:g}s")
     compaction = (
         f"; compaction: {', '.join(caps)} every {server.compact_interval:g}s"
         if caps
@@ -31,7 +31,7 @@ def _announce(server: VerifyServer) -> None:
     service = server.service
     print(
         f"verify daemon on {server.host}:{server.port} "
-        f"(store: {where}, {store.shards} shards; window {server.window}s; "
+        f"(store: {where}; window {server.window}s; "
         f"{service.lanes} lanes x {service.workers} {service.backend} workers"
         f"{compaction})",
         flush=True,
@@ -47,11 +47,7 @@ def main() -> None:
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
     parser.add_argument(
         "--store-dir", default=None,
-        help="root of the sharded on-disk verdict store (default: memory only)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=16,
-        help="verdict store shard count (default: %(default)s)",
+        help="directory of the on-disk verdict store (default: memory only)",
     )
     parser.add_argument(
         "--window", type=float, default=0.05,
@@ -104,7 +100,6 @@ def main() -> None:
         host=args.host,
         port=args.port,
         store_dir=args.store_dir,
-        shards=args.shards,
         window=args.window,
         max_batch=args.max_batch,
         lanes=args.lanes,

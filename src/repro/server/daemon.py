@@ -3,7 +3,7 @@
 Everything the per-process pipeline already does — splitting, portfolio
 dispatch, digest dedup, verdict caching — lives here behind a long-lived
 asyncio server, so *many* concurrent clients share one prover farm and one
-sharded verdict store:
+verdict store:
 
 * :class:`VerifyService` is the cross-request batcher.  Incoming sequents
   (from ``verify_class`` / ``verify_method`` / raw batch requests) accumulate
@@ -23,15 +23,14 @@ sharded verdict store:
   or one thread pool per cached dispatcher for ``backend="thread"`` — so
   workers and their per-worker prover portfolios are reused across batches
   instead of being rebuilt per dispatch.
-* :class:`ShardedVerdictStore` (``repro.server.store``) backs the verdicts:
-  content-addressed by structural digest, N shard directories with per-shard
-  locks and LRU tiers, safe under concurrent multi-process access — several
-  daemons may share one store root.  The store also owns the learned prover
-  ordering every lane ranks with (``<store-dir>/ordering.json``).
-  Long-lived deployments bound the disk
-  tier with ``--store-max-entries`` / ``--store-max-age``; the daemon
-  compacts at startup and every ``compact_interval`` seconds (and on the
-  ``compact`` op).
+* One :class:`repro.provers.cache.SequentCache` backs the verdicts:
+  content-addressed by structural digest, one ``<store-dir>/<key>.json``
+  file per verdict, safe under concurrent multi-process access — several
+  daemons may share one store directory.  The cache also owns the learned
+  prover ordering every lane ranks with (``<store-dir>/ordering.json``).
+  Long-lived deployments bound the disk tier with ``--store-max-entries`` /
+  ``--store-max-age``; the daemon compacts at startup and every
+  ``compact_interval`` seconds (and on the ``compact`` op).
 * :class:`VerifyServer` is the protocol front end: newline-delimited JSON
   over TCP (see ``repro.server.wire``), ops ``ping`` / ``stats`` /
   ``prove_sequents`` / ``verify_method`` / ``verify_class`` / ``compact`` /
@@ -99,8 +98,10 @@ from typing import (
 
 from ..core.verifier import verify, verify_class
 from ..provers.base import Deadline
+from ..provers.cache import SequentCache
 from ..provers.dispatcher import (
     DEFAULT_ORDER,
+    _MAX_CACHED_DISPATCHERS,
     DispatchConfig,
     DispatchResult,
     ParallelDispatcher,
@@ -109,7 +110,6 @@ from ..provers.dispatcher import (
     _merge_outcomes,
 )
 from ..vcgen.sequent import Sequent
-from .store import ShardedVerdictStore
 from .wire import (
     DEFAULT_MAX_REQUEST_BYTES,
     class_report_to_wire,
@@ -121,11 +121,6 @@ from .wire import (
 #: Default batch-lane count: enough concurrent config keys for a mixed
 #: workload without oversubscribing the farm (lanes share one process pool).
 DEFAULT_LANES = 4
-
-#: Cached per-config dispatchers (LRU): above this many distinct prover
-#: configurations the least-recently-dispatched one is dropped (and its
-#: thread pool, for the thread backend, shut down).
-_MAX_CACHED_DISPATCHERS = 32
 
 #: Seconds between periodic store compactions (when disk caps are set).
 DEFAULT_COMPACT_INTERVAL = 300.0
@@ -185,18 +180,7 @@ class ServiceStats:
     peak_lanes_busy: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "requests": self.requests,
-            "requests_expired": self.requests_expired,
-            "batches": self.batches,
-            "sequents": self.sequents,
-            "live_proved": self.live_proved,
-            "replayed": self.replayed,
-            "live_reproofs": self.live_reproofs,
-            "distinct_live_digests": self.distinct_live_digests,
-            "deferred_sequents": self.deferred_sequents,
-            "peak_lanes_busy": self.peak_lanes_busy,
-        }
+        return dataclasses.asdict(self)
 
 
 class VerifyService:
@@ -214,7 +198,7 @@ class VerifyService:
 
     def __init__(
         self,
-        store: ShardedVerdictStore,
+        store: SequentCache,
         window: float = 0.05,
         max_batch: int = 512,
         lanes: int = DEFAULT_LANES,
@@ -252,8 +236,9 @@ class VerifyService:
             if self.backend == "process"
             else None
         )
-        # Per-configuration dispatcher cache (LRU): the dispatcher, and the
-        # persistent thread pool it owns when the backend is "thread".
+        # Per-configuration dispatcher cache (LRU, _MAX_CACHED_DISPATCHERS):
+        # the dispatcher, and the persistent thread pool it owns when the
+        # backend is "thread".
         self._dispatchers: "OrderedDict[str, Tuple[ParallelDispatcher, Optional[ThreadPoolExecutor]]]" = (
             OrderedDict()
         )
@@ -642,6 +627,17 @@ def _wire_settings(request: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def _cap_error(max_entries: Any, max_age: Any) -> Optional[str]:
+    """Why a ``compact`` request's caps are refused (None when valid): a
+    negative cap would put the cutoff past every published verdict, and
+    ``not max_age >= 0`` refuses a NaN age too."""
+    if max_entries is not None and (type(max_entries) is not int or max_entries < 0):
+        return f"max_entries must be a non-negative integer, got {max_entries!r}"
+    if max_age is not None and (type(max_age) not in (int, float) or not max_age >= 0):
+        return f"max_age must be a non-negative number of seconds, got {max_age!r}"
+    return None
+
+
 def _expired_result(sequents: Sequence[Sequent]) -> DispatchResult:
     result = DispatchResult()
     for sequent in sequents:
@@ -709,9 +705,7 @@ class VerifyServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        store: Optional[ShardedVerdictStore] = None,
         store_dir: Optional[str] = None,
-        shards: int = 16,
         window: float = 0.05,
         max_batch: int = 512,
         lanes: int = DEFAULT_LANES,
@@ -727,12 +721,13 @@ class VerifyServer:
     ) -> None:
         self.host = host
         self.port = port
-        self.store = store if store is not None else ShardedVerdictStore(
-            store_dir,
-            shards=shards,
-            max_disk_entries=store_max_entries,
-            max_disk_age=store_max_age,
-        )
+        self.store = SequentCache(cache_dir=store_dir)
+        #: Disk-tier caps that :meth:`compact` applies (None = never evict),
+        #: and its cumulative counters (surfaced by the ``stats`` op).
+        self.store_max_entries = store_max_entries
+        self.store_max_age = store_max_age
+        self.compactions = 0
+        self.evicted_entries = 0
         self.window = window
         self.max_batch = max_batch
         self.lanes = lanes
@@ -823,13 +818,10 @@ class VerifyServer:
         self.port = server.sockets[0].getsockname()[1]
         self.started_at = time.time()
         compactor: Optional[asyncio.Task] = None
-        if (
-            self.store.max_disk_entries is not None
-            or self.store.max_disk_age is not None
-        ):
+        if self.store_max_entries is not None or self.store_max_age is not None:
             # Startup compaction bounds a store inherited from a previous
             # (possibly differently-capped) deployment; then keep it bounded.
-            await self._loop.run_in_executor(self._request_pool, self.store.compact)
+            await self._loop.run_in_executor(self._request_pool, self.compact)
             if self.compact_interval and self.compact_interval > 0:
                 compactor = asyncio.create_task(
                     self._compact_periodically(), name="store-compactor"
@@ -851,13 +843,29 @@ class VerifyServer:
             await self.service.stop(drain=self._drain_on_stop)
             self._request_pool.shutdown(wait=False, cancel_futures=True)
 
+    def compact(
+        self, max_entries: Optional[int] = None, max_age: Optional[float] = None
+    ) -> int:
+        """Evict disk-store entries beyond the caps; returns how many went.
+
+        The call's caps fall back to ``store_max_entries`` /
+        ``store_max_age``.  A no-op (returning 0 without counting a
+        compaction) when the store is memory-only or no cap applies.
+        """
+        max_entries = max_entries if max_entries is not None else self.store_max_entries
+        max_age = max_age if max_age is not None else self.store_max_age
+        if self.store.cache_dir is None or (max_entries is None and max_age is None):
+            return 0
+        evicted = self.store.compact(max_entries, max_age)
+        self.compactions += 1
+        self.evicted_entries += evicted
+        return evicted
+
     async def _compact_periodically(self) -> None:
         while True:
             await asyncio.sleep(self.compact_interval)
             try:
-                await self._loop.run_in_executor(
-                    self._request_pool, self.store.compact
-                )
+                await self._loop.run_in_executor(self._request_pool, self.compact)
             except Exception:  # noqa: BLE001 - maintenance must not kill the daemon
                 pass
 
@@ -971,13 +979,13 @@ class VerifyServer:
         if op == "verify_class":
             return await self._op_verify(request, class_wide=True)
         if op == "compact":
+            max_entries, max_age = request.get("max_entries"), request.get("max_age")
+            error = _cap_error(max_entries, max_age)
+            if error is not None:
+                return {"ok": False, "error": error}
             evicted = await self._loop.run_in_executor(
                 self._request_pool,
-                functools.partial(
-                    self.store.compact,
-                    request.get("max_entries"),
-                    request.get("max_age"),
-                ),
+                functools.partial(self.compact, max_entries, max_age),
             )
             return {
                 "ok": True,
@@ -1106,14 +1114,13 @@ class VerifyServer:
             "lanes": lanes,
             "store": {
                 "entries": len(self.store),
-                "shards": self.store.shards,
                 "hits": store_stats.hits,
                 "misses": store_stats.misses,
                 "stores": store_stats.stores,
                 "disk_hits": store_stats.disk_hits,
-                "compactions": self.store.compactions,
-                "evicted_entries": self.store.evicted_entries,
-                "max_disk_entries": self.store.max_disk_entries,
-                "max_disk_age": self.store.max_disk_age,
+                "compactions": self.compactions,
+                "evicted_entries": self.evicted_entries,
+                "max_disk_entries": self.store_max_entries,
+                "max_disk_age": self.store_max_age,
             },
         }

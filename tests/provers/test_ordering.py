@@ -259,12 +259,15 @@ def test_dispatch_learns_within_one_batch():
 def test_disk_cache_owns_and_persists_the_table(tmp_path):
     """``SequentCache(cache_dir=d)`` learns into ``d/ordering.json``, which a
     new cache over the same directory reloads; the table is not a verdict
-    entry of the disk tier."""
+    entry of the disk tier, so compaction never evicts it."""
     cache = SequentCache(cache_dir=tmp_path)
     seq = sequent([parse("p")], parse("q"))
     Dispatcher([_Refuses(), _Proves()], cache=cache).prove_all([seq])
     assert (tmp_path / DEFAULT_FILENAME).is_file()
     assert cache.disk_entries() == 2  # the two verdicts, not the table
+    assert cache.compact(max_age=0) == 2
+    assert cache.disk_entries() == 0
+    assert (tmp_path / DEFAULT_FILENAME).is_file()
 
     reloaded = SequentCache(cache_dir=tmp_path).ordering
     assert reloaded.path == str(tmp_path / DEFAULT_FILENAME)

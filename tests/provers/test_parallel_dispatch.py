@@ -107,6 +107,37 @@ def test_digest_distinguishes_hints():
     assert base.digest() != hinted.digest()
 
 
+def test_worker_portfolio_cache_is_a_bounded_lru(monkeypatch):
+    """A farm worker keeps at most ``_MAX_CACHED_DISPATCHERS`` portfolios,
+    drops the least recently used first, and reuses a cached one."""
+    from collections import OrderedDict
+
+    from repro.provers import dispatcher
+
+    monkeypatch.setattr(dispatcher, "_PROCESS_PORTFOLIOS", OrderedDict())
+    cap = dispatcher._MAX_CACHED_DISPATCHERS
+    seq = sequent([parse("p")], parse("p"))
+    configs = [DispatchConfig(["syntactic"], sequent_budget=k + 1.0) for k in range(40)]
+
+    def run(config):
+        assert dispatcher._process_worker_chain((config, None, seq, [0])).proved
+
+    for config in configs:
+        run(config)
+    portfolios = dispatcher._PROCESS_PORTFOLIOS
+    assert len(portfolios) == cap
+    assert [key for key in portfolios] == [c.key() for c in configs[-cap:]]
+
+    oldest, last = configs[40 - cap], portfolios[configs[-1].key()]
+    run(oldest)  # a hit refreshes its entry...
+    run(configs[-1])
+    assert portfolios[configs[-1].key()] is last  # ...and reuses the portfolio
+    run(DispatchConfig(["syntactic"], sequent_budget=99.0))
+    assert len(portfolios) == cap
+    assert oldest.key() in portfolios
+    assert configs[41 - cap].key() not in portfolios
+
+
 # -- cache semantics ----------------------------------------------------------------
 
 
@@ -131,14 +162,7 @@ def test_cache_key_includes_prover_and_options():
     assert cache.lookup(seq, "smt", "timeout=1.0") is not None
     assert cache.lookup(seq, "smt", "timeout=9.0") is None  # other options
     assert cache.lookup(seq, "fol", "timeout=1.0") is None  # other prover
-
-
-def test_cache_timeout_verdicts_optional():
-    strict = SequentCache(cache_timeouts=False)
-    seq = sequent([], parse("p"))
-    assert not strict.store(seq, "smt", ProverAnswer(Verdict.TIMEOUT, "smt"))
-    default = SequentCache()
-    assert default.store(seq, "smt", ProverAnswer(Verdict.TIMEOUT, "smt"))
+    assert cache.store(seq, "fol", ProverAnswer(Verdict.TIMEOUT, "fol"), "timeout=1.0")
 
 
 def test_cache_lru_eviction():

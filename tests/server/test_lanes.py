@@ -26,8 +26,9 @@ import pytest
 
 from repro.form.parser import parse_formula as parse
 from repro.provers.base import Deadline, Prover, ProverAnswer, Verdict, registry
+from repro.provers.cache import SequentCache
 from repro.provers.dispatcher import DispatchConfig, make_provers
-from repro.server import ShardedVerdictStore, VerifyService
+from repro.server import VerifyService
 from repro.vcgen.sequent import sequent
 
 
@@ -63,7 +64,7 @@ def _service(**kwargs):
     kwargs.setdefault("lanes", 2)
     kwargs.setdefault("workers", 1)
     kwargs.setdefault("backend", "thread")
-    return VerifyService(ShardedVerdictStore(), **kwargs)
+    return VerifyService(SequentCache(), **kwargs)
 
 
 def _syntactic_seq(k=0):

@@ -62,7 +62,7 @@ def test_refuted_replays_after_a_daemon_restart_without_smt(tmp_path):
     store_dir = str(tmp_path / "store")
     batch = [_invalid(k) for k in range(3)]
 
-    first = VerifyServer(port=0, store_dir=store_dir, shards=2, window=0.01).start()
+    first = VerifyServer(port=0, store_dir=store_dir, window=0.01).start()
     try:
         with VerifyClient(port=first.port) as c:
             cold = c.prove_sequents(batch, provers=PROVERS, prover_options=OPTIONS)
@@ -73,7 +73,7 @@ def test_refuted_replays_after_a_daemon_restart_without_smt(tmp_path):
     assert [a["verdict"] for a in refuted] == ["refuted"] * 3
     assert not any(a["cached"] for a in refuted)
 
-    second = VerifyServer(port=0, store_dir=store_dir, shards=2, window=0.01).start()
+    second = VerifyServer(port=0, store_dir=store_dir, window=0.01).start()
     try:
         with VerifyClient(port=second.port) as c:
             warm = c.prove_sequents(batch, provers=PROVERS, prover_options=OPTIONS)

@@ -1,10 +1,11 @@
-"""Unit tests of the sharded verdict store and the wire encodings."""
+"""Unit tests of the daemon's verdict store (a plain ``SequentCache``) and
+the wire encodings."""
 
 import pytest
 
 from repro.form.parser import parse_formula as parse
 from repro.provers.base import ProverAnswer, Verdict
-from repro.server.store import ShardedVerdictStore
+from repro.provers.cache import SequentCache
 from repro.server.wire import (
     method_report_from_wire,
     method_report_to_wire,
@@ -25,50 +26,27 @@ def _proof(detail="t"):
     return ProverAnswer(Verdict.PROVED, "smt", time=0.01, detail=detail)
 
 
-# -- sharding -----------------------------------------------------------------
+# -- content addressing -------------------------------------------------------
 
 
-def test_shard_of_is_stable_and_in_range():
-    store = ShardedVerdictStore(shards=8)
-    for seq in _seqs():
-        index = store.shard_of(seq)
-        assert 0 <= index < 8
-        assert store.shard_of(seq) == index  # digest-derived, deterministic
-
-
-def test_entries_spread_across_shards():
-    store = ShardedVerdictStore(shards=4)
-    for seq in _seqs(32):
-        store.store(seq, "smt", _proof())
-    assert len(store) == 32
-    populated = sum(1 for shard in store.shard_caches() if len(shard) > 0)
-    assert populated >= 2  # 32 digests all hashing to one of 4 shards: ~4^-31
-
-
-def test_alpha_variant_sequents_share_shard_and_entry():
+def test_alpha_variant_sequents_share_one_entry():
     """Content addressing: structurally identical sequents (splitter
-    numbering aside) land in the same shard and hit the same entry."""
-    store = ShardedVerdictStore(shards=16)
+    numbering aside) hit the same entry."""
+    store = SequentCache()
     one = sequent([parse("x$1 : A")], parse("x$1 : A"))
     two = sequent([parse("x$9 : A")], parse("x$9 : A"))
     assert one.digest() == two.digest()
-    assert store.shard_of(one) == store.shard_of(two)
     store.store(one, "smt", _proof())
     hit = store.lookup(two, "smt")
     assert hit is not None and hit.verdict is Verdict.PROVED
     assert len(store) == 1
 
 
-def test_rejects_invalid_shard_count():
-    with pytest.raises(ValueError):
-        ShardedVerdictStore(shards=0)
+# -- lookup / store -----------------------------------------------------------
 
 
-# -- the SequentCache interface -----------------------------------------------
-
-
-def test_lookup_store_roundtrip_and_aggregate_stats():
-    store = ShardedVerdictStore(shards=4)
+def test_lookup_store_roundtrip_and_stats():
+    store = SequentCache()
     seqs = _seqs(6)
     assert store.lookup(seqs[0], "smt") is None
     for seq in seqs:
@@ -78,7 +56,7 @@ def test_lookup_store_roundtrip_and_aggregate_stats():
         assert hit is not None
         assert hit.verdict is Verdict.PROVED
         assert hit.detail == "cold"
-    stats = store.stats  # merged across shards
+    stats = store.stats
     assert stats.stores == 6
     assert stats.hits == 6
     assert stats.misses == 1
@@ -87,31 +65,32 @@ def test_lookup_store_roundtrip_and_aggregate_stats():
 
 def test_disk_tier_shared_between_store_instances(tmp_path):
     seqs = _seqs(5)
-    writer = ShardedVerdictStore(tmp_path, shards=4)
+    writer = SequentCache(cache_dir=tmp_path)
     for seq in seqs:
         writer.store(seq, "smt", _proof())
-    shard_dirs = sorted(p.name for p in tmp_path.iterdir())
-    assert all(name.startswith("shard-") for name in shard_dirs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{SequentCache.key(seq, 'smt')}.json" for seq in seqs
+    )
 
-    reader = ShardedVerdictStore(tmp_path, shards=4)  # fresh memory tiers
+    reader = SequentCache(cache_dir=tmp_path)  # fresh memory tier
     for seq in seqs:
         assert reader.lookup(seq, "smt") is not None
     assert reader.stats.disk_hits == 5
 
 
-def test_clear_disk_empties_every_shard(tmp_path):
-    store = ShardedVerdictStore(tmp_path, shards=4)
+def test_clear_disk_empties_the_store(tmp_path):
+    store = SequentCache(cache_dir=tmp_path)
     for seq in _seqs(8):
         store.store(seq, "smt", _proof())
     store.clear(disk=True)
     assert len(store) == 0
-    assert not any(tmp_path.glob("shard-*/*.json"))
-    fresh = ShardedVerdictStore(tmp_path, shards=4)
+    assert not any(tmp_path.glob("*.json"))
+    fresh = SequentCache(cache_dir=tmp_path)
     assert fresh.lookup(_seqs(1)[0], "smt") is None
 
 
 def test_options_signature_is_part_of_the_key():
-    store = ShardedVerdictStore(shards=4)
+    store = SequentCache()
     seq = _seqs(1)[0]
     store.store(seq, "smt", _proof(), options_signature="timeout=1")
     assert store.lookup(seq, "smt", "timeout=1") is not None
@@ -154,8 +133,6 @@ def test_cache_compact_enforces_entry_cap_oldest_first(tmp_path):
     import os
     import time as _time
 
-    from repro.provers.cache import SequentCache
-
     cache = SequentCache(cache_dir=tmp_path)
     seqs = _seqs(6)
     for k, seq in enumerate(seqs):
@@ -179,8 +156,6 @@ def test_cache_compact_enforces_age_cap_and_sweeps_stale_tmp(tmp_path):
     import os
     import time as _time
 
-    from repro.provers.cache import SequentCache
-
     cache = SequentCache(cache_dir=tmp_path)
     old, new = _seqs(2)
     cache.store(old, "smt", _proof())
@@ -202,51 +177,22 @@ def test_cache_compact_enforces_age_cap_and_sweeps_stale_tmp(tmp_path):
 
 
 def test_memory_only_compact_is_a_noop():
-    from repro.provers.cache import SequentCache
-
     cache = SequentCache()
     cache.store(_seqs(1)[0], "smt", _proof())
     assert cache.compact(max_entries=0) == 0
     assert cache.disk_entries() == 0
 
-    store = ShardedVerdictStore(shards=4)  # memory-only sharded store
-    assert store.compact(max_entries=0) == 0
-    assert store.compactions == 0
-
-
-def test_sharded_store_compacts_to_instance_caps(tmp_path):
-    store = ShardedVerdictStore(
-        tmp_path, shards=1, max_disk_entries=3
-    )  # one shard: the per-shard split leaves the cap exact
-    for seq in _seqs(10):
-        store.store(seq, "smt", _proof())
-    assert store.disk_entries() == 10
-
-    evicted = store.compact()  # no arguments: the instance caps apply
-    assert evicted == 7
-    assert store.disk_entries() == 3
-    assert store.compactions == 1
-    assert store.evicted_entries == 7
-
-    # An uncapped store compacts only when the call provides caps.
-    uncapped = ShardedVerdictStore(tmp_path, shards=1)
-    assert uncapped.compact() == 0
-    assert uncapped.compact(max_entries=1) == 2
-    assert uncapped.disk_entries() == 1
-
 
 def test_evicted_entries_reprove_instead_of_tearing(tmp_path):
-    store = ShardedVerdictStore(tmp_path, shards=2)
+    store = SequentCache(cache_dir=tmp_path)
     seqs = _seqs(4)
     for seq in seqs:
         store.store(seq, "smt", _proof("original"))
-    # max_age=0 evicts everything already written (the entry cap keeps a
-    # per-shard floor of one, so the age cap is the evict-it-all lever).
-    store.compact(max_age=0.0)
+    store.compact(max_entries=0)
     assert store.disk_entries() == 0
 
-    # A fresh instance (cold memory tiers) misses cleanly and re-stores.
-    fresh = ShardedVerdictStore(tmp_path, shards=2)
+    # A fresh instance (cold memory tier) misses cleanly and re-stores.
+    fresh = SequentCache(cache_dir=tmp_path)
     assert fresh.lookup(seqs[0], "smt") is None
     fresh.store(seqs[0], "smt", _proof("reproved"))
     hit = fresh.lookup(seqs[0], "smt")
