@@ -77,12 +77,6 @@ def main() -> None:
         help="enforced per-sequent time budget in seconds (default: none)",
     )
     parser.add_argument(
-        "--static-tier", action="store_true",
-        help="enable the static-discharge pre-pass: sequents provable from "
-        "dataflow facts alone resolve with the STATIC verdict before any "
-        "prover runs (adds the Static column to the table)",
-    )
-    parser.add_argument(
         "--server", default=None, metavar="HOST:PORT",
         help="verify through a running daemon (python -m repro.server) "
         "instead of in-process; its verdict store replaces --cache-dir",
@@ -97,16 +91,14 @@ def main() -> None:
 
     names = args.names or list(suite.FIGURE15_NAMES)
     provers = ["smt", "fol", "mona", "bapa"]
-    # What a daemon honours too; the executor, dedup and the static tier
-    # are local-dispatch settings (the daemon runs its own farm and dedup).
+    # What a daemon honours too; the executor and dedup are local-dispatch
+    # settings (the daemon runs its own farm and dedup).
     settings = dict(
         provers=provers,
         prover_options={"smt": {"timeout": 3.0}, "fol": {"timeout": 1.5}},
         sequent_budget=args.budget,
     )
-    config = DispatchConfig.for_verify(
-        **settings, dedup=True, workers=args.workers, static_tier=args.static_tier
-    )
+    config = DispatchConfig.for_verify(**settings, dedup=True, workers=args.workers)
     client = cache = None
     if args.server:
         from repro.server import VerifyClient
@@ -141,12 +133,6 @@ def main() -> None:
         f"{dispatched} sequents dispatched: {live} proved live, "
         f"{replayed} replayed (shared cache + dedup pre-pass)."
     )
-    statically = sum(r.statically_discharged for r in reports)
-    if statically:
-        print(
-            f"{statically} sequents statically discharged before any prover ran "
-            "(dataflow facts alone)."
-        )
     if client is not None:
         stats = client.stats()
         store, service = stats["store"], stats["service"]

@@ -4,14 +4,14 @@ This package sits between the frontend (:mod:`repro.java`, :mod:`repro.spec`)
 and VC generation (:mod:`repro.vcgen`): it checks specifications for
 well-formedness, methods for frame (``modifies``) violations, and guarded
 commands for unreachable code and reachable ``assume`` statements — all
-*before* any prover runs.  It also hosts the static-discharge tier
-(:mod:`repro.analysis.discharge`) that resolves trivial proof obligations
-from dataflow facts alone.
+*before* any prover runs.  Its available-assumes analysis
+(:mod:`repro.analysis.discharge`) flags asserts that dataflow facts alone
+settle (lint CFG03); proving trivial sequents is the syntactic prover's job
+(:mod:`repro.provers.syntactic`).
 """
 
 from .cfg import CFG, BasicBlock, DataflowAnalysis, build_cfg, run_dataflow  # noqa: F401
 from .diagnostics import Diagnostic, Severity  # noqa: F401
-from .discharge import StaticDischarger  # noqa: F401
 from .linter import LintReport, lint_program, lint_source  # noqa: F401
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "run_dataflow",
     "Diagnostic",
     "Severity",
-    "StaticDischarger",
     "LintReport",
     "lint_program",
     "lint_source",

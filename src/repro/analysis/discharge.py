@@ -1,76 +1,33 @@
-"""Static discharge: proof obligations resolved from dataflow facts alone.
+"""Dominated asserts: proof obligations settled by dataflow facts alone.
 
-Two views of the same fact are implemented here and pinned equal by the
-tests:
+:class:`AvailableAssumes` is a forward *must* dataflow analysis over the
+CFG of a desugared method body: at each program point, the set of formulas
+assumed (or previously asserted) on **every** path reaching it, with
+formulas killed whenever an intervening ``assign``/``havoc`` touches one of
+their free variables.  An ``assert`` whose formula is available is
+*dominated by an identical assume* and needs no prover;
+:func:`find_dominated_asserts` reports those (and the trivially true ones)
+for the CFG03 lint.
 
-* :class:`AvailableAssumes` — a forward *must* dataflow analysis over the
-  CFG of a desugared method body: at each program point, the set of formulas
-  assumed (or previously asserted) on **every** path reaching it, with
-  formulas killed whenever an intervening ``assign``/``havoc`` touches one
-  of their free variables.  An ``assert`` whose formula is available is
-  *dominated by an identical assume* and needs no prover.
-
-* :class:`StaticDischarger` — the same criterion applied to one
-  :class:`~repro.vcgen.sequent.Sequent`.  The VC generator's path explorer
-  already renames state variables to fresh incarnations at every havoc and
-  substitutes assignments away, so "the goal is structurally equal to an
-  assumption" is exactly the dominated-assume fact above — plus the
-  trivially-true goals (``x = x``, ``True``, conjunctions thereof) that
-  simplification leaves behind.
-
-The dispatcher (:mod:`repro.provers.dispatcher`) consults
-:class:`StaticDischarger` as a pre-pass and resolves hits with the
-``STATIC`` verdict before any prover runs.
+The sequent-level counterpart is the syntactic prover
+(:mod:`repro.provers.syntactic`), which the dispatcher offers every sequent
+first: the VC generator's path explorer has already renamed state variables
+at every havoc and substituted assignments away, so a dominated assert
+becomes a sequent whose goal occurs among its assumptions.  The shape checks
+:func:`~repro.provers.syntactic.trivially_true` and
+:func:`~repro.provers.syntactic.trivially_false` live there and are shared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import FrozenSet, List, Optional, Sequence, Union
 
 from ..form import ast as F
 from ..form.subst import free_vars_with_builtins
 from ..gcl.commands import Assert, Assign, Assume, Command, Havoc
-from ..vcgen.sequent import Sequent
+from ..provers.syntactic import trivially_false, trivially_true
 from .cfg import CFG, BasicBlock, DataflowAnalysis, build_cfg, run_dataflow
-
-
-# ---------------------------------------------------------------------------
-# Trivial truth
-# ---------------------------------------------------------------------------
-
-
-def trivially_true(term: F.Term) -> bool:
-    """Syntactic validity: true in every interpretation, by shape alone."""
-    if isinstance(term, F.BoolLit):
-        return term.value
-    if isinstance(term, F.Eq):
-        return term.lhs == term.rhs
-    if isinstance(term, F.Iff):
-        return term.lhs == term.rhs or (trivially_true(term.lhs) and trivially_true(term.rhs))
-    if isinstance(term, F.And):
-        return all(trivially_true(sub) for sub in term.args)
-    if isinstance(term, F.Or):
-        return any(trivially_true(sub) for sub in term.args)
-    if isinstance(term, F.Implies):
-        return trivially_true(term.rhs) or trivially_false(term.lhs)
-    if isinstance(term, F.Not):
-        return trivially_false(term.arg)
-    if isinstance(term, F.Quant):
-        return trivially_true(term.body)
-    return False
-
-
-def trivially_false(term: F.Term) -> bool:
-    if isinstance(term, F.BoolLit):
-        return not term.value
-    if isinstance(term, F.Not):
-        return trivially_true(term.arg)
-    if isinstance(term, F.And):
-        return any(trivially_false(sub) for sub in term.args)
-    if isinstance(term, F.Or):
-        return all(trivially_false(sub) for sub in term.args)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -181,71 +138,3 @@ def find_dominated_asserts(command: Command, cfg: Optional[CFG] = None) -> List[
                     dominated.append(DominatedAssert(cmd, index, "assumption"))
             fact = AvailableAssumes.transfer_command(cmd, fact)
     return dominated
-
-
-# ---------------------------------------------------------------------------
-# Sequent view: the dispatcher pre-pass
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StaticDischarger:
-    """Decides whether a sequent is provable from dataflow facts alone.
-
-    The criteria mirror :func:`find_dominated_asserts` at the sequent level
-    (the path explorer has already applied the incarnation renaming, so
-    assumption formulas *are* the available assumes at the assert site),
-    extended with what the VC splitter's syntactic elimination does *not*
-    already remove (``split_goal`` discards verbatim goal-in-assumptions
-    matches and literal ``True`` goals before the dispatcher ever sees
-    them, so the pre-pass earns its keep on the remainder):
-
-    * the goal is trivially true by shape (``x = x``, ``P <-> P``,
-      conjunctions, disjunctions or quantifications thereof);
-    * the goal is structurally equal to an assumption (dominated assume —
-      only reachable through :meth:`check` on sequents built outside the
-      splitter, e.g. hand-assembled or daemon-batched ones);
-    * the goal ``a = b`` is the mirror image of an assumption ``b = a``
-      (equality is symmetric);
-    * the goal occurs verbatim among the conjuncts of an assumption
-      (``A /\\ B |- A``);
-    * the assumptions are contradictory — one is trivially false, or two
-      are complementary (``F`` and ``~F``) — so the path is infeasible.
-
-    Every criterion is a structural check, sound by inspection; no search,
-    no instantiation, no rewriting happens here.
-    """
-
-    checked: int = 0
-    discharged: int = 0
-    by_reason: Dict[str, int] = field(default_factory=dict)
-
-    def check(self, sequent: Sequent) -> Optional[str]:
-        """The discharge reason, or None if a prover is needed."""
-        self.checked += 1
-        reason = self._classify(sequent)
-        if reason is not None:
-            self.discharged += 1
-            self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
-        return reason
-
-    @staticmethod
-    def _classify(sequent: Sequent) -> Optional[str]:
-        goal = sequent.goal.formula
-        if trivially_true(goal):
-            return "trivial"
-        forms = [assumption.formula for assumption in sequent.assumptions]
-        available = set(forms)
-        if goal in available:
-            return "assumption"
-        if isinstance(goal, F.Eq) and F.Eq(goal.rhs, goal.lhs) in available:
-            return "symmetric-equality"
-        for formula in forms:
-            if isinstance(formula, F.And) and goal in formula.args:
-                return "conjunct"
-        for formula in forms:
-            if trivially_false(formula):
-                return "contradiction"
-            if isinstance(formula, F.Not) and formula.arg in available:
-                return "contradiction"
-        return None

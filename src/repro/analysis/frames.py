@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set
 
 from ..form import ast as F
 from ..gcl.commands import Assign, Choice, Command, Havoc, If, Loop, Seq
-from ..gcl.translate import MethodTranslator, TranslationError
+from ..gcl.translate import SPEC_TEXT_ERRORS, MethodTranslator, TranslationError
 from ..java.resolver import MethodInfo, Program
 from .diagnostics import Diagnostic, Severity
 
@@ -123,8 +123,9 @@ def check_frames(program: Program, file: str = "<source>") -> List[Diagnostic]:
             continue
         try:
             effects = method_effects(program, class_name, method_name)
-        except TranslationError:
-            # Outside the verified subset; the verifier reports this itself.
+        except (TranslationError, *SPEC_TEXT_ERRORS):
+            # Outside the verified subset, which the verifier reports itself,
+            # or malformed spec text in the body, which SPEC04 reports.
             continue
         if effects is None:
             continue

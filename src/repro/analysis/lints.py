@@ -41,7 +41,7 @@ from ..gcl.commands import (
     desugar,
     seq_of,
 )
-from ..gcl.translate import MethodTranslator, TranslationError
+from ..gcl.translate import SPEC_TEXT_ERRORS, MethodTranslator, TranslationError
 from ..java.resolver import Program
 from ..smt.instantiate import InstantiationConfig, infer_triggers
 from ..vcgen.vcgen import _command_map, generate_method_vc
@@ -283,7 +283,9 @@ def check_hints(program: Program, file: str = "<source>") -> List[Diagnostic]:
     A hint that selects nothing is silently useless: the prover sees the
     other hints' assumptions only (or, if none match, all of them), not the
     fact the author meant.  Only methods with hinted statements pay for VC
-    generation.
+    generation.  This is the first pass to translate every method body, so
+    it also reports malformed spec text inside a body (a loop invariant or a
+    ``//:`` statement) as SPEC04 on the offending statement's line.
     """
     diagnostics: List[Diagnostic] = []
     for (class_name, method_name), info in sorted(program.methods.items()):
@@ -294,11 +296,23 @@ def check_hints(program: Program, file: str = "<source>") -> List[Diagnostic]:
             hinted = _hinted(translator.translate().command)
         except TranslationError:
             continue
+        except SPEC_TEXT_ERRORS as exc:
+            diagnostics.append(Diagnostic(
+                rule="SPEC04", severity=Severity.ERROR,
+                message=f"specification in the method body does not parse: {exc}",
+                file=file, line=translator.line,
+                class_name=class_name, method_name=method_name,
+            ))
+            continue
         if not hinted:
             continue
         lines = {command.label: command.line for command in hinted}
+        try:
+            sequents = generate_method_vc(program, class_name, method_name).sequents
+        except SPEC_TEXT_ERRORS:
+            continue  # malformed contract text, reported by check_specs
         reported = set()
-        for sequent in generate_method_vc(program, class_name, method_name).sequents:
+        for sequent in sequents:
             label = sequent.origin[len(f"{class_name}.{method_name}:"):]
             for hint in sequent.unmatched_hints():
                 if (label, hint) in reported:
@@ -330,8 +344,8 @@ def check_method_cfg(
     translator = MethodTranslator(program, class_name, info.decl, postcondition=F.TRUE)
     try:
         translation = translator.translate()
-    except TranslationError:
-        return []  # outside the subset; the verifier reports this itself
+    except (TranslationError, *SPEC_TEXT_ERRORS):
+        return []  # outside the subset (the verifier reports it) or SPEC04's
     # Model the method entry the way the VC generator does: the requires
     # clause and the class invariants hold on entry.  Without them CFG03
     # would miss asserts dominated by the precondition.
@@ -383,7 +397,7 @@ def check_method_cfg(
                          "(the suite verifies assume-free)"),
                 **common(cmd.line)))
 
-    # CFG03: asserts the static-discharge tier would resolve without a prover.
+    # CFG03: asserts that dataflow facts alone settle, without a prover.
     # Vacuous ones (dead code past an ``assume False``) are CFG01's business.
     for dominated in find_dominated_asserts(body, cfg):
         cmd = dominated.command

@@ -78,10 +78,6 @@ class MethodReport:
     #: (and this reproduction's, since the set-of-support engine landed) is
     #: full verification with ``trusted_assumes == 0``.
     trusted_assumes: int = 0
-    #: Sequents resolved by the static-discharge pre-pass
-    #: (:mod:`repro.analysis.discharge`) before the cache or any prover ran;
-    #: zero unless the dispatch enabled ``static_tier``.
-    statically_discharged: int = 0
     #: Frontend wall time outside the provers: ``parse`` (Java source to
     #: program, zero when an already-parsed program was passed) and
     #: ``vcgen`` (weakest-precondition generation plus splitting).
@@ -150,10 +146,6 @@ class MethodReport:
             "=" * 56,
             f"Built-in checker proved {self.proved_during_splitting} sequents during splitting.",
         ]
-        if self.statically_discharged:
-            lines.append(
-                f"Static tier discharged {self.statically_discharged} sequents before dispatch."
-            )
         for prover in self.prover_order:
             stats = self.prover_stats.get(prover)
             if stats is None or stats.attempted == 0:
@@ -265,10 +257,6 @@ class ClassReport:
         return sum(method.trusted_assumes for method in self.methods)
 
     @property
-    def statically_discharged(self) -> int:
-        return sum(method.statically_discharged for method in self.methods)
-
-    @property
     def instantiations(self) -> int:
         return sum(method.instantiations for method in self.methods)
 
@@ -316,8 +304,6 @@ class ClassReport:
         provers = list(provers or self.prover_order)
         row: Dict[str, str] = {"Data Structure": self.class_name}
         row["Syntactic"] = str(self.proved_by("syntactic") + self.proved_during_splitting)
-        if self.statically_discharged:
-            row["Static"] = str(self.statically_discharged)
         for prover in provers:
             if prover == "syntactic":
                 continue
@@ -330,16 +316,9 @@ class ClassReport:
 
 
 def format_table(reports: Sequence[ClassReport], provers: Sequence[str]) -> str:
-    """Format several class reports as the Figure 15 table.
-
-    The ``Static`` column (sequents resolved by the static-discharge
-    pre-pass) only appears when some run enabled the tier, so default
-    tables are unchanged.
-    """
+    """Format several class reports as the Figure 15 table."""
     rows = [report.row(provers) for report in reports]
     columns = ["Data Structure", "Syntactic"]
-    if any("Static" in row for row in rows):
-        columns.append("Static")
     columns += [p for p in provers if p != "syntactic"] + ["Total Time", "Verified"]
     widths = {column: len(column) for column in columns}
     for row in rows:

@@ -35,10 +35,6 @@ Dispatch settings are the fields of one frozen
 * ``dedup=True`` groups the split sequents by structural digest before
   dispatch, proves one representative per group and replays its verdict for
   the duplicates (reported like cache replays, never as live proofs).
-* ``static_tier=True`` enables the static-discharge pre-pass
-  (:mod:`repro.analysis.discharge`): sequents provable from dataflow facts
-  alone resolve with the ``STATIC`` verdict before the cache or any prover
-  runs, counted in the report's ``statically_discharged``.
 
 ``cache=`` is not a setting but a shared resource: a
 :class:`repro.provers.cache.SequentCache` memoises proved (and refuted)
@@ -169,7 +165,6 @@ def verify(
         worker_utilization=dict(dispatched.worker_utilization),
         dedup_replayed=dispatched.dedup_replayed,
         trusted_assumes=method_vc.trusted_assumes,
-        statically_discharged=dispatched.statically_discharged,
         frontend_phases={"parse": parse_time, "vcgen": vcgen_time},
         batch_wall_time=dispatched.batch_wall_time,
     )

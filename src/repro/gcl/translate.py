@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..form import ast as F
+from ..form.parser import ParseError
 from ..form.types import INT, OBJ, TFun
 from ..java import ast as J
 from ..java.resolver import Program
@@ -26,6 +27,7 @@ from ..spec import (
     HavocSpec,
     LocalSpecVar,
     NoteSpec,
+    SpecParseError,
     parse_statement,
 )
 from .commands import Assert, Assign, Assume, Choice, Command, Havoc, If, Loop, Note, SKIP, Seq, seq
@@ -33,6 +35,11 @@ from .commands import Assert, Assign, Assume, Choice, Command, Havoc, If, Loop, 
 
 class TranslationError(Exception):
     """Raised when a construct is outside the supported Java subset."""
+
+
+#: What :meth:`MethodTranslator.translate` raises on malformed specification
+#: text inside a method body (a loop invariant or a ``//:`` statement).
+SPEC_TEXT_ERRORS = (ParseError, SpecParseError)
 
 
 @dataclass
@@ -65,8 +72,9 @@ class MethodTranslator:
         self._pending_checks: List[Assert] = []
         #: Source line of the statement currently being translated; stamped
         #: onto every command produced so lint findings and CFG nodes can
-        #: point back into the Java source.
-        self._line = 0
+        #: point back into the Java source.  When :meth:`translate` raises,
+        #: it is the offending statement's line.
+        self.line = 0
 
     # -- helpers ------------------------------------------------------------------
 
@@ -82,7 +90,7 @@ class MethodTranslator:
         return info is not None and not info.is_static
 
     def _check(self, formula: F.Term, label: str) -> None:
-        self._pending_checks.append(Assert(formula, label=label, line=self._line))
+        self._pending_checks.append(Assert(formula, label=label, line=self.line))
 
     def _take_checks(self) -> List[Command]:
         checks, self._pending_checks = self._pending_checks, []
@@ -155,8 +163,8 @@ class MethodTranslator:
 
     def statement(self, statement: J.Stmt) -> Command:
         if getattr(statement, "line", 0):
-            self._line = statement.line
-        line = self._line
+            self.line = statement.line
+        line = self.line
         if isinstance(statement, J.Block):
             return self.block(statement)
         if isinstance(statement, J.LocalDecl):
@@ -201,7 +209,7 @@ class MethodTranslator:
         if isinstance(value, (J.NewObject, J.NewArray)):
             return self._allocation(target, value)
         translated = self.expr(value)
-        line = self._line
+        line = self.line
         if isinstance(target, J.VarRef):
             checks = self._take_checks()
             return Seq(tuple(checks + [Assign(target.name, translated, line=line)]))
@@ -257,7 +265,7 @@ class MethodTranslator:
                 )
             )
         checks = self._take_checks()
-        line = self._line
+        line = self.line
         allocation = [
             Havoc((fresh,), line=line),
             Assume(F.mk_and(tuple(facts)), label="new", line=line),
@@ -270,7 +278,7 @@ class MethodTranslator:
 
     def _spec_statement(self, text: str) -> Command:
         commands: List[Command] = []
-        line = self._line
+        line = self.line
         for item in parse_statement(text):
             if isinstance(item, GhostAssign):
                 commands.append(self._ghost_assign(item))
@@ -311,8 +319,8 @@ class MethodTranslator:
             receiver_text, _, field_name = item.target_text.rpartition("..")
             receiver = self.program.parse(receiver_text)
             update = F.mk_field_write(F.Var(field_name), receiver, value)
-            return Assign(field_name, update, line=self._line)
-        return Assign(item.target_text, value, line=self._line)
+            return Assign(field_name, update, line=self.line)
+        return Assign(item.target_text, value, line=self.line)
 
     # -- loop invariants -----------------------------------------------------------------------
 

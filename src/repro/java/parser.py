@@ -70,7 +70,12 @@ class JavaParser:
                 spec_token = self.advance()
                 text = spec_token.value
                 if text.startswith("claimedby"):
-                    claimed_by = text.split()[1].strip()
+                    words = text.split()
+                    if len(words) < 2:
+                        raise JavaSyntaxError(
+                            "'claimedby' needs a class name", spec_token.line
+                        )
+                    claimed_by = words[1].strip()
                 else:
                     leading_spec = leading_spec + [(text, spec_token.line)]
             else:

@@ -182,9 +182,6 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
     UNSUPPORTED = "unsupported"  # the sequent falls outside the prover's fragment
     TIMEOUT = "timeout"
-    #: Resolved by the static-discharge pre-pass (dataflow facts alone, no
-    #: prover ran); counts as proved.
-    STATIC = "static"
     #: The sequent is invalid: the answer's detail is a finite countermodel
     #: that an exact evaluation checked against every assumption and the
     #: goal (:mod:`repro.provers.countermodel`).  Counts as not proved, but
@@ -221,7 +218,7 @@ class ProverAnswer:
 
     @property
     def proved(self) -> bool:
-        return self.verdict is Verdict.PROVED or self.verdict is Verdict.STATIC
+        return self.verdict is Verdict.PROVED
 
     @property
     def settles(self) -> bool:

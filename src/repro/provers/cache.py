@@ -65,11 +65,6 @@ from .base import ProverAnswer, Verdict
 from .ordering import DEFAULT_FILENAME as ORDERING_FILENAME
 from .ordering import ProverOrdering
 
-#: Verdicts the cache stores: every prover answer (``STATIC`` is the
-#: pre-pass's, not a prover's).  ``REFUTED`` is as definitive as ``PROVED``:
-#: its detail carries the checked countermodel.
-CACHEABLE = frozenset(Verdict) - {Verdict.STATIC}
-
 #: Monotonic per-process counter making disk-tier temp names unique per
 #: writer (``next()`` on an ``itertools.count`` is atomic under the GIL).
 _TMP_COUNTER = itertools.count()
@@ -177,9 +172,7 @@ class SequentCache:
         answer: ProverAnswer,
         options_signature: str = "",
     ) -> bool:
-        """Cache a freshly computed answer; returns False when not cacheable."""
-        if answer.verdict not in CACHEABLE:
-            return False
+        """Cache a freshly computed answer; every verdict is cacheable."""
         cache_key = self.key(sequent, prover_name, options_signature)
         entry = CachedAnswer(answer.verdict, answer.detail, proof_time=answer.time)
         with self._lock:

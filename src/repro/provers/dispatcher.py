@@ -12,15 +12,12 @@ included — feed the Figure 7 / Figure 15 reports.
 
 Every setting of a dispatch lives in one frozen :class:`DispatchConfig`:
 the prover chain (aliases resolved), the prover options, the per-sequent
-budget, the dedup and static-tier pre-passes, and the executor (``workers``
-and ``backend``).  :class:`Dispatcher` runs one batch in three steps:
+budget, the dedup pre-pass, and the executor (``workers`` and
+``backend``).  :class:`Dispatcher` runs one batch in three steps:
 
 1. the pre-pass, in the calling thread: ``dedup=True`` groups the batch by
-   structural digest so only one representative per group is proved, and
-   ``static_tier=True`` resolves sequents provable from dataflow facts
-   alone (:class:`repro.analysis.discharge.StaticDischarger`) with the
-   ``STATIC`` verdict before the cache or any prover is consulted;
-2. each sequent left open goes to an executor: inline for ``workers=1``, a
+   structural digest so only one representative per group is proved;
+2. each representative goes to an executor: inline for ``workers=1``, a
    thread pool, or a process pool (``backend="process"``);
 3. one merge folds the outcomes back in sequent order, fanning each
    representative's verdict out to its duplicates as replayed (``cached``)
@@ -103,9 +100,9 @@ class DispatchConfig:
     configuration.  ``prover_options`` maps an engine name to the keyword
     arguments its prover is built with.  ``sequent_budget`` bounds (and
     enforces) the time the whole chain may spend on one sequent.  ``dedup``
-    and ``static_tier`` enable the two pre-passes (see the module
-    docstring).  ``workers`` and ``backend`` choose the executor: inline for
-    one worker, else a pool of ``workers`` threads or processes.
+    enables the pre-pass (see the module docstring).  ``workers`` and
+    ``backend`` choose the executor: inline for one worker, else a pool of
+    ``workers`` threads or processes.
 
     A config is immutable and picklable — the process executor ships it to
     its workers, which rebuild the portfolio with :meth:`make_provers`.
@@ -115,7 +112,6 @@ class DispatchConfig:
     prover_options: Dict[str, dict] = field(default_factory=dict)
     sequent_budget: Optional[float] = None
     dedup: bool = False
-    static_tier: bool = False
     workers: int = 1
     backend: str = "thread"
 
@@ -226,12 +222,6 @@ class DispatchResult:
         return len(self.outcomes)
 
     @property
-    def statically_discharged(self) -> int:
-        """Sequents resolved by the static-discharge pre-pass (directly or
-        fanned out from a statically discharged dedup representative)."""
-        return sum(1 for o in self.outcomes if o.proved and o.prover == "static")
-
-    @property
     def proved(self) -> int:
         return sum(1 for outcome in self.outcomes if outcome.proved)
 
@@ -267,7 +257,7 @@ class DispatchResult:
 
 
 # ---------------------------------------------------------------------------
-# The pre-pass: dedup and the static tier
+# The pre-pass: dedup
 # ---------------------------------------------------------------------------
 
 
@@ -309,20 +299,6 @@ def _replayed_outcome(sequent: Sequent, representative: SequentOutcome) -> Seque
     )
 
 
-def _static_outcome(sequent: Sequent, reason: str) -> SequentOutcome:
-    """A sequent resolved by the static-discharge pre-pass: a ``STATIC``
-    verdict attributed to the pseudo-prover ``"static"``, zero prover time.
-
-    Static answers are never cached — deciding one costs less than the cache
-    lookup would, and a stored ``STATIC`` would misattribute the verdict to a
-    prover signature on later runs.
-    """
-    answer = ProverAnswer(
-        Verdict.STATIC, "static", time=0.0, detail=f"static discharge: {reason}"
-    )
-    return SequentOutcome(sequent=sequent, proved=True, prover="static", answers=[answer])
-
-
 # ---------------------------------------------------------------------------
 # The prover chain on one sequent (shared by every executor)
 # ---------------------------------------------------------------------------
@@ -361,7 +337,7 @@ def _ranked(
     """The sequent's feature bucket and its live provers in learned order.
 
     Called only once the cache scan has left provers to run, so a sequent
-    settled by dedup, the static tier or the cache never pays for
+    settled by dedup or the cache never pays for
     :func:`sequent_features`.
     """
     bucket = sequent_features(sequent)
@@ -457,9 +433,6 @@ def _merge_outcomes(
     count as cache hits and are never recorded in :class:`ProverStats` (the
     prover did not run); live answers count as misses (when a cache was
     consulted) and accumulate per-prover statistics and CPU time.
-    ``STATIC`` answers are neither: the pre-pass resolved the sequent before
-    the cache was consulted, so they accrue (zero-time) stats under the
-    ``"static"`` pseudo-prover without touching the cache counters.
     """
     for outcome in outcomes:
         result.outcomes.append(outcome)
@@ -468,8 +441,6 @@ def _merge_outcomes(
                 result.cache_stats.hits += 1
                 continue
             result.stats.setdefault(answer.prover, ProverStats()).record(answer)
-            if answer.verdict is Verdict.STATIC:
-                continue
             if cache_enabled:
                 result.cache_stats.misses += 1
             result.cpu_time += answer.time
@@ -571,12 +542,6 @@ class Dispatcher:
         self.ordering = ordering if ordering is not None else (
             cache.ordering if cache is not None else ProverOrdering()
         )
-        self.static = None
-        if self.config.static_tier:
-            # Lazy import: the analysis package sits above the prover layer.
-            from ..analysis.discharge import StaticDischarger
-
-            self.static = StaticDischarger()
         # Pool threads keep their portfolios across batches (a lent pool
         # serves many prove_all calls); a thread runs one task at a time, so
         # a portfolio is never shared.
@@ -599,15 +564,10 @@ class Dispatcher:
         result = DispatchResult(workers=self.config.workers)
         rep = _dedup_representatives(sequents) if self.config.dedup else None
         outcomes: List[Optional[SequentOutcome]] = [None] * len(sequents)
-        open_indices: List[int] = []
-        for index, sequent in enumerate(sequents):
-            if rep is not None and rep[index] != index:
-                continue  # a duplicate: fanned out from its representative below
-            reason = self.static.check(sequent) if self.static is not None else None
-            if reason is not None:
-                outcomes[index] = _static_outcome(sequent, reason)
-            else:
-                open_indices.append(index)
+        # Duplicates are fanned out from their representative below.
+        open_indices = [
+            index for index in range(len(sequents)) if rep is None or rep[index] == index
+        ]
 
         busy: Dict[str, float] = {}
         if self.executor is None and self.config.workers == 1:

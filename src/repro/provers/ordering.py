@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..form import ast as F
 from ..vcgen.sequent import Sequent
-from .base import ProverAnswer, Verdict
+from .base import ProverAnswer
 
 #: Stats-table schema version; bump on incompatible layout changes (old
 #: files are discarded, not migrated — the table is a cache of hints).
@@ -287,11 +287,10 @@ class ProverOrdering:
 
         ``bucket`` is the sequent's feature key when the caller already
         computed it for :meth:`rank_bucket`.  Cached replays teach nothing
-        new (their stats were recorded when first proved); truncated answers
-        reflect a clipped slice, not the prover; and ``STATIC`` discharges
-        never ran a prover at all.  All are ignored.
+        new (their stats were recorded when first proved), and truncated
+        answers reflect a clipped slice, not the prover.  Both are ignored.
         """
-        if answer.cached or answer.truncated or answer.verdict is Verdict.STATIC:
+        if answer.cached or answer.truncated:
             return
         # A refutation settles the sequent as surely as a proof: counting it
         # as a failure would demote the refuting prover to the hopeless tier

@@ -5,6 +5,10 @@ trivially valid: the goal is (or simplifies to) ``True``, an assumption is
 (or simplifies to) ``False``, or the goal occurs among the assumptions
 modulo simple validity-preserving transformations (alpha-renaming, symmetry
 of equality, double negation, commutativity of conjunction/disjunction).
+This is the one place that decides validity by structure alone: the shape
+checks :func:`trivially_true` and :func:`trivially_false` run on the raw
+formulas too, and the CFG03 lint (:mod:`repro.analysis.discharge`) shares
+them.
 
 In practice this discharges a large fraction of the conjuncts of every
 verification condition — e.g. the null-dereference checks that recur along
@@ -21,6 +25,40 @@ from ..form.rewrite import simplify
 from ..form.subst import alpha_equal, free_vars
 from ..vcgen.sequent import Sequent
 from .base import Deadline, Prover, ProverAnswer, Verdict
+
+
+def trivially_true(term: F.Term) -> bool:
+    """Syntactic validity: true in every interpretation, by shape alone."""
+    if isinstance(term, F.BoolLit):
+        return term.value
+    if isinstance(term, F.Eq):
+        return term.lhs == term.rhs
+    if isinstance(term, F.Iff):
+        return term.lhs == term.rhs or (trivially_true(term.lhs) and trivially_true(term.rhs))
+    if isinstance(term, F.And):
+        return all(trivially_true(sub) for sub in term.args)
+    if isinstance(term, F.Or):
+        return any(trivially_true(sub) for sub in term.args)
+    if isinstance(term, F.Implies):
+        return trivially_true(term.rhs) or trivially_false(term.lhs)
+    if isinstance(term, F.Not):
+        return trivially_false(term.arg)
+    if isinstance(term, F.Quant):
+        return trivially_true(term.body)
+    return False
+
+
+def trivially_false(term: F.Term) -> bool:
+    """Syntactic unsatisfiability: false in every interpretation, by shape alone."""
+    if isinstance(term, F.BoolLit):
+        return not term.value
+    if isinstance(term, F.Not):
+        return trivially_true(term.arg)
+    if isinstance(term, F.And):
+        return any(trivially_false(sub) for sub in term.args)
+    if isinstance(term, F.Or):
+        return all(trivially_false(sub) for sub in term.args)
+    return False
 
 
 def _normalize(term: F.Term) -> F.Term:
@@ -188,17 +226,15 @@ class SyntacticProver(Prover):
 
     def attempt(self, seq: Sequent, deadline: Optional[Deadline] = None) -> ProverAnswer:
         goal = _normalize(seq.goal.formula)
-        if isinstance(goal, F.BoolLit):
-            if goal.value:
-                return ProverAnswer(Verdict.PROVED, self.name, detail="goal is True")
-            return ProverAnswer(Verdict.UNKNOWN, self.name, detail="goal is False")
+        if goal == F.TRUE or trivially_true(seq.goal.formula):
+            return ProverAnswer(Verdict.PROVED, self.name, detail="goal is True")
 
         # Reflexivity and other goals that simplify to True are covered above;
         # now look for the goal (or a contradiction) among the assumptions.
         assumptions: List[F.Term] = []
         for labeled in seq.assumptions:
             norm = _normalize(labeled.formula)
-            if isinstance(norm, F.BoolLit) and not norm.value:
+            if norm == F.FALSE or trivially_false(labeled.formula):
                 return ProverAnswer(
                     Verdict.PROVED, self.name, detail="assumption is False"
                 )
@@ -243,7 +279,18 @@ class SyntacticProver(Prover):
             if _matches(goal.rhs, goal.lhs):
                 return ProverAnswer(Verdict.PROVED, self.name, detail="A --> A")
 
-        return ProverAnswer(Verdict.UNKNOWN, self.name)
+        # A conjunction goal whose every conjunct is assumed.  Simplification
+        # flattens nested conjunctions, so `(A & B) & C |- A & B` lands here.
+        if isinstance(goal, F.And) and all(
+            any(_matches(conjunct, assumption) for assumption in assumptions)
+            for conjunct in goal.args
+        ):
+            return ProverAnswer(
+                Verdict.PROVED, self.name, detail="each goal conjunct assumed"
+            )
+
+        detail = "goal is False" if goal == F.FALSE else ""
+        return ProverAnswer(Verdict.UNKNOWN, self.name, detail=detail)
 
     @staticmethod
     def _quantified_instance(

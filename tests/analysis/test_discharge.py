@@ -1,19 +1,11 @@
-"""Static discharge: trivial truth, the available-assumes analysis, and the
-sequent-level :class:`StaticDischarger` pre-pass."""
+"""Dominated asserts: trivial truth and the available-assumes analysis."""
 
 from repro.form import ast as F
 from repro.form.parser import parse_formula as parse
 from repro.analysis.cfg import build_cfg, run_dataflow
-from repro.analysis.discharge import (
-    UNIVERSE,
-    AvailableAssumes,
-    StaticDischarger,
-    find_dominated_asserts,
-    trivially_false,
-    trivially_true,
-)
+from repro.analysis.discharge import UNIVERSE, AvailableAssumes, find_dominated_asserts
 from repro.gcl.commands import Assert, Assign, Assume, Choice, Havoc, seq
-from repro.vcgen.sequent import sequent
+from repro.provers.syntactic import trivially_false, trivially_true
 
 
 # -- trivial truth -----------------------------------------------------------------
@@ -128,52 +120,3 @@ def test_run_dataflow_produces_exit_fact():
     cfg = build_cfg(seq(Assume(p), Assign("z", parse("1"))))
     result = run_dataflow(cfg, AvailableAssumes())
     assert p in result.outputs[cfg.exit]
-
-
-# -- the sequent-level pre-pass ----------------------------------------------------
-
-
-def _seq(assumptions, goal):
-    return sequent([parse(a) for a in assumptions], parse(goal))
-
-
-def test_discharger_trivial_goal():
-    assert StaticDischarger._classify(_seq(["p"], "x = x")) == "trivial"
-
-
-def test_discharger_verbatim_assumption():
-    assert StaticDischarger._classify(_seq(["p", "q"], "q")) == "assumption"
-
-
-def test_discharger_symmetric_equality():
-    assert StaticDischarger._classify(_seq(["a = b"], "b = a")) == "symmetric-equality"
-
-
-def test_discharger_conjunct_of_assumption():
-    assert StaticDischarger._classify(_seq(["p & q"], "q")) == "conjunct"
-
-
-def test_discharger_contradictory_assumptions():
-    assert StaticDischarger._classify(_seq(["False"], "p")) == "contradiction"
-    assert StaticDischarger._classify(_seq(["p", "~p"], "q")) == "contradiction"
-
-
-def test_discharger_gives_up_when_a_prover_is_needed():
-    for assumptions, goal in [
-        ([], "p"),
-        (["p"], "q"),
-        (["p | q"], "p"),
-        (["a = b", "b = c"], "a = c"),
-        (["~p", "q"], "r"),  # no complementary pair, ~p alone is not false
-    ]:
-        assert StaticDischarger._classify(_seq(assumptions, goal)) is None, goal
-
-
-def test_discharger_counts_by_reason():
-    discharger = StaticDischarger()
-    assert discharger.check(_seq([], "x = x")) == "trivial"
-    assert discharger.check(_seq(["a = b"], "b = a")) == "symmetric-equality"
-    assert discharger.check(_seq([], "p")) is None
-    assert discharger.checked == 3
-    assert discharger.discharged == 2
-    assert discharger.by_reason == {"trivial": 1, "symmetric-equality": 1}

@@ -1,5 +1,7 @@
 """The ``python -m repro.lint`` command line: exit codes, severities, output."""
 
+import pytest
+
 from repro.lint import main
 
 
@@ -45,6 +47,27 @@ def test_error_file_exits_one_and_prints_finding(tmp_path, capsys):
     assert "error[SPEC01]" in out
     assert "did you mean 'full'?" in out
     assert out.splitlines()[0].startswith(f"{path}:")
+
+
+MALFORMED_BODY_SPECS = {
+    "loop-invariant": (
+        CLEAN.replace('//: full := "True";',
+                      'while /*: inv "full &" */ (x == null) { }\n        //: full := "True";'),
+        "while",
+    ),
+    "spec-statement": (CLEAN.replace('//: full := "True";', '//: vertitic gh "{r}";'), "vertitic"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BODY_SPECS))
+def test_malformed_body_spec_exits_one_with_located_spec04(tmp_path, capsys, case):
+    source, needle = MALFORMED_BODY_SPECS[case]
+    line = next(n for n, text in enumerate(source.splitlines(), 1) if needle in text)
+    path = _write(tmp_path, "body.java", source)
+    assert main([path]) == 1
+    out = capsys.readouterr().out
+    assert f"{path}:{line}: error[SPEC04]" in out
+    assert "1 error(s)" in out
 
 
 def test_warnings_fail_only_in_strict_mode(tmp_path):

@@ -1,8 +1,11 @@
 """Spec well-formedness (SPEC01-04) and CFG lints (CFG01-03) on small sources."""
 
+import pytest
+
 from repro.analysis import lint_source
 from repro.analysis.diagnostics import Severity
-from repro.analysis.lints import check_method_cfg, check_specs
+from repro.analysis.frames import check_frames
+from repro.analysis.lints import check_cfgs, check_hints, check_method_cfg, check_specs
 from repro.java.resolver import parse_program
 
 
@@ -22,6 +25,31 @@ class Box {
     }
 }
 """
+
+LOOP = """
+class Counter {
+    public static void run()
+    /*: ensures "True" */
+    {
+        int i = 0;
+        while /*: inv "0 <= i" */ (i < 3) {
+            i = i + 1;
+        }
+    }
+}
+"""
+
+#: Malformed spec text inside a method body, and the text of its line.
+MALFORMED_BODY_SPECS = {
+    "loop-invariant": (LOOP.replace('inv "0 <= i"', 'inv "0 <= i &"'), "while"),
+    "spec-statement": (
+        CLEAN.replace('//: full := "True";', '//: vertitic gh "{r}";'), "vertitic"
+    ),
+}
+
+
+def _line_of(source, needle):
+    return next(n for n, text in enumerate(source.splitlines(), 1) if needle in text)
 
 
 def _rules(report, min_severity=Severity.INFO):
@@ -86,6 +114,24 @@ def test_malformed_invariant_becomes_located_resolve01():
     assert [d.rule for d in report.diagnostics] == ["RESOLVE01"]
     assert report.diagnostics[0].line > 0
     assert report.diagnostics[0].class_name == "Box"
+
+
+def test_loop_source_lints_clean():
+    assert lint_source(LOOP).clean(strict=True)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BODY_SPECS))
+def test_malformed_body_spec_is_a_located_spec04(case):
+    source, needle = MALFORMED_BODY_SPECS[case]
+    report = lint_source(source)
+    hard = [(d.rule, d.line) for d in report.diagnostics if d.severity >= Severity.WARNING]
+    assert hard == [("SPEC04", _line_of(source, needle))]
+    assert "in the method body does not parse" in report.diagnostics[0].message
+    program = parse_program(source)
+    assert [d.rule for d in check_hints(program)] == ["SPEC04"]
+    # The other passes that translate bodies skip the method instead of raising.
+    assert check_frames(program) == []
+    assert check_cfgs(program) == []
 
 
 def test_method_params_are_known_in_contracts():

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro import suite
+from repro.java.resolver import parse_program
+from repro.vcgen.vcgen import generate_method_vc
+
 #: The dispatch executors backend-parity tests run under, as
 #: :class:`repro.provers.dispatcher.DispatchConfig` settings.
 EXECUTORS = {
@@ -15,3 +19,15 @@ EXECUTORS = {
 def executor(request):
     """``workers``/``backend`` settings of one dispatch executor."""
     return dict(EXECUTORS[request.param])
+
+
+@pytest.fixture(scope="session")
+def suite_sequents():
+    """Every sequent of the bundled suite's contracted method bodies."""
+    sequents = []
+    for name in suite.names():
+        program = parse_program(suite.source(name))
+        for info in program.methods_of(name):
+            if info.decl.body is not None and info.decl.contract_text:
+                sequents.extend(generate_method_vc(program, name, info.decl.name).sequents)
+    return tuple(sequents)

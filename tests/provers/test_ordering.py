@@ -128,8 +128,6 @@ def test_observe_skips_uninformative_answers():
     truncated = ProverAnswer(Verdict.TIMEOUT, "smt", time=0.1)
     truncated.truncated = True
     ordering.observe(seq, truncated)
-
-    ordering.observe(seq, ProverAnswer(Verdict.STATIC, "static"))
     assert ordering.bucket_count() == 0
     assert ordering.dirty == 0
 

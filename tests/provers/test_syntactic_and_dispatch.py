@@ -44,6 +44,12 @@ def _syntactic(assumptions, goal):
         (["p", "~p"], "q"),
         (["ALL x. x : S --> x ~= null"], "ALL x. x : S --> x ~= null"),
         (["x : A Un {}"], "x : A"),  # via simplification
+        (["p", "q"], "q"),
+        # Shapes only the raw checks see: simplification keeps `p <-> p`.
+        ([], "~(p <-> p) --> q"),
+        (["~(ALL z. x = x)"], "p"),
+        # Simplification flattens the assumption; the goal's conjuncts match.
+        (["(p & q) & r"], "p & q"),
     ],
 )
 def test_syntactic_proves_trivial_sequents(assumptions, goal):
@@ -57,6 +63,7 @@ def test_syntactic_proves_trivial_sequents(assumptions, goal):
         (["p"], "q"),
         (["p | q"], "p"),
         (["a = b", "b = c"], "a = c"),  # needs real equality reasoning
+        (["~p", "q"], "r"),  # no complementary pair: ~p alone is not false
     ],
 )
 def test_syntactic_does_not_overreach(assumptions, goal):
