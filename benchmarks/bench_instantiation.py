@@ -2,18 +2,16 @@
 
 The suite's last two trusted ``assume False`` terminators (the lookup
 loops of ``AssocList`` and ``HashTable``) were retired by the reverse
-content invariant — an existentially-guarded universal the ground
-cross-product heuristic could not instantiate.  This benchmark pins the
-headline claims of the E-matching engine:
+content invariant — an existentially-guarded universal that only
+model-driven E-matching instantiates at the loop exits.  This benchmark
+pins the headline claims of the SMT prover's E-matching engine:
 
 * both lookups discharge **every** obligation, with zero trusted assumes,
   under a 10-second per-sequent budget (the acceptance bound; the engine
   actually needs well under a second per obligation);
 * the quantified obligations really go through instantiation (a non-zero
   instance count is recorded), so a silent bypass cannot masquerade as a
-  pass;
-* ``instantiation="ematch"`` strictly extends the ``"ground"`` baseline on
-  the lookup obligations: everything ground mode proves, ematch proves.
+  pass.
 """
 
 from __future__ import annotations
@@ -26,14 +24,14 @@ BUDGET = 10.0
 LOOKUPS = [("AssocList", "lookup"), ("HashTable", "lookup")]
 
 
-def _verify(structure: str, method: str, mode: str = "ematch"):
+def _verify(structure: str, method: str):
     return verify(
         suite.source(structure),
         class_name=structure,
         method=method,
         provers=["smt", "fol", "mona", "bapa"],
         prover_options={
-            "smt": {"timeout": 6.0, "instantiation": mode},
+            "smt": {"timeout": 6.0},
             "fol": {"timeout": 3.0},
         },
         sequent_budget=BUDGET,
@@ -62,24 +60,3 @@ def test_lookups_discharge_under_budget(benchmark):
             f"{structure}.{method} proved without instantiation — the "
             "quantified obligations were bypassed"
         )
-
-
-def test_ematch_subsumes_ground_on_the_lookups(benchmark):
-    """Per sequent count, ematch proves at least what ground mode proves."""
-
-    def run():
-        return [
-            (_verify(s, m, "ematch"), _verify(s, m, "ground")) for s, m in LOOKUPS
-        ]
-
-    pairs = run_once(benchmark, run)
-    for (structure, method), (ematch, ground) in zip(LOOKUPS, pairs):
-        benchmark.extra_info[f"{structure}.{method}"] = {
-            "ematch_proved": ematch.proved_sequents,
-            "ground_proved": ground.proved_sequents,
-        }
-        assert ematch.proved_sequents >= ground.proved_sequents, (
-            f"{structure}.{method}: ematch ({ematch.proved_sequents}) proves "
-            f"less than ground ({ground.proved_sequents})"
-        )
-        assert ematch.succeeded

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from ..form import ast as F
 from ..provers.base import Deadline, PhaseTimer, Prover, ProverAnswer, Verdict
@@ -35,30 +35,29 @@ class FirstOrderProver(Prover):
 
     Search strategy (see :mod:`repro.fol.resolution` for the semantics):
 
-    * ``strategy="sos"`` (default) seeds the set of support with the negated
-      goal's clauses, so every inference descends from the goal and
-      axiom–axiom saturation is structurally blocked; ``"fair"`` is the
-      undirected given-clause loop.
-    * ``sos_seed`` picks the initial support.  ``"negative"`` (default)
-      seeds the negated-goal clauses plus every input clause without a
-      positive literal — the *semantic* set of support induced by the
+    * ``strategy="sos"`` (default) restricts inference to a set of
+      support: the negated goal's clauses plus every input clause without
+      a positive literal — the *semantic* set of support induced by the
       all-atoms-true interpretation, which satisfies the non-support side
       and therefore keeps the SOS restriction refutationally complete.
-      This matters for split sequents: the splitter moves the goal's
-      hypotheses into the assumptions, so vacuous-path obligations are
-      refuted entirely inside the assumption set, which a goal-only
-      support never touches.  ``"goal"`` supports only the negated-goal
-      clauses (maximally directed, incomplete on inconsistent
-      assumptions); ``"goal+mentioned"`` additionally seeds every
-      assumption clause sharing a (non-equality) predicate symbol with
-      the goal clauses.
+      Axiom–axiom saturation is structurally blocked, yet vacuous-path
+      obligations still go through: the splitter moves the goal's
+      hypotheses into the assumptions, so those are refuted entirely
+      inside the assumption set, which a goal-only support never touches.
+      ``"fair"`` is the undirected given-clause loop.
     * ``ordering``/``selection`` restrict resolution to KBO-maximal or
       selected-negative literals.
 
-    All four knobs can flip a verdict between PROVED and UNKNOWN, so they
+    All three knobs can flip a verdict between PROVED and UNKNOWN, so they
     are scalar instance attributes and therefore part of
     :meth:`Prover.options_signature` — cached verdicts computed under one
     strategy are never replayed for another.
+
+    Cardinality and arithmetic goals are answered UNSUPPORTED at once: the
+    untyped FOL translation erases ``card`` (BAPA's fragment) and the
+    integer order/operations (``lt``/``plus``/... become uninterpreted
+    symbols with no theory axioms), so saturation could only burn its
+    budget on such goals — across the whole suite it proves none of them.
     """
 
     name = "fol"
@@ -79,11 +78,9 @@ class FirstOrderProver(Prover):
         max_processed: int = 6000,
         max_generated: int = 200000,
         strategy: str = "sos",
-        sos_seed: str = "negative",
         ordering: str = "kbo",
         selection: str = "negative",
         backward_subsumption: bool = True,
-        fragment_gate: bool = True,
         interning: bool = True,
     ) -> None:
         super().__init__(timeout=timeout)
@@ -91,7 +88,6 @@ class FirstOrderProver(Prover):
         # cache), so a typo'd value must fail loudly, not degrade to "fair".
         for name, value, allowed in (
             ("strategy", strategy, ("sos", "fair")),
-            ("sos_seed", sos_seed, ("negative", "goal", "goal+mentioned")),
             ("ordering", ordering, ("kbo", "none")),
             ("selection", selection, ("negative", "none")),
         ):
@@ -100,7 +96,6 @@ class FirstOrderProver(Prover):
         self.max_processed = max_processed
         self.max_generated = max_generated
         self.strategy = strategy
-        self.sos_seed = sos_seed
         self.ordering = ordering
         self.selection = selection
         #: Backward subsumption (discard active clauses subsumed by a new
@@ -109,48 +104,29 @@ class FirstOrderProver(Prover):
         #: resolution frontier.  A scalar instance attribute, so it keys
         #: the verdict cache like the other strategy knobs.
         self.backward_subsumption = bool(backward_subsumption)
-        #: Answer UNSUPPORTED immediately on cardinality and arithmetic
-        #: goals: the untyped FOL translation erases ``card`` (BAPA's
-        #: fragment) and the integer order/operations (``lt``/``plus``/...
-        #: become uninterpreted symbols with no theory axioms), so
-        #: saturation can only burn its budget on such goals — across the
-        #: whole suite it proves none of them.
-        self.fragment_gate = bool(fragment_gate)
         #: Translate through a per-attempt :class:`repro.form.intern.TermBank`
         #: (canonical pointer-comparable FOL terms, memoised normalisation);
         #: observationally identical, off reproduces the pre-interning path.
         self.interning = bool(interning)
 
     def _support(self, translation) -> Optional[List[Clause]]:
-        """The initial set of support, per ``strategy``/``sos_seed``."""
+        """The initial set of support (see the class docstring), or None
+        for the fair loop."""
         if self.strategy != "sos" or not translation.goal_clauses:
             return None
         support = list(translation.goal_clauses)
         goal_set = set(support)
-        if self.sos_seed == "negative":
-            for clause in translation.clauses:
-                if clause in goal_set:
-                    continue
-                if all(not lit.positive for lit in clause.literals):
-                    support.append(clause)
-        elif self.sos_seed == "goal+mentioned":
-            goal_predicates: Set[str] = {
-                lit.pred
-                for clause in translation.goal_clauses
-                for lit in clause.literals
-                if lit.pred != "="
-            }
-            for clause in translation.clauses:
-                if clause in goal_set:
-                    continue
-                if any(lit.pred in goal_predicates for lit in clause.literals):
-                    support.append(clause)
+        for clause in translation.clauses:
+            if clause in goal_set:
+                continue
+            if all(not lit.positive for lit in clause.literals):
+                support.append(clause)
         return support
 
     def attempt(self, sequent: Sequent, deadline: Optional[Deadline] = None) -> ProverAnswer:
         deadline = deadline or Deadline.after(self.timeout)
         timer = PhaseTimer()
-        if self.fragment_gate and _outside_fragment(sequent.goal.formula):
+        if _outside_fragment(sequent.goal.formula):
             return ProverAnswer(
                 Verdict.UNSUPPORTED,
                 self.name,

@@ -226,16 +226,9 @@ class MonaProver(Prover):
         timeout: float = 2.0,
         max_states: int = 20000,
         max_tracks: int = 12,
-        fragment_gate: bool = True,
     ) -> None:
         super().__init__(timeout=timeout)
         self.compiler = Compiler(max_states=max_states, max_tracks=max_tracks)
-        #: Answer UNSUPPORTED on goals mentioning ``card`` or integer
-        #: arithmetic *before* the reachability decomposition and rewrite
-        #: pipeline run: those operators never rewrite away, so such goals
-        #: can only reach the (late) fragment check after burning the whole
-        #: preprocessing cost.  A scalar attribute — part of the cache key.
-        self.fragment_gate = bool(fragment_gate)
 
     def options_signature(self) -> str:
         # The compiler caps bound the automaton search and therefore decide
@@ -252,7 +245,12 @@ class MonaProver(Prover):
 
     def attempt(self, sequent: Sequent, deadline: Optional[Deadline] = None) -> ProverAnswer:
         deadline = deadline or Deadline.after(self.timeout)
-        if self.fragment_gate and _mentions_gated_ops(sequent.goal.formula):
+        # Goals mentioning ``card`` or integer arithmetic are answered
+        # UNSUPPORTED *before* the reachability decomposition and rewrite
+        # pipeline run: those operators never rewrite away, so such goals
+        # could only reach the (late) fragment check after burning the
+        # whole preprocessing cost.
+        if _mentions_gated_ops(sequent.goal.formula):
             return ProverAnswer(
                 Verdict.UNSUPPORTED,
                 self.name,

@@ -619,12 +619,38 @@ class VerifyService:
 
 
 def _wire_settings(request: Dict[str, Any]) -> Dict[str, Any]:
-    """The dispatch settings a request carries on the wire."""
+    """The dispatch settings a request carries on the wire (checked by
+    :func:`_settings_error` first)."""
+    provers = request.get("provers")
     return {
-        "provers": request.get("provers", DEFAULT_ORDER),
+        "provers": DEFAULT_ORDER if provers is None else provers,
         "prover_options": request.get("prover_options") or {},
         "sequent_budget": request.get("sequent_budget"),
     }
+
+
+def _settings_error(request: Dict[str, Any]) -> Optional[str]:
+    """Why a request's dispatch settings are refused (None when valid).
+    Checked before dispatch: a malformed field would otherwise fail deep
+    inside the batcher, with an error that does not name it."""
+    provers = request.get("provers")
+    if provers is not None and not (
+        isinstance(provers, list) and all(isinstance(name, str) for name in provers)
+    ):
+        return f"provers must be a list of prover names, got {provers!r:.80}"
+    options = request.get("prover_options")
+    if options is not None and not (
+        isinstance(options, dict)
+        and all(isinstance(value, dict) for value in options.values())
+    ):
+        return f"prover_options must map prover names to objects, got {options!r:.80}"
+    budget = request.get("sequent_budget")
+    if budget is not None and (type(budget) not in (int, float) or not budget > 0):
+        return (
+            "sequent_budget must be null or a positive number of seconds, "
+            f"got {budget!r:.80}"
+        )
+    return None
 
 
 def _cap_error(max_entries: Any, max_age: Any) -> Optional[str]:
@@ -972,6 +998,10 @@ class VerifyServer:
             return {"ok": True, "pong": True}
         if op == "stats":
             return {"ok": True, "stats": self.snapshot_stats()}
+        if op in ("prove_sequents", "verify_method", "verify_class"):
+            error = _settings_error(request)
+            if error is not None:
+                return {"ok": False, "error": error}
         if op == "prove_sequents":
             return await self._op_prove_sequents(request)
         if op == "verify_method":
@@ -1004,9 +1034,13 @@ class VerifyServer:
         return Deadline.after(float(budget)) if budget is not None else None
 
     async def _op_prove_sequents(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        wire = request.get("sequents", [])
+        if not (isinstance(wire, list) and all(isinstance(item, dict) for item in wire)):
+            error = f"sequents must be a list of objects, got {wire!r:.80}"
+            return {"ok": False, "error": error}
         loop = asyncio.get_running_loop()
         sequents = await loop.run_in_executor(
-            self._request_pool, sequents_from_wire, request.get("sequents", [])
+            self._request_pool, sequents_from_wire, wire
         )
         result = await self.service.prove(
             sequents,

@@ -3,10 +3,8 @@
 from .congruence import CongruenceClosure, check_euf  # noqa: F401
 from .instantiate import (  # noqa: F401
     EMatchEngine,
-    GroundingResult,
     InstantiationConfig,
     Trigger,
-    ground_problem,
     infer_triggers,
 )
 from .lia import check_lia, fourier_motzkin_consistent  # noqa: F401
@@ -21,8 +19,6 @@ __all__ = [
     "fourier_motzkin_consistent",
     "SatSolver",
     "SatResult",
-    "ground_problem",
-    "GroundingResult",
     "InstantiationConfig",
     "EMatchEngine",
     "Trigger",

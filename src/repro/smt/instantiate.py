@@ -1,4 +1,4 @@
-"""Quantifier instantiation for the SMT prover: E-matching and ground modes.
+"""Quantifier instantiation for the SMT prover: E-matching.
 
 Modern SMT solvers handle quantified assumptions by *E-matching*: the solver
 infers trigger patterns for each universally quantified assumption, matches
@@ -6,13 +6,12 @@ the patterns against the congruence closure's term graph (so matching is
 modulo the equalities the current candidate model asserts, not merely
 syntactic), and asserts the resulting ground instances incrementally, one
 DPLL(T) round at a time.  This module implements that engine
-(:class:`EMatchEngine`, ``instantiation="ematch"``) alongside the original
-round-limited ground-term cross-product heuristic (:func:`ground_problem`,
-``instantiation="ground"``), which is kept both as a fallback for
-quantifiers with no inferable trigger and as the property-test baseline.
+(:class:`EMatchEngine`); it is the prover's only instantiation engine, and
+its bounded ground enumeration (rule 4) covers the quantifiers that
+matching cannot feed.
 
-Trigger inference rules (``instantiation="ematch"``)
-----------------------------------------------------
+Trigger inference and instantiation rules
+-----------------------------------------
 
 For a universal ``ALL x1 ... xn. body`` the engine selects *triggers* —
 pattern sets matched against the E-graph — as follows:
@@ -37,8 +36,14 @@ pattern sets matched against the E-graph — as follows:
 4. *Fallback*: a quantifier with no trigger, or whose triggers produce no
    match in the first round (e.g. reflexivity ``ALL x. r x x``, whose only
    pattern has a repeated variable and therefore matches no term until an
-   ``r``-loop already exists), is instantiated once by the bounded
-   ground-term enumeration of the ``"ground"`` mode.
+   ``r``-loop already exists), is instantiated by bounded ground
+   enumeration instead: every parameter ranges over the smallest ground
+   terms of its sort harvested from the asserted formulas
+   (``max_candidates_per_sort`` of them, ``null`` / ``0`` when there are
+   none), and at most ``max_instances_per_formula`` combinations are
+   tried.  Set-, function- and tuple-sorted parameters are never
+   enumerated.  The enumeration is re-armed every round until one of its
+   instances is actually asserted.
 
 Matching is *equivalence-aware*: a pattern position accepts any member of
 the target equivalence class with the right head symbol, and bound
@@ -58,14 +63,16 @@ existential subformula — never shared across genuinely different instances.
 (The previous engine skolemized ``EX`` below a universal with one constant
 shared by every later instance, which is a real unsoundness — now pinned by
 a regression test.)  Anything that remains quantified after the configured
-rounds is soundly weakened away.
+rounds is soundly weakened away.  When a cap (``ematch_rounds``,
+``max_ematch_instances``) cuts the search, the prover's UNKNOWN answer says
+so.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..fol.terms import FApp, FTerm, FVar
 from ..form import ast as F
@@ -80,19 +87,16 @@ from .congruence import CongruenceClosure
 
 @dataclass
 class InstantiationConfig:
-    """Knobs of both instantiation modes; part of the SMT prover's
+    """Limits of the E-matching engine; part of the SMT prover's
     ``options_signature`` (and therefore of the sequent-cache key), so
     verdicts computed under one configuration are never replayed under
     another."""
 
-    #: ``"ematch"`` (incremental E-matching in the DPLL(T) loop) or
-    #: ``"ground"`` (one-shot ground-term cross-product up front).
-    mode: str = "ematch"
+    # -- fallback enumeration (rule 4) ----------------------------------------
+    #: Ground candidates tried per parameter.
     max_candidates_per_sort: int = 8
+    #: Instances the enumeration asserts per quantifier.
     max_instances_per_formula: int = 64
-    max_total_formulas: int = 400
-    max_candidate_size: int = 4
-    rounds: int = 2
     # -- E-matching limits ----------------------------------------------------
     #: Alternative single-pattern triggers kept per quantifier.
     max_triggers: int = 3
@@ -120,36 +124,11 @@ class InstantiationConfig:
     max_substitution_size: int = 8
 
 
-@dataclass
-class GroundingResult:
-    """The outcome of :func:`ground_problem`: the ground formulas plus the
-    truncation accounting the prover surfaces in its answer detail (a
-    truncated grounding can only lose completeness, never soundness — but
-    it must be *loud*, or a mysterious UNKNOWN looks like a prover gap)."""
-
-    formulas: List[F.Term]
-    #: Instances dropped because a per-formula or total cap fired.
-    dropped: int = 0
-    #: Ground instances generated (for statistics).
-    instances: int = 0
-
-    @property
-    def truncated(self) -> bool:
-        return self.dropped > 0
-
-
-def ground_terms(formulas: Iterable[F.Term]) -> Tuple[List[F.Term], List[F.Term]]:
-    """Harvest ground candidate terms, split into (object-like, integer-like)."""
-    harvest = GroundHarvest()
-    for formula in formulas:
-        harvest.add(formula)
-    return harvest.candidates()
-
-
 class GroundHarvest:
-    """The candidate harvest of :func:`ground_terms`, fed one formula at a
-    time: the E-matching engine's ground set only grows, so each round adds
-    the formulas asserted since the last one instead of re-walking all."""
+    """The fallback enumeration's ground candidate terms, split into
+    object-like and integer-like, fed one formula at a time: the engine's
+    ground set only grows, so each round adds the formulas asserted since
+    the last one instead of re-walking all."""
 
     def __init__(self) -> None:
         self._obj_terms: List[F.Term] = []
@@ -340,127 +319,6 @@ def _param_candidates(
         return obj_candidates or (F.NULL,)
     # Sets, functions and tuples are not instantiated by this heuristic.
     return ()
-
-
-def instantiate_universals(
-    formula: F.Term,
-    obj_candidates: Sequence[F.Term],
-    int_candidates: Sequence[F.Term],
-    config: InstantiationConfig,
-    result: Optional[GroundingResult] = None,
-) -> List[F.Term]:
-    """Produce ground instances of a universally quantified assumption.
-
-    ``result``, when given, accumulates the truncation accounting (instances
-    beyond ``max_instances_per_formula`` are *dropped*, which is sound but
-    must be surfaced).
-    """
-    if not (isinstance(formula, F.Quant) and formula.kind == "ALL"):
-        return [formula]
-    params = formula.params
-    candidate_lists = []
-    untruncated_total = 1
-    for _name, typ in params:
-        candidates = _param_candidates(typ, obj_candidates, int_candidates)
-        if not candidates:
-            # Cannot instantiate this sort: the whole assumption is dropped
-            # (sound weakening, but it must show in the accounting).
-            if result is not None:
-                result.dropped += 1
-            return []
-        untruncated_total *= len(candidates)
-        candidate_lists.append(list(candidates)[: config.max_candidates_per_sort])
-
-    instances: List[F.Term] = []
-    total = 1
-    for candidates in candidate_lists:
-        total *= len(candidates)
-    if result is not None and untruncated_total > total:
-        # The per-sort candidate cap is a truncation too: instances over the
-        # discarded candidates are silently lost without this.
-        result.dropped += untruncated_total - total
-    for combo in itertools.product(*candidate_lists):
-        if len(instances) >= config.max_instances_per_formula:
-            if result is not None:
-                result.dropped += total - len(instances)
-            break
-        mapping = {name: value for (name, _), value in zip(params, combo)}
-        instance = substitute(formula.body, mapping)
-        instances.append(instance)
-    # The instantiated body may itself start with a universal quantifier
-    # (nested ALL); recurse one level so `ALL x y.` written as nested
-    # binders still gets both variables instantiated.
-    out: List[F.Term] = []
-    for instance in instances:
-        instance = simplify(instance)
-        if isinstance(instance, F.Quant) and instance.kind == "ALL":
-            out.extend(
-                instantiate_universals(
-                    instance, obj_candidates, int_candidates, config, result
-                )
-            )
-        else:
-            out.append(instance)
-    return out
-
-
-def ground_problem(
-    assertions: Sequence[F.Term],
-    goal_terms: Sequence[F.Term] = (),
-    config: Optional[InstantiationConfig] = None,
-) -> GroundingResult:
-    """Turn a set of asserted formulas into ground formulas (``"ground"`` mode).
-
-    ``goal_terms`` are formulas whose ground subterms should be preferred as
-    instantiation candidates (typically the negated goal).  The result
-    carries the dropped-instance count: both caps
-    (``max_instances_per_formula`` and ``max_total_formulas``) silently
-    losing instances is exactly the failure mode the prover must report.
-    """
-    config = config or InstantiationConfig()
-    supply = SkolemSupply()
-    result = GroundingResult(formulas=[])
-    current = [simplify(nnf(a)) for a in assertions]
-
-    for _round in range(config.rounds):
-        # Skolemize before harvesting: witness constants of top-level
-        # existentials are instantiation candidates of the *same* round
-        # (previously a universal was consumed one round before the
-        # witnesses it needed became visible).
-        current = [skolemize_existentials(f, supply) for f in current]
-        goal_objs, goal_ints = ground_terms(list(goal_terms))
-        all_objs, all_ints = ground_terms(current)
-        # Goal terms first: relevance heuristic.
-        obj_candidates = goal_objs + [t for t in all_objs if t not in goal_objs]
-        int_candidates = goal_ints + [t for t in all_ints if t not in goal_ints]
-        if F.NULL not in obj_candidates:
-            obj_candidates.append(F.NULL)
-
-        next_formulas: List[F.Term] = []
-        for index, formula in enumerate(current):
-            if isinstance(formula, F.Quant) and formula.kind == "ALL":
-                produced = instantiate_universals(
-                    formula, obj_candidates, int_candidates, config, result
-                )
-                result.instances += len(produced)
-                next_formulas.extend(
-                    skolemize_existentials(simplify(p), supply) for p in produced
-                )
-            else:
-                next_formulas.append(formula)
-            if len(next_formulas) > config.max_total_formulas:
-                # Every assertion the loop never reached is silently lost
-                # without this accounting — surface it.
-                result.dropped += len(current) - index - 1
-                result.dropped += len(next_formulas) - config.max_total_formulas
-                next_formulas = next_formulas[: config.max_total_formulas]
-                break
-        current = [simplify(f) for f in next_formulas]
-        if all(not _has_quantifier(f) for f in current):
-            break
-
-    result.formulas = [drop_remaining_quantifiers(f) for f in current]
-    return result
 
 
 def _has_quantifier(formula: F.Term) -> bool:

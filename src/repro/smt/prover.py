@@ -7,18 +7,17 @@ A lazy SMT loop over ground formulas:
    translation, :func:`repro.fol.hol2fol.reify_reachability`), then the
    sequent is rewritten and approximated into the ground fragment
    (:mod:`repro.provers.approximation`),
-2. quantifiers are handled by the instantiation engine of
-   :mod:`repro.smt.instantiate` — either incremental E-matching against the
-   congruence closure's term graph (``instantiation="ematch"``, the
-   default) or the one-shot ground cross-product (``"ground"``),
+2. quantifiers are handled by incremental E-matching against the
+   congruence closure's term graph (:mod:`repro.smt.instantiate`), with a
+   bounded ground enumeration for quantifiers that have no usable trigger,
 3. the ground refutation problem is Tseitin-encoded into CNF and solved by
    the DPLL core (:mod:`repro.smt.sat`),
 4. every propositional model is checked against the theories — congruence
    closure for equality/uninterpreted functions and Fourier–Motzkin for
    linear integer arithmetic — and refuted models are blocked with a new
-   clause; in E-matching mode a theory-consistent model additionally
-   triggers an instantiation round (its equalities refine the term graph),
-   and only when no new instance can be generated does the prover give up,
+   clause; a theory-consistent model triggers an instantiation round (its
+   equalities refine the term graph), and only when no new instance can be
+   generated does the prover give up,
 5. except when the sequent is plainly false: before giving up, the final
    model seeds the exact finite-countermodel check of
    :mod:`repro.provers.countermodel`, and a countermodel of the original
@@ -27,8 +26,7 @@ A lazy SMT loop over ground formulas:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..fol.clausify import ClausificationError, Clausifier
 from ..fol.hol2fol import reify_reachability
@@ -52,7 +50,7 @@ from ..provers.base import (
 )
 from ..vcgen.sequent import Sequent
 from .congruence import euf_conflict_tags
-from .instantiate import EMatchEngine, InstantiationConfig, ground_problem
+from .instantiate import EMatchEngine, InstantiationConfig
 from .lia import check_lia, is_arith_atom
 from .sat import SatSolver
 
@@ -174,25 +172,18 @@ def _mentions_card(formula: F.Term) -> bool:
     return F.mentions(formula, "card")
 
 
-@dataclass
-class SmtStatistics:
-    instances: int = 0
-    atoms: int = 0
-    theory_conflicts: int = 0
-    ematch_rounds: int = 0
-    quantifiers: int = 0
-    dropped: int = 0
-
-
 class SmtProver(Prover):
     """The ground SMT prover of the portfolio.
 
-    ``instantiation`` selects the quantifier-instantiation engine: the
-    string ``"ematch"`` / ``"ground"``, or a full
-    :class:`repro.smt.instantiate.InstantiationConfig` for fine-grained
-    limits.  The configuration (mode included) is part of
-    :meth:`options_signature`, so cached verdicts computed under one
-    instantiation setting are never replayed under another.
+    ``instantiation`` sets the E-matching limits
+    (:class:`repro.smt.instantiate.InstantiationConfig`; ``None`` takes the
+    defaults).  The configuration is part of :meth:`options_signature`, so
+    cached verdicts computed under one setting are never replayed under
+    another.
+
+    Cardinality goals are answered UNSUPPORTED at once: the ground SMT
+    fragment has no cardinality reasoning (BAPA's job), so those attempts
+    could only burn their budget in the E-matcher.
     """
 
     name = "smt"
@@ -206,10 +197,9 @@ class SmtProver(Prover):
         self,
         timeout: float = 3.0,
         max_theory_iterations: int = 300,
-        instantiation: Union[str, InstantiationConfig, None] = None,
+        instantiation: Optional[InstantiationConfig] = None,
         interning: bool = True,
         incremental: bool = True,
-        fragment_gate: bool = True,
     ) -> None:
         super().__init__(timeout=timeout)
         self.max_theory_iterations = max_theory_iterations
@@ -221,16 +211,10 @@ class SmtProver(Prover):
         #: the highest consistent decision level after each blocking clause)
         #: instead of re-solving from scratch.
         self.incremental = incremental
-        #: Answer UNSUPPORTED immediately on cardinality goals: the ground
-        #: SMT fragment has no cardinality reasoning (BAPA's job), so those
-        #: attempts can only burn their budget in the E-matcher.
-        self.fragment_gate = fragment_gate
-        if isinstance(instantiation, str):
-            if instantiation not in ("ematch", "ground"):
-                raise ValueError(
-                    f"unknown instantiation {instantiation!r}; expected 'ematch' or 'ground'"
-                )
-            instantiation = InstantiationConfig(mode=instantiation)
+        if instantiation is not None and not isinstance(instantiation, InstantiationConfig):
+            raise TypeError(
+                f"instantiation must be an InstantiationConfig, got {instantiation!r}"
+            )
         self.instantiation = instantiation or InstantiationConfig()
 
     # -- main entry point ------------------------------------------------------
@@ -265,7 +249,7 @@ class SmtProver(Prover):
                 detail="goal trivial after approximation",
                 phases=dict(timer.phases),
             )
-        if self.fragment_gate and _mentions_card(goal):
+        if _mentions_card(goal):
             return ProverAnswer(
                 Verdict.UNSUPPORTED,
                 self.name,
@@ -282,27 +266,16 @@ class SmtProver(Prover):
         bank = TermBank() if self.interning else None
         printed = bank.printed if bank is not None else to_str
         config = self.instantiation
-        stats = SmtStatistics()
-        engine: Optional[EMatchEngine] = None
         with timer("instantiation"):
-            if config.mode == "ematch":
-                engine = EMatchEngine(assertions, config, deadline, bank=bank)
-                # Instantiation is purely model-driven: the first SAT model of
-                # the ground skeleton triggers round 1.  (An eager modelless
-                # round floods the SAT core with unfilterable instances — with
-                # no valuation, nothing counts as satisfied.)
-                ground = list(engine.ground)
-                stats.quantifiers = engine.stats.quantifiers
-            else:
-                grounding = ground_problem(
-                    assertions, goal_terms=[F.Not(goal)], config=config
-                )
-                ground = grounding.formulas
-                stats.instances = grounding.instances
-                stats.dropped = grounding.dropped
+            engine = EMatchEngine(assertions, config, deadline, bank=bank)
+            # Instantiation is purely model-driven: the first SAT model of
+            # the ground skeleton triggers round 1.  (An eager modelless
+            # round floods the SAT core with unfilterable instances — with
+            # no valuation, nothing counts as satisfied.)
+            ground = list(engine.ground)
         if deadline.expired():
             return self._answer(
-                Verdict.TIMEOUT, stats, engine,
+                Verdict.TIMEOUT, engine,
                 f"timeout during grounding: {len(ground)} ground formulas",
                 timer,
             )
@@ -317,7 +290,7 @@ class SmtProver(Prover):
 
         if not encoder.clauses:
             return self._answer(
-                Verdict.UNKNOWN, stats, engine, "nothing to refute", timer
+                Verdict.UNKNOWN, engine, "nothing to refute", timer
             )
 
         clausifier = Clausifier(bank=bank)
@@ -328,23 +301,24 @@ class SmtProver(Prover):
         solver = SatSolver(encoder.num_vars, incremental=self.incremental)
         solver.add_clauses(encoder.clauses)
         encoded_upto = len(encoder.clauses)
+        theory_conflicts = 0
 
         for _iteration in range(self.max_theory_iterations):
-            stats.atoms = len(encoder.atom_ids)
+            atoms = len(encoder.atom_ids)
             if deadline.expired():
                 return self._answer(
-                    Verdict.TIMEOUT, stats, engine,
+                    Verdict.TIMEOUT, engine,
                     f"timeout in DPLL(T) loop: {_iteration} iterations, "
-                    f"{stats.theory_conflicts} theory conflicts",
+                    f"{theory_conflicts} theory conflicts",
                     timer,
                 )
             with timer("sat"):
                 result = solver.solve(deadline=deadline)
             if not result.satisfiable:
                 return self._answer(
-                    Verdict.PROVED, stats, engine,
-                    f"unsat: {stats.atoms} atoms, "
-                    f"{stats.theory_conflicts} theory conflicts",
+                    Verdict.PROVED, engine,
+                    f"unsat: {atoms} atoms, "
+                    f"{theory_conflicts} theory conflicts",
                     timer,
                 )
             with timer("theory"):
@@ -352,12 +326,12 @@ class SmtProver(Prover):
                     result.assignment, encoder, clausifier, deadline, euf_memo
                 )
             if blocking is not None:
-                stats.theory_conflicts += 1
+                theory_conflicts += 1
                 solver.add_clause(blocking)
                 continue
-            # Theory-consistent model: in E-matching mode, let the model's
-            # equalities refine the term graph and instantiate once more.
-            if engine is not None and engine.stats.rounds < config.ematch_rounds:
+            # Theory-consistent model: let the model's equalities refine the
+            # term graph and instantiate once more.
+            if engine.stats.rounds < config.ematch_rounds:
                 with timer("instantiation"):
                     pooled_before = len(engine.quantifiers)
                     new_instances = engine.round(
@@ -386,17 +360,18 @@ class SmtProver(Prover):
                     Verdict.REFUTED,
                     self.name,
                     detail=refuted,
-                    instances=engine.stats.instances if engine is not None else stats.instances,
+                    instances=engine.stats.instances,
                     phases=dict(timer.phases),
                 )
-            return self._answer(
-                Verdict.UNKNOWN, stats, engine,
-                "theory-consistent propositional model found",
-                timer,
-            )
+            detail = "theory-consistent propositional model found"
+            cap = self._ematch_cap_reached(engine)
+            if cap is not None:
+                # The search was cut, not exhausted: a larger cap may prove it.
+                detail += f"; E-matching stopped at {cap}"
+            return self._answer(Verdict.UNKNOWN, engine, detail, timer)
 
         return self._answer(
-            Verdict.UNKNOWN, stats, engine, "theory conflict limit reached", timer
+            Verdict.UNKNOWN, engine, "theory conflict limit reached", timer
         )
 
     # -- helpers ---------------------------------------------------------------
@@ -451,25 +426,27 @@ class SmtProver(Prover):
                 valuation[printed(atom)] = value
         return valuation
 
+    def _ematch_cap_reached(self, engine: EMatchEngine) -> Optional[str]:
+        """The E-matching cap the engine has hit (``name=value``), or None."""
+        config = self.instantiation
+        if engine.stats.instances >= config.max_ematch_instances:
+            return f"max_ematch_instances={config.max_ematch_instances}"
+        if engine.stats.rounds >= config.ematch_rounds:
+            return f"ematch_rounds={config.ematch_rounds}"
+        return None
+
     def _answer(
         self,
         verdict: Verdict,
-        stats: SmtStatistics,
-        engine: Optional[EMatchEngine],
+        engine: EMatchEngine,
         detail: str,
         timer: Optional[PhaseTimer] = None,
     ) -> ProverAnswer:
-        if engine is not None:
-            stats.instances = engine.stats.instances
-            stats.ematch_rounds = engine.stats.rounds
-            stats.quantifiers = engine.stats.quantifiers
-            stats.dropped += engine.stats.dropped
-            detail += (
-                f" [ematch: {stats.instances} instances, "
-                f"{stats.ematch_rounds} rounds, {stats.quantifiers} quantifiers]"
-            )
-        else:
-            detail += f" [ground: {stats.instances} instances]"
+        stats = engine.stats
+        detail += (
+            f" [ematch: {stats.instances} instances, "
+            f"{stats.rounds} rounds, {stats.quantifiers} quantifiers]"
+        )
         if stats.dropped:
             detail += f" ({stats.dropped} instances dropped by limits)"
         return ProverAnswer(

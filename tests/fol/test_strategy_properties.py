@@ -316,12 +316,8 @@ def test_strategy_knobs_are_part_of_the_options_signature():
     assert "strategy='sos'" in base.options_signature()
     assert "ordering='kbo'" in base.options_signature()
     assert "selection='negative'" in base.options_signature()
-    assert "sos_seed='negative'" in base.options_signature()
     assert "backward_subsumption=True" in base.options_signature()
-    assert "fragment_gate=True" in base.options_signature()
     fair = FirstOrderProver(strategy="fair", ordering="none", selection="none")
     assert base.options_signature() != fair.options_signature()
     pruning = FirstOrderProver(backward_subsumption=False)
     assert base.options_signature() != pruning.options_signature()
-    ungated = FirstOrderProver(fragment_gate=False)
-    assert base.options_signature() != ungated.options_signature()

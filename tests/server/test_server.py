@@ -418,6 +418,35 @@ def test_compact_op_refuses_invalid_caps(server, client):
     assert client.stats()["store"]["compactions"] == 0
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"provers": "smt"}, "provers must be a list"),
+    ({"prover_options": [1, 2]}, "prover_options must map"),
+    ({"sequent_budget": "x"}, "sequent_budget must be"),
+    ({"sequents": "nope"}, "sequents must be a list"),
+], ids=["provers", "prover_options", "sequent_budget", "sequents"])
+def test_malformed_request_settings_are_refused_by_name(client, fields, named):
+    """A malformed dispatch setting is answered ``ok: false`` with an error
+    naming the field, before anything is dispatched, and the daemon still
+    proves the next valid request."""
+    from repro.server.wire import sequents_to_wire
+
+    request = {"sequents": sequents_to_wire([_arith(70)]), "provers": PROVERS,
+               "prover_options": OPTIONS, **fields}
+    with pytest.raises(VerifyServiceError, match=named):
+        client.call("prove_sequents", **request)
+    assert _service_stats(client)["batches"] == 0
+    response = client.prove_sequents([_arith(71)], provers=PROVERS, prover_options=OPTIONS)
+    assert response["proved"] == 1
+
+
+def test_verify_ops_check_the_same_settings(client):
+    for op in ("verify_method", "verify_class"):
+        with pytest.raises(VerifyServiceError, match="sequent_budget must be"):
+            client.call(op, source=suite.source("SizedList"), class_name="SizedList",
+                        method="size", sequent_budget=-1)
+    assert client.ping()
+
+
 def test_compact_op_zero_caps_are_valid_and_evict_everything(server, client):
     """Zero is the least valid cap, not a refused one: ``max_entries=0`` and
     ``max_age=0.0`` each empty the store, and each call counts once."""

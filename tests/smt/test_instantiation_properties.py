@@ -1,6 +1,6 @@
 """Property tests for the E-matching instantiation engine.
 
-Three properties pin the engine (plus the ``"ground"`` mode it subsumes):
+Three properties pin the engine:
 
 * *instantiation soundness*: every instance the E-matcher emits is a
   substitution instance of its source quantifier — recomputing
@@ -11,10 +11,12 @@ Three properties pin the engine (plus the ``"ground"`` mode it subsumes):
   across different instances of one quantifier (the shared-constant
   skolemization of the previous engine was a genuine unsoundness, pinned
   here by a regression sequent it used to prove);
-* *corpus agreement*: on a valid/invalid sequent corpus,
-  ``instantiation="ematch"`` agrees with ``"ground"`` and with the fair
-  resolution baseline wherever either decides — the engines may differ in
+* *agreement with fair resolution*: on random quantified problems and on
+  a valid/invalid sequent corpus, the SMT prover agrees with the fair
+  resolution baseline wherever it decides — the engines may differ in
   power, never in direction.
+
+A cap that cuts the E-matching search is named in the UNKNOWN answer.
 """
 
 import random
@@ -26,11 +28,11 @@ from repro.form import ast as F
 from repro.form.parser import parse_formula as parse
 from repro.form.printer import to_str
 from repro.form.subst import free_vars, substitute
+from repro.provers.base import Verdict
 from repro.smt.instantiate import (
     EMatchEngine,
     InstantiationConfig,
     Trigger,
-    ground_problem,
     infer_triggers,
 )
 from repro.smt.prover import SmtProver
@@ -120,10 +122,10 @@ def test_every_emitted_instance_is_a_substitution_instance(seed):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_ground_mode_instances_never_prove_what_fair_resolution_refutes(seed):
-    """Randomized cross-engine agreement: whenever the SMT prover (either
-    mode) proves assumptions |- goal from a random corpus, the fair
-    resolution baseline proves it too."""
+def test_ematch_never_proves_what_fair_resolution_refutes(seed):
+    """Randomized cross-engine agreement: whenever the SMT prover proves
+    assumptions |- goal from a random corpus, the fair resolution baseline
+    proves it too."""
     rng = random.Random(1000 + seed)
     quantifiers = [_random_quantifier(rng) for _ in range(rng.randint(1, 3))]
     facts = _random_ground_facts(rng)
@@ -133,13 +135,11 @@ def test_ground_mode_instances_never_prove_what_fair_resolution_refutes(seed):
         timeout=10.0, strategy="fair", ordering="none", selection="none",
         max_processed=20000, max_generated=400000,
     )
-    for mode in ("ematch", "ground"):
-        answer = SmtProver(timeout=4.0, instantiation=mode).prove(seq)
-        if answer.proved:
-            assert fair.prove(seq).proved, (
-                f"seed {seed}: smt[{mode}] proved a sequent fair resolution "
-                f"cannot: {to_str(seq.to_implication())}"
-            )
+    if SmtProver(timeout=4.0).prove(seq).proved:
+        assert fair.prove(seq).proved, (
+            f"seed {seed}: smt proved a sequent fair resolution "
+            f"cannot: {to_str(seq.to_implication())}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +150,12 @@ def test_ground_mode_instances_never_prove_what_fair_resolution_refutes(seed):
 def test_shared_skolem_regression_is_not_provable():
     """``ALL x. EX y. f y = x, a ~= b |- p (f a)`` is invalid; the previous
     engine skolemized the existential with one constant shared by every
-    instance and *proved* it.  Neither mode may."""
+    instance and *proved* it.  Neither the SMT prover nor fair resolution
+    may."""
     seq = sequent([parse("ALL x. EX y. f y = x"), parse("a ~= b")], parse("p (f a)"))
-    for mode in ("ematch", "ground"):
-        answer = SmtProver(timeout=5.0, instantiation=mode).prove(seq)
-        assert not answer.proved, f"mode {mode} proved an invalid sequent"
+    answer = SmtProver(timeout=5.0).prove(seq)
+    assert not answer.proved, f"smt proved an invalid sequent: {answer.detail}"
+    assert not _fair_verdict(["ALL x. EX y. f y = x", "a ~= b"], "p (f a)")
 
 
 def test_distinct_instances_get_distinct_witnesses():
@@ -176,7 +177,7 @@ def test_distinct_instances_get_distinct_witnesses():
 
 
 # ---------------------------------------------------------------------------
-# Corpus agreement: ematch vs ground vs fair resolution
+# Corpus agreement: E-matching vs fair resolution
 # ---------------------------------------------------------------------------
 
 _VALID = [
@@ -201,9 +202,9 @@ _INVALID = [
 ]
 
 
-def _smt_verdict(assumptions, goal, mode):
+def _smt_verdict(assumptions, goal):
     seq = sequent([parse(a) for a in assumptions], parse(goal))
-    return SmtProver(timeout=5.0, instantiation=mode).prove(seq).proved
+    return SmtProver(timeout=5.0).prove(seq).proved
 
 
 def _fair_verdict(assumptions, goal):
@@ -214,16 +215,14 @@ def _fair_verdict(assumptions, goal):
 
 
 @pytest.mark.parametrize("assumptions, goal", _VALID)
-def test_modes_agree_with_each_other_and_fair_on_valid_sequents(assumptions, goal):
-    assert _smt_verdict(assumptions, goal, "ematch")
-    assert _smt_verdict(assumptions, goal, "ground")
+def test_ematch_and_fair_prove_valid_sequents(assumptions, goal):
+    assert _smt_verdict(assumptions, goal)
     assert _fair_verdict(assumptions, goal)
 
 
 @pytest.mark.parametrize("assumptions, goal", _INVALID)
 def test_no_engine_proves_invalid_sequents(assumptions, goal):
-    assert not _smt_verdict(assumptions, goal, "ematch")
-    assert not _smt_verdict(assumptions, goal, "ground")
+    assert not _smt_verdict(assumptions, goal)
     assert not _fair_verdict(assumptions, goal)
 
 
@@ -234,9 +233,9 @@ def test_nested_universal_instances_are_pooled_and_matched():
     seq = sequent(
         [parse("ALL x. p x --> (ALL y. r x y)"), parse("p a")], parse("r a b")
     )
-    assert SmtProver(timeout=5.0, instantiation="ematch").prove(seq).proved
+    assert SmtProver(timeout=5.0).prove(seq).proved
     invalid = sequent([parse("ALL x. p x --> (ALL y. r x y)")], parse("r a b"))
-    assert not SmtProver(timeout=3.0, instantiation="ematch").prove(invalid).proved
+    assert not SmtProver(timeout=3.0).prove(invalid).proved
 
 
 # ---------------------------------------------------------------------------
@@ -279,29 +278,41 @@ def test_arithmetic_heads_are_not_triggers():
 
 
 # ---------------------------------------------------------------------------
-# Grounding-cap accounting (the silent-truncation fix)
+# E-matching caps are loud
 # ---------------------------------------------------------------------------
 
+#: Two instances prove it; with one, no conclusion reaches ``s a``.
+_CHAIN = sequent(
+    [parse("ALL x. p x --> q x"), parse("ALL x. q x --> s x"), parse("p a")],
+    parse("s a"),
+)
+#: ``q (f a)`` exists only after round 1, so matching ``q x`` needs round 2.
+_TWO_ROUNDS = sequent(
+    [parse("ALL x. p x --> q (f x)"), parse("ALL x. q x --> s"), parse("p a")],
+    parse("s"),
+)
 
-def test_ground_problem_reports_dropped_instances():
-    assertions = [parse("ALL x y. r x y --> r y x"), parse("r a b"), parse("r c d")]
-    tight = InstantiationConfig(mode="ground", max_instances_per_formula=2)
-    result = ground_problem(assertions, config=tight)
-    assert result.truncated
-    assert result.dropped > 0
 
-
-def test_truncated_grounding_yields_unknown_with_loud_detail():
-    """With the total-formula cap at 1 the needed instance is dropped: the
-    prover must answer UNKNOWN (never a wrong verdict) and say why."""
-    tight = InstantiationConfig(mode="ground", max_total_formulas=1, rounds=1)
-    seq = sequent(
-        [parse("ALL x. p x --> q x"), parse("ALL x. q x --> s x"), parse("p a")],
-        parse("s a"),
-    )
-    answer = SmtProver(timeout=5.0, instantiation=tight).prove(seq)
-    assert not answer.proved
-    assert "dropped" in answer.detail, answer.detail
+@pytest.mark.parametrize("seq, config, cap", [
+    (_CHAIN, InstantiationConfig(max_ematch_instances=1), "max_ematch_instances=1"),
+    (_TWO_ROUNDS, InstantiationConfig(ematch_rounds=1), "ematch_rounds=1"),
+], ids=["instance-cap", "round-cap"])
+def test_capped_ematch_yields_unknown_naming_the_cap(seq, config, cap):
+    """Under a cap the needed instance is never asserted: the prover must
+    answer UNKNOWN (never a wrong verdict) and say which cap cut the
+    search."""
+    answer = SmtProver(timeout=5.0, instantiation=config).prove(seq)
+    assert answer.verdict is Verdict.UNKNOWN, answer.detail
+    assert f"E-matching stopped at {cap}" in answer.detail, answer.detail
     # The same sequent proves under default limits (the cap, not the
-    # engine, is what lost it).
-    assert SmtProver(timeout=5.0, instantiation="ground").prove(seq).proved
+    # engine, is what lost it), and a proof names no cap.
+    proved = SmtProver(timeout=5.0).prove(seq)
+    assert proved.proved, proved.detail
+    assert "stopped at" not in proved.detail
+
+
+def test_instantiation_takes_only_a_config():
+    assert SmtProver(instantiation=None).instantiation == InstantiationConfig()
+    for wrong in ("ground", {"ematch_rounds": 1}):
+        with pytest.raises(TypeError, match="InstantiationConfig"):
+            SmtProver(instantiation=wrong)

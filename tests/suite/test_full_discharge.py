@@ -14,7 +14,7 @@ instantiation engine landed (see ISSUE 5 / CHANGES):
   with ``trusted_assumes == 0`` — i.e. ``fully_verified``;
 * the lookup sequent counts are pinned so a quiet change in splitting or
   VC generation is loud;
-* verdicts computed under one ``instantiation=`` setting are never
+* verdicts computed under one set of E-matching limits are never
   replayed from the sequent cache under another.
 """
 
@@ -151,34 +151,23 @@ def test_whole_suite_has_zero_trusted_assumes():
 # -- instantiation settings key the verdict cache ---------------------------
 
 
-def test_instantiation_mode_is_part_of_the_options_signature():
-    ematch = SmtProver(instantiation="ematch")
-    ground = SmtProver(instantiation="ground")
-    assert "mode='ematch'" in ematch.options_signature()
-    assert "mode='ground'" in ground.options_signature()
-    assert ematch.options_signature() != ground.options_signature()
-
-
 def test_no_cached_verdict_replay_across_instantiation_settings():
     """A verdict computed under one instantiation setting must never be
-    replayed for another: the cache key includes the mode and limits."""
+    replayed for another: the cache key includes the E-matching limits."""
     from repro.form.parser import parse_formula as parse
     from repro.vcgen.sequent import sequent
 
     seq = sequent([parse("ALL x. p x"), parse("q")], parse("p a"))
     cache = SequentCache()
-    ematch = SmtProver(instantiation="ematch")
-    answer = ematch.prove(seq)
-    assert answer.proved
-    cache.store(seq, ematch.name, answer, ematch.options_signature())
-    # Same prover name, different instantiation settings: both the other
-    # mode and changed E-matching limits must miss.
-    ground = SmtProver(instantiation="ground")
-    assert cache.lookup(seq, ground.name, ground.options_signature()) is None
     from repro.smt.instantiate import InstantiationConfig
 
+    default = SmtProver()
+    answer = default.prove(seq)
+    assert answer.proved
+    cache.store(seq, default.name, answer, default.options_signature())
+    # Same prover name, changed E-matching limits: must miss.
     tighter = SmtProver(instantiation=InstantiationConfig(ematch_rounds=1))
     assert cache.lookup(seq, tighter.name, tighter.options_signature()) is None
     # And the identical configuration hits.
-    again = SmtProver(instantiation="ematch")
+    again = SmtProver(instantiation=InstantiationConfig())
     assert cache.lookup(seq, again.name, again.options_signature()) is not None
