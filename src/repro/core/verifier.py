@@ -22,10 +22,9 @@ Dispatch settings are the fields of one frozen
   command line, and each engine's options.  The syntactic prover always
   runs first (it is free and discharges the many trivial conjuncts every
   VC contains).
-* ``workers=N`` / ``backend``: the executor.  ``workers=1`` (the default)
-  dispatches inline; more workers fan the split sequents out to a thread
-  pool, or with ``backend="process"`` to a process pool — the bundled
-  provers are pure Python, so only processes buy multi-core speedup.
+* ``workers=N``: the executor.  ``workers=1`` (the default) dispatches
+  inline; more workers fan the split sequents out to a process pool, as
+  Jahob runs its provers as separate processes.
   Outcomes never depend on the executor; with several workers the prover
   credited for a sequent may.
 * ``sequent_budget=T`` bounds the time the portfolio may spend on any one

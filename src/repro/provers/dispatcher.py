@@ -1,4 +1,4 @@
-"""The prover dispatcher: one dispatch loop, one configuration, three executors.
+"""The prover dispatcher: one dispatch loop, one configuration, two executors.
 
 This is the integrated-reasoning heart of the system (Sections 5.1-5.2): a
 verification condition is split into sequents, and every sequent is offered
@@ -12,13 +12,14 @@ included — feed the Figure 7 / Figure 15 reports.
 
 Every setting of a dispatch lives in one frozen :class:`DispatchConfig`:
 the prover chain (aliases resolved), the prover options, the per-sequent
-budget, the dedup pre-pass, and the executor (``workers`` and
-``backend``).  :class:`Dispatcher` runs one batch in three steps:
+budget, the dedup pre-pass, and the executor width (``workers``).
+:class:`Dispatcher` runs one batch in three steps:
 
 1. the pre-pass, in the calling thread: ``dedup=True`` groups the batch by
    structural digest so only one representative per group is proved;
-2. each representative goes to an executor: inline for ``workers=1``, a
-   thread pool, or a process pool (``backend="process"``);
+2. each representative goes to an executor: inline for ``workers=1``,
+   otherwise a process pool — the paper's provers are separate processes
+   too, and the bundled pure-Python ones only scale across processes;
 3. one merge folds the outcomes back in sequent order, fanning each
    representative's verdict out to its duplicates as replayed (``cached``)
    answers — the accounting a warm cache would produce.
@@ -33,13 +34,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..vcgen.sequent import Sequent
 from .base import Deadline, Prover, ProverAnswer, ProverStats, Verdict, registry
@@ -58,9 +58,6 @@ PROVER_ALIASES = {
 }
 
 DEFAULT_ORDER = ("syntactic", "smt", "fol", "mona", "bapa", "interactive")
-
-#: The executors a dispatch with ``workers > 1`` may fan out to.
-BACKENDS = ("thread", "process")
 
 
 def _register_default_provers() -> None:
@@ -100,9 +97,9 @@ class DispatchConfig:
     configuration.  ``prover_options`` maps an engine name to the keyword
     arguments its prover is built with.  ``sequent_budget`` bounds (and
     enforces) the time the whole chain may spend on one sequent.  ``dedup``
-    enables the pre-pass (see the module docstring).  ``workers`` and
-    ``backend`` choose the executor: inline for one worker, else a pool of
-    ``workers`` threads or processes.
+    enables the pre-pass (see the module docstring).  ``workers`` chooses
+    the executor: inline for one worker, else a pool of ``workers``
+    processes.
 
     A config is immutable and picklable — the process executor ships it to
     its workers, which rebuild the portfolio with :meth:`make_provers`.
@@ -113,11 +110,8 @@ class DispatchConfig:
     sequent_budget: Optional[float] = None
     dedup: bool = False
     workers: int = 1
-    backend: str = "thread"
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; use 'thread' or 'process'")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers!r}")
         object.__setattr__(self, "provers", tuple(resolve_prover_names(self.provers)))
@@ -138,7 +132,7 @@ class DispatchConfig:
 
     def make_provers(self) -> List[Prover]:
         """A fresh portfolio for this chain (provers may carry mutable state,
-        so every executor thread and process builds its own)."""
+        so every dispatcher and every pool process builds its own)."""
         return make_provers(self.provers, **self.prover_options)
 
     def key(self) -> str:
@@ -451,11 +445,10 @@ def _merge_outcomes(
 # ---------------------------------------------------------------------------
 
 
-#: Cap on portfolios (and dispatchers) kept per distinct ``DispatchConfig``:
-#: a farm worker's portfolio cache and the daemon's dispatcher cache are
-#: both LRUs of this size, so a long-lived daemon serving many prover
-#: configurations keeps bounded memory.
-_MAX_CACHED_DISPATCHERS = 32
+#: Cap on the portfolios a pool process keeps, one per distinct
+#: ``DispatchConfig``: the LRU below keeps a long-lived farm serving many
+#: prover configurations at bounded memory.
+_MAX_CACHED_PORTFOLIOS = 32
 
 #: Per-worker-process portfolio cache (LRU by config key): building provers
 #: once per process instead of once per sequent task keeps per-task overhead
@@ -474,7 +467,7 @@ def _process_worker_chain(
     provers = _PROCESS_PORTFOLIOS.get(key)
     if provers is None:
         provers = _PROCESS_PORTFOLIOS[key] = config.make_provers()
-        while len(_PROCESS_PORTFOLIOS) > _MAX_CACHED_DISPATCHERS:
+        while len(_PROCESS_PORTFOLIOS) > _MAX_CACHED_PORTFOLIOS:
             _PROCESS_PORTFOLIOS.popitem(last=False)
     else:
         _PROCESS_PORTFOLIOS.move_to_end(key)
@@ -495,27 +488,22 @@ class Dispatcher:
     as the verdicts it was learned from; without a cache the dispatcher
     learns in a fresh in-memory table.  ``ordering=`` overrides either.
 
-    Executors: with ``workers=1`` the chains run inline on one portfolio
-    built with the dispatcher.  Thread workers each build their own
-    portfolio (provers may carry mutable state, e.g. the interactive lemma
-    store) and share the lock-protected cache; the bundled provers are pure
-    Python, so under the GIL threads buy cheap workers, not wall-clock
-    speedup.  Process workers scale across cores; the cache and the ordering
-    table stay in this process, which cache-scans and ranks each open
-    sequent before submitting it and stores and learns from the answers
-    when they come back.  Inline and thread chains scan and rank when the
-    chain starts, so each answer already reorders the next sequent of its
-    bucket; with ``workers > 1`` answers land in completion order, so which
-    prover gets credit for a sequent may differ from an inline run — which
-    sequents prove never does.
+    Executors: with ``workers=1`` and no lent pool the chains run inline on
+    one portfolio built with the dispatcher; each chain scans and ranks when
+    it starts, so each answer already reorders the next sequent of its
+    bucket.  Otherwise the chains run on a process pool, which scales
+    across cores: the cache and the ordering table stay in this process,
+    which cache-scans and ranks each open sequent before submitting it and
+    stores and learns from the answers when they come back.  Answers then
+    land in completion order, so which prover gets credit for a sequent may
+    differ from an inline run — which sequents prove never does.
 
-    ``executor=`` lends the dispatcher a long-lived pool matching the
-    backend (a ``ThreadPoolExecutor`` or a ``ProcessPoolExecutor``) instead
-    of building one per :meth:`prove_all`; a lent pool is used even with one
-    worker.  It is never shut down here — the owner (e.g. the verify
-    daemon's prover farm, shared by every batch lane) manages its lifetime —
-    and its workers persist across batches, so per-thread portfolios and
-    per-process portfolio caches are built once and reused.
+    ``executor=`` lends the dispatcher a long-lived ``ProcessPoolExecutor``
+    instead of building one per :meth:`prove_all`; a lent pool is used even
+    with one worker.  It is never shut down here — the owner (e.g. the
+    verify daemon's prover farm, shared by every batch lane) manages its
+    lifetime — and its processes persist across batches, so their
+    portfolio caches are built once and reused.
     """
 
     def __init__(
@@ -542,10 +530,6 @@ class Dispatcher:
         self.ordering = ordering if ordering is not None else (
             cache.ordering if cache is not None else ProverOrdering()
         )
-        # Pool threads keep their portfolios across batches (a lent pool
-        # serves many prove_all calls); a thread runs one task at a time, so
-        # a portfolio is never shared.
-        self._local = threading.local()
 
     def prove_all(
         self, sequents: Sequence[Sequent], deadline: Optional[Deadline] = None
@@ -572,9 +556,10 @@ class Dispatcher:
         busy: Dict[str, float] = {}
         if self.executor is None and self.config.workers == 1:
             for index in open_indices:
-                outcomes[index] = self._chain(self._portfolio, sequents[index], deadline)
-        elif self.config.backend == "thread":
-            busy = self._run_threads(sequents, open_indices, outcomes, deadline)
+                outcomes[index] = _run_prover_chain(
+                    self._portfolio, sequents[index], self.cache,
+                    self.config.sequent_budget, deadline=deadline, ordering=self.ordering,
+                )
         else:
             busy = self._run_processes(sequents, open_indices, outcomes, deadline)
 
@@ -593,47 +578,6 @@ class Dispatcher:
                 worker: elapsed / result.wall_time for worker, elapsed in sorted(busy.items())
             }
         return result
-
-    # -- pool executors: fill ``outcomes`` at ``indices``, return busy time --
-
-    def _chain(
-        self, provers: Sequence[Prover], sequent: Sequent, deadline: Optional[Deadline]
-    ) -> SequentOutcome:
-        return _run_prover_chain(
-            provers, sequent, self.cache, self.config.sequent_budget,
-            deadline=deadline, ordering=self.ordering,
-        )
-
-    @contextmanager
-    def _pool(self, make_pool, **options) -> Iterator[Executor]:
-        """The lent executor, or a pool owned (and shut down) by one batch."""
-        if self.executor is not None:
-            yield self.executor
-            return
-        with make_pool(max_workers=self.config.workers, **options) as pool:
-            yield pool
-
-    def _run_threads(self, sequents, indices, outcomes, deadline) -> Dict[str, float]:
-        busy: Dict[str, float] = {}
-        busy_lock = threading.Lock()
-
-        def task(sequent: Sequent) -> SequentOutcome:
-            provers = getattr(self._local, "provers", None)
-            if provers is None:
-                provers = self._local.provers = self.config.make_provers()
-            started = time.perf_counter()
-            outcome = self._chain(provers, sequent, deadline)
-            elapsed = time.perf_counter() - started
-            name = threading.current_thread().name
-            with busy_lock:
-                busy[name] = busy.get(name, 0.0) + elapsed
-            return outcome
-
-        with self._pool(ThreadPoolExecutor, thread_name_prefix="prover-worker") as pool:
-            futures = {index: pool.submit(task, sequents[index]) for index in indices}
-            for index, future in futures.items():
-                outcomes[index] = future.result()
-        return busy
 
     def _run_processes(self, sequents, indices, outcomes, deadline) -> Dict[str, float]:
         signatures = [(p.name, p.options_signature()) for p in self._portfolio]
@@ -655,7 +599,12 @@ class Dispatcher:
                 scans[index] = (answers, *_ranked(self.ordering, sequents[index], names, live))
 
         busy = 0.0
-        with self._pool(ProcessPoolExecutor) as pool:
+        # A lent pool outlives the batch; a pool of our own is shut down with it.
+        pool_scope = (
+            ProcessPoolExecutor(max_workers=self.config.workers)
+            if self.executor is None else nullcontext(self.executor)
+        )
+        with pool_scope as pool:
             futures = {}
             for index, (_, _, live) in scans.items():
                 # A Deadline cannot cross the process boundary (its expiry

@@ -32,7 +32,7 @@ def _announce(server: VerifyServer) -> None:
     print(
         f"verify daemon on {server.host}:{server.port} "
         f"(store: {where}; window {server.window}s; "
-        f"{service.lanes} lanes x {service.workers} {service.backend} workers"
+        f"{service.lanes} lanes x {service.workers} workers"
         f"{compaction})",
         flush=True,
     )
@@ -64,11 +64,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=0,
-        help="prover farm width shared by all lanes (default: one per core)",
-    )
-    parser.add_argument(
-        "--backend", choices=("thread", "process"), default=None,
-        help="farm backend (default: process when the farm is wider than 1)",
+        help="prover farm width shared by all lanes; 1 proves inline in each "
+        "lane (default: one per core)",
     )
     parser.add_argument(
         "--request-workers", type=int, default=8,
@@ -104,7 +101,6 @@ def main() -> None:
         max_batch=args.max_batch,
         lanes=args.lanes,
         workers=args.workers or None,
-        backend=args.backend,
         request_workers=args.request_workers,
         max_request_bytes=args.max_request_bytes,
         store_max_entries=args.store_max_entries,

@@ -16,13 +16,12 @@ verdict store:
   batch skips digests currently being proved by another lane under the same
   configuration and picks their verdicts from the store once that dispatch
   lands (``ServiceStats.live_reproofs == 0`` pins this across lanes).
-* The prover farm is real: batch dispatch always runs a
-  :class:`repro.provers.dispatcher.ParallelDispatcher` whose worker pool is
-  *persistent* — one process pool sized to the machine (``workers``,
-  ``backend="process"`` by default on multi-core hosts) shared by every lane,
-  or one thread pool per cached dispatcher for ``backend="thread"`` — so
-  workers and their per-worker prover portfolios are reused across batches
-  instead of being rebuilt per dispatch.
+* Every claimed dispatch builds a fresh
+  :class:`repro.provers.dispatcher.ParallelDispatcher` (cheap: a portfolio
+  and its option signatures).  With ``workers > 1`` (by default one per
+  core) it runs on the prover farm, one *persistent* process pool shared by
+  every lane, whose processes keep their prover portfolios across batches;
+  with ``workers=1`` the batch runs inline in its lane thread.
 * One :class:`repro.provers.cache.SequentCache` backs the verdicts:
   content-addressed by structural digest, one ``<store-dir>/<key>.json``
   file per verdict, safe under concurrent multi-process access — several
@@ -81,7 +80,7 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
@@ -101,7 +100,6 @@ from ..provers.base import Deadline
 from ..provers.cache import SequentCache
 from ..provers.dispatcher import (
     DEFAULT_ORDER,
-    _MAX_CACHED_DISPATCHERS,
     DispatchConfig,
     DispatchResult,
     ParallelDispatcher,
@@ -203,46 +201,28 @@ class VerifyService:
         max_batch: int = 512,
         lanes: int = DEFAULT_LANES,
         workers: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.store = store
         self.window = window
         self.max_batch = max_batch
         self.lanes = max(1, int(lanes))
-        # The farm defaults to the machine: every core a process worker.  On
-        # a single core the thread backend avoids pointless fork overhead.
+        # The farm defaults to the machine: every core a process worker.
         self.workers = max(1, int(workers)) if workers else (os.cpu_count() or 1)
-        self.backend = backend if backend is not None else (
-            "process" if self.workers > 1 else "thread"
-        )
-        if self.backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; use 'thread' or 'process'"
-            )
         self.stats = ServiceStats()
         self._pending: Deque[_PendingRequest] = deque()
         self._wakeup = asyncio.Event()
         self._stopping = False
         self._task: Optional[asyncio.Task] = None
         # Lane executor: each concurrently dispatching batch occupies one
-        # thread here while its prove_all blocks (the real parallelism lives
-        # in the shared farm below).
+        # thread here while its prove_all blocks — proving inline at
+        # ``workers=1``, else waiting on the farm below.
         self._executor = ThreadPoolExecutor(self.lanes, thread_name_prefix="verify-lane")
-        # The persistent prover farm (process backend): one pool shared by
-        # every lane and every configuration, its workers — and their
-        # per-process portfolio caches — reused across batches.
+        # The persistent prover farm: one process pool shared by every lane
+        # and every configuration, its processes — and their per-process
+        # portfolio caches — reused across batches.
         self._farm: Optional[ProcessPoolExecutor] = (
-            ProcessPoolExecutor(max_workers=self.workers)
-            if self.backend == "process"
-            else None
+            ProcessPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
         )
-        # Per-configuration dispatcher cache (LRU, _MAX_CACHED_DISPATCHERS):
-        # the dispatcher, and the persistent thread pool it owns when the
-        # backend is "thread".
-        self._dispatchers: "OrderedDict[str, Tuple[ParallelDispatcher, Optional[ThreadPoolExecutor]]]" = (
-            OrderedDict()
-        )
-        self._dispatching: Dict[str, int] = {}
         self._lane_tasks: Dict[int, asyncio.Task] = {}
         self._lane_counter = 0
         # The cross-lane single-flight registry: (digest, config key) ->
@@ -286,9 +266,7 @@ class VerifyService:
         if not sequents:
             return DispatchResult()
         loop = asyncio.get_running_loop()
-        config = dataclasses.replace(
-            config, dedup=True, workers=self.workers, backend=self.backend
-        )
+        config = dataclasses.replace(config, dedup=True, workers=self.workers)
         request = _PendingRequest(
             config=config,
             key=config.key(),
@@ -320,10 +298,6 @@ class VerifyService:
                 request.future.set_exception(ServiceStopped("service stopped"))
         self._pending.clear()
         self._executor.shutdown(wait=True)
-        for _, pool in self._dispatchers.values():
-            if pool is not None:
-                pool.shutdown(wait=False)
-        self._dispatchers.clear()
         if self._farm is not None:
             self._farm.shutdown(wait=True)
 
@@ -512,11 +486,12 @@ class VerifyService:
                 claimed[digest] = event
                 mine.append(index)
             if mine:
-                self._dispatching[key] = self._dispatching.get(key, 0) + 1
                 try:
                     # Built inside the try: a config the registry cannot
                     # build must still release the digests claimed above.
-                    dispatcher = self._dispatcher_for(key, first.config)
+                    dispatcher = ParallelDispatcher(
+                        first.config, self.store, executor=self._farm
+                    )
                     result = await loop.run_in_executor(
                         self._executor,
                         functools.partial(
@@ -526,11 +501,6 @@ class VerifyService:
                         ),
                     )
                 finally:
-                    count = self._dispatching.get(key, 1) - 1
-                    if count:
-                        self._dispatching[key] = count
-                    else:
-                        self._dispatching.pop(key, None)
                     # Verdicts are in the store (prove_all stores before
                     # returning), so deferring lanes may now replay them.
                     for digest, event in claimed.items():
@@ -561,39 +531,6 @@ class VerifyService:
                 request.future.set_result(
                     _slice_result(merged_result, rep, start, stop, deadline)
                 )
-
-    def _dispatcher_for(self, key: str, config: DispatchConfig) -> ParallelDispatcher:
-        """The cached dispatcher of one configuration (built on first use).
-
-        Process backend: every dispatcher borrows the shared farm.  Thread
-        backend: each dispatcher owns a persistent thread pool, so worker
-        threads — and their thread-local portfolios — survive across
-        batches.  Only called from the event loop, so no lock is needed.
-        """
-        entry = self._dispatchers.get(key)
-        if entry is not None:
-            self._dispatchers.move_to_end(key)
-            return entry[0]
-        pool: Optional[ThreadPoolExecutor] = None
-        if self.backend == "process":
-            executor = self._farm
-        else:
-            pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="prover-worker"
-            )
-            executor = pool
-        dispatcher = ParallelDispatcher(config, self.store, executor=executor)
-        self._dispatchers[key] = (dispatcher, pool)
-        while len(self._dispatchers) > _MAX_CACHED_DISPATCHERS:
-            for old_key in self._dispatchers:
-                if not self._dispatching.get(old_key):
-                    _, old_pool = self._dispatchers.pop(old_key)
-                    if old_pool is not None:
-                        old_pool.shutdown(wait=False)
-                    break
-            else:
-                break  # every cached dispatcher is mid-dispatch; grow past the cap
-        return dispatcher
 
     def _account(self, result: DispatchResult, key: str) -> None:
         """Fold one dispatch into the service counters (event-loop only).
@@ -650,6 +587,27 @@ def _settings_error(request: Dict[str, Any]) -> Optional[str]:
             "sequent_budget must be null or a positive number of seconds, "
             f"got {budget!r:.80}"
         )
+    # ``not budget >= 0`` refuses a NaN budget too, which would never expire.
+    budget = request.get("budget")
+    if budget is not None and (type(budget) not in (int, float) or not budget >= 0):
+        return (
+            "budget must be null or a non-negative number of seconds, "
+            f"got {budget!r:.80}"
+        )
+    return None
+
+
+def _portfolio_error(config: DispatchConfig) -> Optional[str]:
+    """Why a request's prover chain cannot be built (None when it can).
+    Checked before queueing: an unknown prover name or option keyword would
+    otherwise fail only in the lane (for ``verify_*``, after parsing and
+    splitting the source)."""
+    try:
+        config.make_provers()
+    except KeyError as exc:
+        return f"provers: {exc.args[0]}"
+    except (TypeError, ValueError) as exc:
+        return f"prover_options: {exc}"
     return None
 
 
@@ -736,7 +694,6 @@ class VerifyServer:
         max_batch: int = 512,
         lanes: int = DEFAULT_LANES,
         workers: Optional[int] = None,
-        backend: Optional[str] = None,
         request_workers: int = 8,
         drain_timeout: float = 30.0,
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
@@ -758,7 +715,6 @@ class VerifyServer:
         self.max_batch = max_batch
         self.lanes = lanes
         self.workers = workers
-        self.backend = backend
         self.max_request_bytes = max(1024, int(max_request_bytes))
         self.compact_interval = compact_interval
         self.drain_timeout = drain_timeout
@@ -832,7 +788,6 @@ class VerifyServer:
             max_batch=self.max_batch,
             lanes=self.lanes,
             workers=self.workers,
-            backend=self.backend,
         )
         await self.service.start()
         server = await asyncio.start_server(
@@ -1002,12 +957,20 @@ class VerifyServer:
             error = _settings_error(request)
             if error is not None:
                 return {"ok": False, "error": error}
-        if op == "prove_sequents":
-            return await self._op_prove_sequents(request)
-        if op == "verify_method":
-            return await self._op_verify(request, class_wide=False)
-        if op == "verify_class":
-            return await self._op_verify(request, class_wide=True)
+            # One config for the whole request: the report's prover_order and
+            # the chain the batcher dispatches are the same resolved chain, so
+            # server-backed runs key the verdict store exactly as local ones do.
+            settings = _wire_settings(request)
+            config = (
+                DispatchConfig(**settings) if op == "prove_sequents"
+                else DispatchConfig.for_verify(**settings)
+            )
+            error = _portfolio_error(config)
+            if error is not None:
+                return {"ok": False, "error": error}
+            if op == "prove_sequents":
+                return await self._op_prove_sequents(request, config)
+            return await self._op_verify(request, config, class_wide=op == "verify_class")
         if op == "compact":
             max_entries, max_age = request.get("max_entries"), request.get("max_age")
             error = _cap_error(max_entries, max_age)
@@ -1031,9 +994,11 @@ class VerifyServer:
 
     def _request_deadline(self, request: Dict[str, Any]) -> Optional[Deadline]:
         budget = request.get("budget")
-        return Deadline.after(float(budget)) if budget is not None else None
+        return Deadline.after(budget) if budget is not None else None
 
-    async def _op_prove_sequents(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_prove_sequents(
+        self, request: Dict[str, Any], config: DispatchConfig
+    ) -> Dict[str, Any]:
         wire = request.get("sequents", [])
         if not (isinstance(wire, list) and all(isinstance(item, dict) for item in wire)):
             error = f"sequents must be a list of objects, got {wire!r:.80}"
@@ -1043,9 +1008,7 @@ class VerifyServer:
             self._request_pool, sequents_from_wire, wire
         )
         result = await self.service.prove(
-            sequents,
-            DispatchConfig(**_wire_settings(request)),
-            self._request_deadline(request),
+            sequents, config, self._request_deadline(request)
         )
         return {
             "ok": True,
@@ -1065,7 +1028,7 @@ class VerifyServer:
         }
 
     async def _op_verify(
-        self, request: Dict[str, Any], class_wide: bool
+        self, request: Dict[str, Any], config: DispatchConfig, class_wide: bool
     ) -> Dict[str, Any]:
         source = request.get("source")
         if not source:
@@ -1077,10 +1040,6 @@ class VerifyServer:
                     "error": f"{knob}=false is not supported: verify always runs the "
                     "syntactic prover first and checks frame conditions",
                 }
-        # One config for the whole request: the report's prover_order and
-        # the chain the batcher dispatches are the same resolved chain, so
-        # server-backed runs key the verdict store exactly as local ones do.
-        config = DispatchConfig.for_verify(**_wire_settings(request))
         deadline = self._request_deadline(request)
         loop = asyncio.get_running_loop()
 
@@ -1132,7 +1091,6 @@ class VerifyServer:
                 "peak_busy": self.service.stats.peak_lanes_busy,
                 "queue_depth": self.service.pending,
                 "workers": self.service.workers,
-                "backend": self.service.backend,
             }
             if self.service is not None
             else {}

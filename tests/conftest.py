@@ -6,18 +6,17 @@ from repro import suite
 from repro.java.resolver import parse_program
 from repro.vcgen.vcgen import generate_method_vc
 
-#: The dispatch executors backend-parity tests run under, as
+#: The dispatch executors parity tests run under, as
 #: :class:`repro.provers.dispatcher.DispatchConfig` settings.
 EXECUTORS = {
     "inline": {"workers": 1},
-    "threads2": {"workers": 2, "backend": "thread"},
-    "processes2": {"workers": 2, "backend": "process"},
+    "processes2": {"workers": 2},
 }
 
 
 @pytest.fixture(params=list(EXECUTORS))
 def executor(request):
-    """``workers``/``backend`` settings of one dispatch executor."""
+    """The ``workers`` setting of one dispatch executor."""
     return dict(EXECUTORS[request.param])
 
 

@@ -453,9 +453,9 @@ def test_cached_failure_replays_and_only_uncached_provers_run():
 
 
 def test_every_executor_runs_the_learned_order(executor):
-    """Inline and thread chains rank when they start; process workers
-    receive the live provers already ranked by the parent's table.  Either
-    way the chain runs in the learned order."""
+    """Inline chains rank when they start; process workers receive the live
+    provers already ranked by the parent's table.  Either way the chain runs
+    in the learned order."""
     seq = sequent([parse("p")], parse("p"))  # both provers prove it
     ordering = ProverOrdering()
     ordering.observe_outcome(sequent_features(seq), "smt", proved=True, time=0.001)
@@ -466,7 +466,7 @@ def test_every_executor_runs_the_learned_order(executor):
     assert [a.prover for a in outcome.answers] == ["smt"]
 
 
-# -- backends and the fixed order prove the same sequents ----------------------
+# -- executors and the fixed order prove the same sequents ---------------------
 
 PROVERS = ["syntactic", "smt"]
 OPTIONS = {"smt": {"timeout": 2.0}}

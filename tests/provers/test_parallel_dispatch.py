@@ -108,14 +108,14 @@ def test_digest_distinguishes_hints():
 
 
 def test_worker_portfolio_cache_is_a_bounded_lru(monkeypatch):
-    """A farm worker keeps at most ``_MAX_CACHED_DISPATCHERS`` portfolios,
+    """A farm worker keeps at most ``_MAX_CACHED_PORTFOLIOS`` portfolios,
     drops the least recently used first, and reuses a cached one."""
     from collections import OrderedDict
 
     from repro.provers import dispatcher
 
     monkeypatch.setattr(dispatcher, "_PROCESS_PORTFOLIOS", OrderedDict())
-    cap = dispatcher._MAX_CACHED_DISPATCHERS
+    cap = dispatcher._MAX_CACHED_PORTFOLIOS
     seq = sequent([parse("p")], parse("p"))
     configs = [DispatchConfig(["syntactic"], sequent_budget=k + 1.0) for k in range(40)]
 
@@ -247,7 +247,7 @@ def test_cached_dispatch_preserves_outcomes():
     assert _shape(replayed) == _shape(baseline)
 
 
-# -- one dispatcher, three executors -------------------------------------------
+# -- one dispatcher, two executors ---------------------------------------------
 
 PAIR = ("syntactic", "smt")
 
@@ -312,7 +312,7 @@ def test_config_resolves_aliases_and_prepends_syntactic_once():
     assert DispatchConfig.for_verify(["smt", "syntactic"]).provers == ("smt", "syntactic")
 
 
-@pytest.mark.parametrize("settings", [{"backend": "gpu"}, {"workers": 0}, {"workers": -2}])
+@pytest.mark.parametrize("settings", [{"workers": 0}, {"workers": -2}])
 def test_config_rejects_bad_executor_settings(settings):
     with pytest.raises(ValueError):
         DispatchConfig(PAIR, **settings)
@@ -323,8 +323,7 @@ def test_config_survives_a_pickle_round_trip():
     import pickle
 
     config = DispatchConfig(
-        PAIR, {"smt": {"timeout": 2.0}}, sequent_budget=1.5, dedup=True,
-        workers=2, backend="process",
+        PAIR, {"smt": {"timeout": 2.0}}, sequent_budget=1.5, dedup=True, workers=2,
     )
     clone = pickle.loads(pickle.dumps(config))
     assert clone == config and clone.key() == config.key()

@@ -277,5 +277,5 @@ def test_verdicts_and_dispatch_settings():
         "proved", "unknown", "unsupported", "timeout", "refuted",
     ]
     assert [field.name for field in dataclasses.fields(DispatchConfig)] == [
-        "provers", "prover_options", "sequent_budget", "dedup", "workers", "backend",
+        "provers", "prover_options", "sequent_budget", "dedup", "workers",
     ]

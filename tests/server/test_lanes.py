@@ -5,6 +5,8 @@ The contract pinned here:
 * batches for *different* prover configurations dispatch concurrently —
   a fast config's request returns while a slow config's batch is still in
   flight, and ``peak_lanes_busy`` records the overlap;
+* batches of the *same* configuration overlap too, each on a portfolio of
+  its own, even when the farm is one worker wide;
 * the in-flight digest registry preserves single-flight per (digest,
   configuration) *across* lanes: a second lane assembling a batch over
   digests another lane is proving defers them and replays their verdicts
@@ -15,8 +17,9 @@ The contract pinned here:
   slow prover to finish on its own schedule.
 
 All tests drive :class:`VerifyService` directly under asyncio with a
-registered in-process test prover, so they run on the thread backend (the
-process farm cannot see a prover registered only in the test process).
+registered in-process test prover, so they run at ``workers=1``, each batch
+inline in its lane thread (the process farm cannot see a prover registered
+only in the test process).
 """
 
 import asyncio
@@ -52,10 +55,28 @@ class SleepyProver(Prover):
         return ProverAnswer(Verdict.PROVED, self.name, detail="slept it off")
 
 
+#: (prover instance id, entered, left) of every :class:`TrackingProver` attempt.
+_ATTEMPTS = []
+
+
+class TrackingProver(SleepyProver):
+    """A sleepy prover that records when each instance is inside ``attempt``."""
+
+    name = "tracking"
+
+    def attempt(self, sequent, deadline=None):
+        entered = time.monotonic()
+        try:
+            return super().attempt(sequent, deadline)
+        finally:
+            _ATTEMPTS.append((id(self), entered, time.monotonic()))
+
+
 @pytest.fixture(autouse=True)
 def _register_sleepy():
     make_provers(["syntactic"])  # populate the default registry first
     registry.register("sleepy", SleepyProver)
+    registry.register("tracking", TrackingProver)
     yield
 
 
@@ -63,7 +84,6 @@ def _service(**kwargs):
     kwargs.setdefault("window", 0.01)
     kwargs.setdefault("lanes", 2)
     kwargs.setdefault("workers", 1)
-    kwargs.setdefault("backend", "thread")
     return VerifyService(SequentCache(), **kwargs)
 
 
@@ -111,6 +131,32 @@ def test_distinct_configs_dispatch_concurrently():
         assert service.stats.batches == 2
 
     asyncio.run(run())
+
+
+def test_same_config_lanes_overlap_on_portfolios_of_their_own():
+    """Two batches of one configuration, distinct digests, on a one-worker
+    farm: the second lane proves while the first batch is still in flight
+    (each lane runs its batch inline), and no prover instance is inside
+    ``attempt`` twice at once — every dispatch builds its own portfolio."""
+
+    async def run():
+        _ATTEMPTS.clear()
+        service = await _service(workers=1, lanes=2, window=0.01).start()
+        config = DispatchConfig(["tracking"], {"tracking": {"delay": 0.4}})
+        try:
+            first = asyncio.ensure_future(service.prove([_syntactic_seq(0)], config))
+            await _wait_for(lambda: service._inflight)
+            second = await service.prove([_syntactic_seq(1)], config)
+            assert second.proved == 1
+            assert (await first).proved == 1
+        finally:
+            await service.stop()
+        assert service.stats.peak_lanes_busy == 2
+
+    asyncio.run(run())
+    (one, one_in, one_out), (two, two_in, two_out) = _ATTEMPTS
+    assert one_in < two_out and two_in < one_out, "same-config lanes never overlapped"
+    assert one != two, "one prover instance was inside attempt twice at once"
 
 
 def test_inflight_registry_blocks_cross_lane_reproofs():

@@ -331,7 +331,7 @@ def test_verify_refuses_a_disabled_syntactic_first_or_frame(client, op, knob):
 
 def test_alias_and_engine_name_requests_share_one_lane(server):
     """``z3`` is an alias of ``smt``: requests naming either resolve to one
-    DispatchConfig, so they batch under one key and one cached dispatcher."""
+    DispatchConfig, so they batch under one key and share their verdicts."""
     alias = DispatchConfig(["syntactic", "z3"], OPTIONS)
     engine = DispatchConfig(["syntactic", "smt"], OPTIONS)
     assert alias.key() == engine.key()
@@ -341,7 +341,6 @@ def test_alias_and_engine_name_requests_share_one_lane(server):
         stats = _service_stats(c)
     assert cold["proved"] == warm["proved"] == 3
     assert warm["replayed"] == 3 and stats["live_reproofs"] == 0
-    assert len(server.service._dispatchers) == 1  # one batch key, one dispatcher
 
 
 # -- store persistence and lifecycle ------------------------------------------
@@ -423,11 +422,18 @@ def test_compact_op_refuses_invalid_caps(server, client):
     ({"prover_options": [1, 2]}, "prover_options must map"),
     ({"sequent_budget": "x"}, "sequent_budget must be"),
     ({"sequents": "nope"}, "sequents must be a list"),
-], ids=["provers", "prover_options", "sequent_budget", "sequents"])
+    ({"budget": float("nan")}, "^budget must be"),
+    ({"budget": True}, "^budget must be"),
+    ({"budget": "abc"}, "^budget must be"),
+    ({"budget": -1}, "^budget must be"),
+], ids=["provers", "prover_options", "sequent_budget", "sequents",
+        "budget-nan", "budget-true", "budget-abc", "budget-negative"])
 def test_malformed_request_settings_are_refused_by_name(client, fields, named):
     """A malformed dispatch setting is answered ``ok: false`` with an error
     naming the field, before anything is dispatched, and the daemon still
-    proves the next valid request."""
+    proves the next valid request.  A NaN ``budget`` would build a deadline
+    that never expires inline (and a zero one on the farm), and ``true``
+    would read as one second."""
     from repro.server.wire import sequents_to_wire
 
     request = {"sequents": sequents_to_wire([_arith(70)]), "provers": PROVERS,
@@ -436,6 +442,30 @@ def test_malformed_request_settings_are_refused_by_name(client, fields, named):
         client.call("prove_sequents", **request)
     assert _service_stats(client)["batches"] == 0
     response = client.prove_sequents([_arith(71)], provers=PROVERS, prover_options=OPTIONS)
+    assert response["proved"] == 1
+
+
+@pytest.mark.parametrize("op", ["prove_sequents", "verify_method"])
+@pytest.mark.parametrize("fields, error", [
+    ({"provers": ["nope"]}, "^provers: unknown prover 'nope'"),
+    ({"prover_options": {"smt": {"bogus": 1}}}, "^prover_options: .*'bogus'"),
+], ids=["provers", "prover_options"])
+def test_unbuildable_prover_chains_are_refused_before_queueing(client, op, fields, error):
+    """An unknown prover name or option keyword is refused with an error
+    naming the field before anything is queued (for ``verify_method``,
+    before the source is parsed), not raised from inside a lane."""
+    from repro.server.wire import sequents_to_wire
+
+    request = {"provers": ["smt"], "prover_options": OPTIONS, **fields}
+    if op == "prove_sequents":
+        request["sequents"] = sequents_to_wire([_arith(74)])
+    else:
+        request.update(source=suite.source("SizedList"), class_name="SizedList",
+                       method="size")
+    with pytest.raises(VerifyServiceError, match=error):
+        client.call(op, **request)
+    assert _service_stats(client)["requests"] == 0
+    response = client.prove_sequents([_arith(75)], provers=PROVERS, prover_options=OPTIONS)
     assert response["proved"] == 1
 
 
