@@ -42,17 +42,6 @@ class BapaError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SetExpr:
-    """A set expression normalised as a union of Venn regions.
-
-    ``regions`` is the set of region indices (bit masks over the set
-    variables) whose union the expression denotes.
-    """
-
-    regions: FrozenSet[int]
-
-
 class VennSpace:
     """The collection of set variables of one BAPA problem."""
 

@@ -1,4 +1,5 @@
-"""Clausification: HOL formulas (already first-order in shape) to CNF clauses.
+"""Clausification: HOL formulas (already first-order in shape) to CNF clauses,
+and :func:`term_to_fol`, the one HOL-to-FOL term encoding of the FOL and SMT provers.
 
 The pipeline is the textbook one: negation normal form, Skolemization of
 existential quantifiers (with Skolem functions over the enclosing universal
@@ -10,10 +11,8 @@ sound).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..form import ast as F
 from ..form.rewrite import nnf, simplify
@@ -21,6 +20,11 @@ from .terms import Clause, FApp, FTerm, FVar, Literal
 
 if TYPE_CHECKING:  # import cycle: form.intern interns this module's terms
     from ..form.intern import TermBank
+
+
+#: Builds an application node: ``FApp`` itself, or a :class:`TermBank`'s
+#: hash-consing ``fapp``.
+FAppBuilder = Callable[[str, Tuple[FTerm, ...]], FApp]
 
 
 class ClausificationError(Exception):
@@ -51,11 +55,6 @@ class Clausifier:
     def fresh_skolem(self) -> str:
         self._skolem_counter += 1
         return f"sk_{self._skolem_counter}"
-
-    def _fapp(self, func: str, args: Tuple[FTerm, ...] = ()) -> FApp:
-        if self.bank is not None:
-            return self.bank.fapp(func, args)
-        return FApp(func, args)
 
     # -- formula -> clauses ---------------------------------------------------
 
@@ -120,14 +119,15 @@ class Clausifier:
         literal = self._atom_to_literal(formula, bound, positive=True)
         return [[literal]]
 
-    # -- atoms and terms -------------------------------------------------------
+    # -- atoms ------------------------------------------------------------------
 
     def _atom_to_literal(self, atom: F.Term, bound: Dict[str, FTerm], positive: bool) -> Literal:
+        fapp: FAppBuilder = self.bank.fapp if self.bank is not None else FApp
         if isinstance(atom, F.Eq):
             return Literal(
                 positive,
                 "=",
-                (self.term_to_fol(atom.lhs, bound), self.term_to_fol(atom.rhs, bound)),
+                (term_to_fol(atom.lhs, bound, fapp), term_to_fol(atom.rhs, bound, fapp)),
             )
         if isinstance(atom, F.Iff):
             # Residual boolean equivalence between atoms: encode as equality of
@@ -135,57 +135,77 @@ class Clausifier:
             return Literal(
                 positive,
                 "iff",
-                (self.term_to_fol(atom.lhs, bound), self.term_to_fol(atom.rhs, bound)),
+                (term_to_fol(atom.lhs, bound, fapp), term_to_fol(atom.rhs, bound, fapp)),
             )
-        if isinstance(atom, F.App) and isinstance(atom.func, F.Var):
-            args = tuple(self.term_to_fol(a, bound) for a in atom.args)
+        if isinstance(atom, F.App) and isinstance(atom.func, F.Var) and atom.func.name not in bound:
+            args = tuple(term_to_fol(a, bound, fapp) for a in atom.args)
             return Literal(positive, atom.func.name, args)
-        if isinstance(atom, F.Var):
+        if isinstance(atom, F.Var) and atom.name not in bound:
             return Literal(positive, atom.name, ())
-        if isinstance(atom, F.App):
-            # Application of a non-variable head (e.g. a bound higher-order
-            # variable): reify the whole application as a propositional term.
-            return Literal(positive, "holds", (self.term_to_fol(atom, bound),))
+        if isinstance(atom, (F.App, F.Var)):
+            # A bound boolean variable, or an application whose head is not a
+            # free predicate symbol (e.g. a bound higher-order variable):
+            # reify the term and assert that it holds.
+            return Literal(positive, "holds", (term_to_fol(atom, bound, fapp),))
         raise ClausificationError(f"cannot clausify atom {atom!r}")
 
-    def term_to_fol(self, term: F.Term, bound: Dict[str, FTerm]) -> FTerm:
-        # Encoding conventions ($int_N/$true/$false sentinels, $pair tuples,
-        # curried-application flattening) are mirrored by the E-matcher's
-        # translator (repro.smt.instantiate._HolToFol); keep them in lockstep
-        # or congruence classes silently split between matcher and theories.
-        if isinstance(term, F.Var):
-            if term.name in bound:
-                return bound[term.name]
-            return self._fapp(term.name)
-        if isinstance(term, F.IntLit):
-            return self._fapp(f"$int_{term.value}")
-        if isinstance(term, F.BoolLit):
-            return self._fapp("$true" if term.value else "$false")
-        if isinstance(term, F.TupleTerm):
-            return self._fapp("$pair", tuple(self.term_to_fol(i, bound) for i in term.items))
-        if isinstance(term, F.App):
-            head = term.func
-            args = list(term.args)
-            # Flatten curried applications: ((f a) b) -> f(a, b).
-            while isinstance(head, F.App):
-                args = list(head.args) + args
-                head = head.func
-            if isinstance(head, F.Var):
-                if head.name in bound:
-                    base = bound[head.name]
-                    return self._fapp(
-                        "$apply",
-                        (base,) + tuple(self.term_to_fol(a, bound) for a in args),
-                    )
-                return self._fapp(head.name, tuple(self.term_to_fol(a, bound) for a in args))
-            raise ClausificationError(f"higher-order term {term!r}")
-        if isinstance(term, (F.Quant, F.Lambda, F.SetCompr)):
-            raise ClausificationError(f"binder in term position: {term!r}")
-        if isinstance(term, F.Ite):
-            raise ClausificationError("if-then-else must be eliminated before clausification")
-        if isinstance(term, F.Old):
-            raise ClausificationError("old() must be resolved before clausification")
-        if isinstance(term, (F.And, F.Or, F.Not, F.Implies, F.Iff, F.Eq)):
-            # A formula in term position (boolean-valued field); reify it.
-            return self._fapp("$formula", (self._fapp(str(abs(hash(term)) % 10**8)),))
-        raise ClausificationError(f"cannot translate term {term!r}")
+
+def uncurry(term: F.App) -> Tuple[F.Term, List[F.Term]]:
+    """Flatten a curried application ``((f a) b)`` into ``(f, [a, b])``."""
+    head = term.func
+    args = list(term.args)
+    while isinstance(head, F.App):
+        args = list(head.args) + args
+        head = head.func
+    return head, args
+
+
+def term_to_fol(
+    term: F.Term,
+    bound: Mapping[str, FTerm],
+    fapp: FAppBuilder = FApp,
+) -> FTerm:
+    """Encode a HOL term in the first-order term language.
+
+    This is the only HOL-to-FOL term encoding: the clausifier, the SMT
+    prover's theory check and the E-matcher's term graph all go through
+    it, so a term means the same node in each.  Integer and boolean
+    literals become the constants ``$int_N``, ``$true`` and ``$false``,
+    tuples ``$pair`` applications, curried applications are flattened,
+    and an application of a bound name ``x`` becomes ``$apply(x, ...)``.
+    ``bound`` maps bound names to their FOL terms; ``fapp`` builds the
+    applications (a :class:`TermBank`'s ``fapp`` hash-conses them).
+
+    Raises :class:`ClausificationError` on anything that is not a
+    first-order term: a binder, ``if-then-else``, ``old``, or a formula in
+    term position.
+    """
+    if isinstance(term, F.Var):
+        if term.name in bound:
+            return bound[term.name]
+        return fapp(term.name, ())
+    if isinstance(term, F.IntLit):
+        return fapp(f"$int_{term.value}", ())
+    if isinstance(term, F.BoolLit):
+        return fapp("$true" if term.value else "$false", ())
+    if isinstance(term, F.TupleTerm):
+        return fapp("$pair", tuple(term_to_fol(i, bound, fapp) for i in term.items))
+    if isinstance(term, F.App):
+        head, args = uncurry(term)
+        if isinstance(head, F.Var):
+            encoded = tuple(term_to_fol(a, bound, fapp) for a in args)
+            if head.name in bound:
+                return fapp("$apply", (bound[head.name],) + encoded)
+            return fapp(head.name, encoded)
+        raise ClausificationError(f"higher-order term {term!r}")
+    if isinstance(term, (F.Quant, F.Lambda, F.SetCompr)):
+        raise ClausificationError(f"binder in term position: {term!r}")
+    if isinstance(term, F.Ite):
+        raise ClausificationError("if-then-else must be eliminated before clausification")
+    if isinstance(term, F.Old):
+        raise ClausificationError("old() must be resolved before clausification")
+    if isinstance(term, (F.And, F.Or, F.Not, F.Implies, F.Iff, F.Eq)):
+        # A formula in term position (a boolean-valued field argument).  The
+        # untyped term language has no sound name for it, so it is not encoded.
+        raise ClausificationError(f"formula in term position: {term!r}")
+    raise ClausificationError(f"cannot translate term {term!r}")

@@ -13,7 +13,7 @@ are removed by the polarity-directed approximation of Figure 14.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..form import ast as F
 from ..form.parser import parse_formula
@@ -24,6 +24,7 @@ from ..provers.approximation import (
     is_first_order_atom,
     relevant_assumptions,
     rewrite_sequent,
+    standard_rewrites,
 )
 from ..vcgen.sequent import Labeled, Sequent
 from .clausify import ClausificationError, Clausifier
@@ -69,14 +70,6 @@ def _backbone_field(relation: F.Term) -> Optional[str]:
                     and b.args[0].name == x_name
                 ):
                     return b.func.name
-    return None
-
-
-def _pred_field(predicate: F.Term) -> Optional[str]:
-    """Recognise ``% x y. y = x..f`` for rtrancl_pt; return ``f``."""
-    if isinstance(predicate, F.Lambda) and len(predicate.params) == 2:
-        compr = F.SetCompr(predicate.params, predicate.body)
-        return _backbone_field(compr)
     return None
 
 
@@ -465,6 +458,23 @@ def reify_reachability(sequent: Sequent) -> Tuple[Sequent, List[F.Term]]:
     return reified, axioms
 
 
+def prepare_sequent(
+    sequent: Sequent, keep_atom: Callable[[F.Term], bool]
+) -> Tuple[Sequent, List[F.Term]]:
+    """The preparation the SMT and first-order provers share: the sequent
+    restricted to its relevant assumptions, its reachability reified
+    (:func:`reify_reachability`), the standard rewrites applied, and the
+    atoms ``keep_atom`` rejects approximated away; plus the reachability
+    axioms, run through the same rewrites (they may read fields of
+    arbitrary address/value terms).  Each prover passes its own atom
+    filter."""
+    sequent = relevant_assumptions(sequent.restricted())
+    sequent, axioms = reify_reachability(sequent)
+    sequent = rewrite_sequent(sequent)
+    sequent = drop_unsupported_assumptions(sequent, keep_atom)
+    return sequent, [standard_rewrites(a) for a in axioms]
+
+
 def translate_sequent(
     sequent: Sequent, max_clauses: int = 4000, bank=None
 ) -> Translation:
@@ -474,13 +484,9 @@ def translate_sequent(
     produce canonical, pointer-comparable FOL terms and memoises the
     normalisation preamble; the clause set is observationally identical.
     """
-    sequent = relevant_assumptions(sequent.restricted())
-    sequent, reach_axioms = reify_reachability(sequent)
-    sequent = rewrite_sequent(sequent)
-
-    # Drop atoms outside the first-order fragment (cardinality, tree [...],
-    # residual lambdas) -- sound by the approximation scheme.
-    sequent = drop_unsupported_assumptions(sequent, is_first_order_atom)
+    # Atoms outside the first-order fragment (cardinality, tree [...],
+    # residual lambdas) are dropped -- sound by the approximation scheme.
+    sequent, reach_axioms = prepare_sequent(sequent, is_first_order_atom)
 
     formulas: List[F.Term] = []
     used_arith = False
@@ -491,11 +497,7 @@ def translate_sequent(
     goal_formula = _normalise_comparisons(sequent.goal.formula)
     used_arith = used_arith or _contains_arith(goal_formula)
 
-    # The axioms may read fields of arbitrary address/value terms; run them
-    # through the same rewrite pipeline as the sequent formulas.
-    from ..provers.approximation import standard_rewrites
-
-    axioms = [standard_rewrites(a) for a in reach_axioms]
+    axioms = list(reach_axioms)
     if used_arith:
         axioms.extend(parse_formula(a) for a in _ARITH_AXIOMS)
 

@@ -7,6 +7,7 @@ from typing import List, Optional
 from ..form import ast as F
 from ..provers.base import Deadline, PhaseTimer, Prover, ProverAnswer, Verdict
 from ..vcgen.sequent import Sequent
+from .clausify import ClausificationError
 from .hol2fol import translate_sequent
 from .resolution import ResolutionProver
 from .terms import Clause
@@ -132,13 +133,23 @@ class FirstOrderProver(Prover):
                 self.name,
                 detail="cardinality/arithmetic goal outside the untyped FOL fragment",
             )
-        with timer("translate"):
-            # Imported here, not at module level: repro.form.intern interns
-            # this package's terms, so a top-level import would be circular.
-            from ..form.intern import TermBank
+        try:
+            with timer("translate"):
+                # Imported here, not at module level: repro.form.intern interns
+                # this package's terms, so a top-level import would be circular.
+                from ..form.intern import TermBank
 
-            bank = TermBank() if self.interning else None
-            translation = translate_sequent(sequent, bank=bank)
+                bank = TermBank() if self.interning else None
+                translation = translate_sequent(sequent, bank=bank)
+        except ClausificationError as exc:
+            # The negated goal has no clause form (assumptions that have none
+            # are dropped inside the translation).
+            return ProverAnswer(
+                Verdict.UNSUPPORTED,
+                self.name,
+                detail=f"goal outside the FOL fragment: {exc}",
+                phases=dict(timer.phases),
+            )
         if not translation.clauses:
             # Everything was approximated away; the remaining goal is True.
             return ProverAnswer(

@@ -283,10 +283,6 @@ def var(name: str) -> Var:
     return Var(name)
 
 
-def intlit(value: int) -> IntLit:
-    return IntLit(value)
-
-
 def app(func, *args: Term) -> Term:
     """Apply ``func`` (a Term or an operator name) to ``args``."""
     if isinstance(func, str):
@@ -366,15 +362,6 @@ def mk_ne(lhs: Term, rhs: Term) -> Term:
     return mk_not(mk_eq(lhs, rhs))
 
 
-def mk_forall(params: Sequence[Param], body: Term) -> Term:
-    params = tuple(params)
-    if not params:
-        return body
-    if isinstance(body, BoolLit):
-        return body
-    return Quant("ALL", params, body)
-
-
 def mk_exists(params: Sequence[Param], body: Term) -> Term:
     params = tuple(params)
     if not params:
@@ -384,36 +371,12 @@ def mk_exists(params: Sequence[Param], body: Term) -> Term:
     return Quant("EX", params, body)
 
 
-def mk_lambda(params: Sequence[Param], body: Term) -> Term:
-    params = tuple(params)
-    if not params:
-        return body
-    return Lambda(params, body)
-
-
 def mk_elem(x: Term, s: Term) -> Term:
     return app("elem", x, s)
 
 
 def mk_union(a: Term, b: Term) -> Term:
     return app("union", a, b)
-
-
-def mk_inter(a: Term, b: Term) -> Term:
-    return app("inter", a, b)
-
-
-def mk_setdiff(a: Term, b: Term) -> Term:
-    return app("setdiff", a, b)
-
-
-def mk_card(s: Term) -> Term:
-    return app("card", s)
-
-
-def mk_field_read(field: Term, obj: Term) -> Term:
-    """``obj..field`` — application of the field function to the object."""
-    return App(field, (obj,))
 
 
 def mk_field_write(field: Term, obj: Term, value: Term) -> Term:
@@ -464,11 +427,6 @@ def is_app_of(term: Term, name: str) -> bool:
         and isinstance(term.func, Var)
         and term.func.name == name
     )
-
-
-def app_args(term: Term) -> Tuple[Term, ...]:
-    assert isinstance(term, App)
-    return term.args
 
 
 def subterms(term: Term):

@@ -23,10 +23,10 @@ attempt, so two requests never share one (pinned by
 
 Two term representations are covered: the HOL AST of :mod:`repro.form.ast`
 (interned by :meth:`TermBank.intern`, keyed on child *identities* since
-interned children make that sound) and the FOL terms of
-:mod:`repro.fol.terms` (:meth:`TermBank.fvar` / :meth:`TermBank.fapp` /
-:meth:`TermBank.literal`, keyed structurally — cheap because FOL nodes cache
-their hashes and interned children compare by identity).
+interned children make that sound) and the FOL applications of
+:mod:`repro.fol.terms` (:meth:`TermBank.fapp`, keyed structurally — cheap
+because FOL nodes cache their hashes and interned children compare by
+identity).
 
 Identity-keyed caches pin their key object in the cache entry (a
 ``(node, value)`` pair checked with ``is``): Python reuses ids after
@@ -40,7 +40,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from . import ast as F
 from .ast import Term
-from ..fol.terms import Clause, FApp, FTerm, FVar, Literal
+from ..fol.terms import FApp, FTerm
 
 
 class TermBank:
@@ -52,9 +52,7 @@ class TermBank:
         self._hol: Dict[tuple, Term] = {}
         self._canonical: Dict[int, Term] = {}
         # FOL side: structural keys (cached hashes make them cheap).
-        self._fvars: Dict[str, FVar] = {}
         self._fapps: Dict[Tuple[str, Tuple[FTerm, ...]], FApp] = {}
-        self._literals: Dict[Tuple[bool, str, Tuple[FTerm, ...]], Literal] = {}
         # Identity-keyed memo caches ((node, value) pinned entries).
         self._printed: Dict[int, Tuple[Term, str]] = {}
         self._simplify_memo: Dict[int, Tuple[Term, Term]] = {}
@@ -194,13 +192,6 @@ class TermBank:
     # FOL interning
     # ------------------------------------------------------------------
 
-    def fvar(self, name: str) -> FVar:
-        v = self._fvars.get(name)
-        if v is None:
-            v = FVar(name)
-            self._fvars[name] = v
-        return v
-
     def fapp(self, func: str, args: Iterable[FTerm] = ()) -> FApp:
         args = tuple(args)
         key = (func, args)
@@ -209,31 +200,6 @@ class TermBank:
             t = FApp(func, args)
             self._fapps[key] = t
         return t
-
-    def fterm(self, term: FTerm) -> FTerm:
-        """Recursively canonicalise an already-built FOL term."""
-        if isinstance(term, FVar):
-            return self.fvar(term.name)
-        return self.fapp(term.func, tuple(self.fterm(a) for a in term.args))
-
-    def literal(
-        self, positive: bool, pred: str, args: Iterable[FTerm] = ()
-    ) -> Literal:
-        args = tuple(args)
-        key = (positive, pred, args)
-        lit = self._literals.get(key)
-        if lit is None:
-            lit = Literal(positive, pred, args)
-            self._literals[key] = lit
-        return lit
-
-    def canonical_literal(self, lit: Literal) -> Literal:
-        return self.literal(
-            lit.positive, lit.pred, tuple(self.fterm(a) for a in lit.args)
-        )
-
-    def canonical_clause(self, clause: Clause) -> Clause:
-        return Clause(tuple(self.canonical_literal(l) for l in clause.literals))
 
 
 def _all_same(new: Tuple, old: Tuple) -> bool:

@@ -522,8 +522,3 @@ def parse_formula(text: str) -> F.Term:
         tok = parser.peek()
         raise ParseError(f"trailing input {tok.value!r}", tok.pos, text)
     return result
-
-
-def parse_term(text: str) -> F.Term:
-    """Alias of :func:`parse_formula` for non-boolean terms."""
-    return parse_formula(text)

@@ -84,28 +84,6 @@ def _free_vars(term: Term, bound: FrozenSet[str], include_builtins: bool = False
     raise TypeError(f"unknown term node: {term!r}")
 
 
-class NameSupply:
-    """Generates names that are fresh with respect to a set of used names."""
-
-    def __init__(self, used: Iterable[str] = ()) -> None:
-        self._used: Set[str] = set(used)
-
-    def fresh(self, base: str) -> str:
-        base = base.rstrip("_0123456789") or "v"
-        if base not in self._used:
-            self._used.add(base)
-            return base
-        i = 1
-        while f"{base}_{i}" in self._used:
-            i += 1
-        name = f"{base}_{i}"
-        self._used.add(name)
-        return name
-
-    def reserve(self, name: str) -> None:
-        self._used.add(name)
-
-
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
     """A single fresh name based on ``base`` avoiding the names in ``avoid``."""
     avoid = set(avoid)

@@ -81,14 +81,6 @@ class MethodTranslator:
     def _fresh(self, base: str) -> str:
         return f"{base}_{next(self._counter)}"
 
-    def _is_static_field(self, name: str) -> bool:
-        info = self.program.fields.get(name)
-        return info is not None and info.is_static
-
-    def _is_instance_field(self, name: str) -> bool:
-        info = self.program.fields.get(name)
-        return info is not None and not info.is_static
-
     def _check(self, formula: F.Term, label: str) -> None:
         self._pending_checks.append(Assert(formula, label=label, line=self.line))
 

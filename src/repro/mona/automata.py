@@ -235,24 +235,6 @@ class DFA:
                     changed = True
         return result
 
-    def close_under_trailing_zeros(self) -> "DFA":
-        """Make acceptance insensitive to trailing all-zero letters.
-
-        In WS1S two words that differ only by trailing zero letters encode
-        the same valuation, so every automaton is normalised to accept either
-        both or neither.
-        """
-        zero_letter = tuple([0] * len(self.tracks))
-        result = set(self.accepting)
-        changed = True
-        while changed:
-            changed = False
-            for state, outgoing in self.transitions.items():
-                if state not in result and outgoing[zero_letter] in result:
-                    result.add(state)
-                    changed = True
-        return DFA(self.tracks, self.initial, frozenset(result), self.transitions)
-
     # -- normalisation ----------------------------------------------------------
 
     def minimize(self, deadline: Optional[Deadline] = None) -> "DFA":

@@ -59,7 +59,6 @@ class _Encoder:
         self.point_names: Dict[str, str] = {}
         self.set_names: Dict[str, str] = {}
         self.set_terms: Set[str] = set(set_terms or ())
-        self._fresh = 0
 
     # -- name management -------------------------------------------------------
 
@@ -76,10 +75,6 @@ class _Encoder:
             raise FragmentError(f"set term depends on a bound variable: {to_str(term)}")
         key = to_str(term)
         return self.set_names.setdefault(key, f"S{len(self.set_names)}_{_sanitize(key)}")
-
-    def fresh_bound(self, base: str) -> str:
-        self._fresh += 1
-        return f"q{self._fresh}_{base}"
 
     # -- terms ------------------------------------------------------------------
 

@@ -72,8 +72,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ..fol.clausify import ClausificationError, term_to_fol, uncurry
 from ..fol.terms import FApp, FTerm, FVar
 from ..form import ast as F
 from ..form.intern import TermBank
@@ -479,72 +480,6 @@ class EMatchStats:
     dropped: int = 0
 
 
-class _HolToFol:
-    """Translate ground HOL terms (and atoms) into the FOL term language of
-    the congruence closure, keeping the reverse mapping for substitution
-    extraction.  Pattern translation maps bound names to FOL variables.
-
-    The encoding conventions (``$int_N``/``$true``/``$false`` sentinels,
-    ``$pair`` tuples, curried-application flattening) must stay in lockstep
-    with :meth:`repro.fol.clausify.Clausifier.term_to_fol` — the SMT
-    prover's theory-conflict translation goes through the clausifier, and
-    a divergence would silently split congruence classes between the
-    matcher's term graph and the theory solver.
-
-    Output applications are hash-consed through ``bank``: structurally
-    equal results are the same object, so the congruence closure's
-    term-to-id lookups hit on identity instead of walking terms."""
-
-    def __init__(self, bank: TermBank) -> None:
-        self.backmap: Dict[FTerm, F.Term] = {}
-        self._bank = bank
-
-    def term(self, node: F.Term, bound: Optional[Set[str]] = None) -> Optional[FTerm]:
-        bound = bound or set()
-        out = self._term(node, bound)
-        return out
-
-    def _term(self, node: F.Term, bound: Set[str]) -> Optional[FTerm]:
-        if isinstance(node, F.Var):
-            if node.name in bound:
-                return FVar(node.name)
-            out = self._bank.fapp(node.name)
-            self.backmap.setdefault(out, node)
-            return out
-        if isinstance(node, F.IntLit):
-            out = self._bank.fapp(f"$int_{node.value}")
-            self.backmap.setdefault(out, node)
-            return out
-        if isinstance(node, F.BoolLit):
-            out = self._bank.fapp("$true" if node.value else "$false")
-            self.backmap.setdefault(out, node)
-            return out
-        if isinstance(node, F.TupleTerm):
-            items = [self._term(item, bound) for item in node.items]
-            if any(item is None for item in items):
-                return None
-            out = self._bank.fapp("$pair", items)
-            if not free_vars(node) & bound:
-                self.backmap.setdefault(out, node)
-            return out
-        if isinstance(node, F.App):
-            head = node.func
-            args = list(node.args)
-            while isinstance(head, F.App):  # flatten curried applications
-                args = list(head.args) + args
-                head = head.func
-            if not isinstance(head, F.Var) or head.name in bound:
-                return None
-            translated = [self._term(a, bound) for a in args]
-            if any(t is None for t in translated):
-                return None
-            out = self._bank.fapp(head.name, translated)
-            if not free_vars(node) & bound:
-                self.backmap.setdefault(out, node)
-            return out
-        return None
-
-
 class EMatchEngine:
     """Incremental E-matching instantiation, driven by the DPLL(T) loop.
 
@@ -586,7 +521,13 @@ class EMatchEngine:
         #: Fallback candidates harvested from ``ground[:_harvested_upto]``.
         self._fallback_harvest = GroundHarvest()
         self._harvested_upto = 0
-        self._translator = _HolToFol(bank if bank is not None else TermBank())
+        #: Applications of the term graph are hash-consed (through a private
+        #: bank when the engine runs without one), so the congruence
+        #: closure's term-to-id lookups hit on identity.
+        self._fapp = (bank if bank is not None else TermBank()).fapp
+        #: HOL preimage of every ground node translated so far, for
+        #: substitution extraction.
+        self.backmap: Dict[FTerm, F.Term] = {}
         #: Ground HOL terms/atoms interned for matching, by printed form.
         self._term_pool: Dict[str, FTerm] = {}
         self._asserted: Set[str] = set()
@@ -637,9 +578,42 @@ class EMatchEngine:
             if isinstance(sub, (F.App, F.Var, F.IntLit, F.TupleTerm)):
                 if not _is_term_shaped(sub):
                     continue
-                translated = self._translator.term(sub)
+                translated = self.translate(sub)
                 if translated is not None:
                     self._term_pool.setdefault(self._printed(sub), translated)
+
+    def translate(self, node: F.Term, bound: AbstractSet[str] = frozenset()) -> Optional[FTerm]:
+        """``node`` as a term-graph node (the shared encoding,
+        :func:`repro.fol.clausify.term_to_fol`), bound names as FOL
+        variables; None for anything that is not a first-order term and
+        for applications of a bound name, which are never matched.  Every
+        ground node of the result is back-mapped to its HOL preimage."""
+        try:
+            out = term_to_fol(node, {name: FVar(name) for name in bound}, self._fapp)
+        except ClausificationError:
+            return None
+        if bound and any(
+            isinstance(sub, FApp) and sub.func == "$apply" for sub in _fterm_nodes(out)
+        ):
+            return None
+        self._record(node, out, bound)
+        return out
+
+    def _record(self, node: F.Term, out: FTerm, bound: AbstractSet[str]) -> None:
+        """Back-map ``out`` and its ground sub-nodes, children first.  A
+        node already back-mapped has all its sub-nodes back-mapped too."""
+        if isinstance(out, FVar) or out in self.backmap:
+            return
+        if isinstance(node, F.TupleTerm):
+            children: Sequence[F.Term] = node.items
+        elif isinstance(node, F.App):
+            children = uncurry(node)[1]
+        else:
+            children = ()
+        for child, sub in zip(children, out.args):
+            self._record(child, sub, bound)
+        if not (bound and free_vars(node) & bound):
+            self.backmap.setdefault(out, node)
 
     # -- the per-round matcher -------------------------------------------------
 
@@ -671,8 +645,8 @@ class EMatchEngine:
         for translated in self._term_pool.values():
             cc.intern(translated)
         for lhs, rhs in model_equalities:
-            left = self._translator.term(lhs)
-            right = self._translator.term(rhs)
+            left = self.translate(lhs)
+            right = self.translate(rhs)
             if left is not None and right is not None:
                 cc.assert_equal(left, right)
         cc.close()
@@ -755,7 +729,7 @@ class EMatchEngine:
         bound = {name for name, _ in quantifier.params}
         patterns = []
         for pattern in trigger.patterns:
-            translated = self._translator.term(pattern, bound=bound)
+            translated = self.translate(pattern, bound=bound)
             if translated is None:
                 return
             patterns.append(translated)
@@ -854,7 +828,7 @@ class EMatchEngine:
         """The HOL representative of every class: the smallest member that
         has a HOL preimage (deterministic: ties broken by printed form)."""
         representatives: Dict[FTerm, F.Term] = {}
-        backmap = self._translator.backmap
+        backmap = self.backmap
         for root, members in classes.items():
             best: Optional[F.Term] = None
             best_key = None

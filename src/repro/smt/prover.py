@@ -2,11 +2,11 @@
 
 A lazy SMT loop over ground formulas:
 
-1. the sequent's reachability constructs are reified into ``rtc_*``
-   predicates with their sound axiom sets (shared with the first-order
-   translation, :func:`repro.fol.hol2fol.reify_reachability`), then the
-   sequent is rewritten and approximated into the ground fragment
-   (:mod:`repro.provers.approximation`),
+1. the sequent is prepared by :func:`repro.fol.hol2fol.prepare_sequent`,
+   the preparation the first-order translation shares: reachability
+   constructs are reified into ``rtc_*`` predicates with their sound
+   axiom sets, then the sequent is rewritten and approximated into the
+   ground fragment (:mod:`repro.provers.approximation`),
 2. quantifiers are handled by incremental E-matching against the
    congruence closure's term graph (:mod:`repro.smt.instantiate`), with a
    bounded ground enumeration for quantifiers that have no usable trigger,
@@ -28,18 +28,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..fol.clausify import ClausificationError, Clausifier
-from ..fol.hol2fol import reify_reachability
+from ..fol.clausify import ClausificationError, FAppBuilder, term_to_fol
+from ..fol.hol2fol import prepare_sequent
+from ..fol.terms import FApp
 from ..form import ast as F
 from ..form.intern import TermBank
 from ..form.printer import to_str
-from ..provers.approximation import (
-    drop_unsupported_assumptions,
-    is_ground_smt_atom,
-    relevant_assumptions,
-    rewrite_sequent,
-    standard_rewrites,
-)
+from ..provers.approximation import is_ground_smt_atom
 from ..provers.base import (
     Deadline,
     DeadlineExpired,
@@ -232,14 +227,10 @@ class SmtProver(Prover):
     ) -> ProverAnswer:
         deadline = deadline or Deadline.after(self.timeout)
         with timer("translate"):
-            prepared = relevant_assumptions(sequent.restricted())
-            # Reify reachability into rtc_* predicates (ground atoms the
-            # congruence closure treats as uninterpreted) and pick up the
-            # matching sound axioms as quantified assumptions for the
-            # instantiation engine.
-            prepared, reach_axioms = reify_reachability(prepared)
-            prepared = rewrite_sequent(prepared)
-            prepared = drop_unsupported_assumptions(prepared, is_ground_smt_atom)
+            # Reachability becomes rtc_* predicates (ground atoms the
+            # congruence closure treats as uninterpreted); their sound
+            # axioms are quantified assumptions for the instantiation engine.
+            prepared, axioms = prepare_sequent(sequent, is_ground_smt_atom)
 
         goal = prepared.goal.formula
         if isinstance(goal, F.BoolLit) and goal.value:
@@ -257,7 +248,6 @@ class SmtProver(Prover):
                 phases=dict(timer.phases),
             )
 
-        axioms = [standard_rewrites(a) for a in reach_axioms]
         # Sequent formulas before axioms: instantiation rounds process
         # quantifiers in assertion order, so the goal-relevant invariants
         # consume the per-round budget before the saturating axiom sets.
@@ -293,10 +283,10 @@ class SmtProver(Prover):
                 Verdict.UNKNOWN, engine, "nothing to refute", timer
             )
 
-        clausifier = Clausifier(bank=bank)
+        fapp = bank.fapp if bank is not None else FApp
         #: Per-attempt memo of SAT variable -> EUF literal translation (one
         #: variable per distinct atom, so this is keyed O(1) instead of by
-        #: printed form; it shares the clausifier's lifetime).
+        #: printed form).
         euf_memo: Dict[int, object] = {}
         solver = SatSolver(encoder.num_vars, incremental=self.incremental)
         solver.add_clauses(encoder.clauses)
@@ -323,7 +313,7 @@ class SmtProver(Prover):
                 )
             with timer("theory"):
                 blocking = self._theory_conflict(
-                    result.assignment, encoder, clausifier, deadline, euf_memo
+                    result.assignment, encoder, fapp, deadline, euf_memo
                 )
             if blocking is not None:
                 theory_conflicts += 1
@@ -463,7 +453,7 @@ class SmtProver(Prover):
         self,
         assignment: Dict[int, bool],
         encoder: _TseitinEncoder,
-        clausifier: Clausifier,
+        fapp: FAppBuilder,
         deadline: Optional[Deadline] = None,
         euf_memo: Optional[Dict[int, object]] = None,
     ) -> Optional[List[int]]:
@@ -486,7 +476,7 @@ class SmtProver(Prover):
         # their negation directly).
         equalities, disequalities, true_atoms, false_atoms = [], [], [], []
         for var_id, value, atom in literals:
-            translated = self._translate_euf(var_id, atom, clausifier, euf_memo)
+            translated = self._translate_euf(var_id, atom, fapp, euf_memo)
             if translated is None:
                 continue
             tag = var_id if value else -var_id
@@ -547,7 +537,7 @@ class SmtProver(Prover):
         self,
         var_id: int,
         atom: F.Term,
-        clausifier: Clausifier,
+        fapp: FAppBuilder,
         memo: Optional[Dict[int, object]],
     ):
         """Translate an atom into its EUF literal payload, once per atom.
@@ -567,11 +557,11 @@ class SmtProver(Prover):
             if isinstance(atom, F.Eq):
                 translated = (
                     "eq",
-                    clausifier.term_to_fol(atom.lhs, {}),
-                    clausifier.term_to_fol(atom.rhs, {}),
+                    term_to_fol(atom.lhs, {}, fapp),
+                    term_to_fol(atom.rhs, {}, fapp),
                 )
             else:
-                translated = ("atom", clausifier.term_to_fol(atom, {}))
+                translated = ("atom", term_to_fol(atom, {}, fapp))
         except ClausificationError:
             translated = None
         memo[key] = translated

@@ -54,10 +54,6 @@ class MethodContract:
     modifies_line: int = 0
     ensures_line: int = 0
 
-    @property
-    def has_frame(self) -> bool:
-        return bool(self.modifies)
-
 
 @dataclass
 class ClassSpec:

@@ -40,11 +40,6 @@ class Labeled:
     formula: F.Term
     labels: Tuple[str, ...] = ()
 
-    def with_label(self, label: Optional[str]) -> "Labeled":
-        if not label:
-            return self
-        return Labeled(self.formula, self.labels + (label,))
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         prefix = ",".join(self.labels)
         return f"[{prefix}] {to_str(self.formula)}" if prefix else to_str(self.formula)
