@@ -9,7 +9,8 @@ is ever proved twice.  This benchmark fires two waves of concurrent
   the duplicates *within* each merged batch window, so even the cold wave
   proves each distinct digest exactly once);
 * a **warm** wave — the measured one — must be answered entirely from the
-  store: hit rate >= 99%, zero live re-proofs, zero failed requests.
+  store: hit rate >= 99%, zero live re-proofs, zero failed requests, and,
+  since the store settles every warm request at admission, no batch.
 
 Reading the output: ``extra_info`` carries the headline numbers —
 ``warm_hit_rate`` (fraction of warm sequents answered by replay),
@@ -121,7 +122,7 @@ def _fire_wave(port, requests, threads):
 def test_server_load_warm_wave_is_pure_replay(benchmark, tmp_path):
     """Cold wave populates the store; the measured warm wave must be
     answered entirely by replay: hit rate >= 99%, zero re-proved sequents,
-    zero failed requests."""
+    zero failed requests, every request answered at admission (no batch)."""
     server = VerifyServer(
         port=0, store_dir=str(tmp_path / "store"), window=0.01, max_batch=1024
     ).start()
@@ -151,6 +152,9 @@ def test_server_load_warm_wave_is_pure_replay(benchmark, tmp_path):
     assert hit_rate >= 0.99, f"warm hit rate {hit_rate:.2%}"
     assert live_proofs_warm == 0, f"{live_proofs_warm} sequents re-proved warm"
     assert service_warm["live_reproofs"] == 0
+    # Store-first admission: the warm wave never waited for a batch window.
+    assert service_warm["batches"] == service_cold["batches"]
+    assert service_warm["store_answered"] - service_cold["store_answered"] == REQUESTS
     # The cold wave proved each distinct obligation exactly once.
     assert service_cold["live_proved"] == DISTINCT_DIGESTS
     assert service_cold["distinct_live_digests"] == DISTINCT_DIGESTS

@@ -293,6 +293,20 @@ def _replayed_outcome(sequent: Sequent, representative: SequentOutcome) -> Seque
     )
 
 
+def _fan_out_duplicates(
+    sequents: Sequence[Sequent], rep: Sequence[int], outcomes: List[Optional[SequentOutcome]]
+) -> int:
+    """Fill each duplicate's empty slot in ``outcomes`` with a replay of its
+    representative's outcome (see :func:`_replayed_outcome`); returns how
+    many duplicates were answered that way."""
+    replayed = 0
+    for index, sequent in enumerate(sequents):
+        if outcomes[index] is None:
+            outcomes[index] = _replayed_outcome(sequent, outcomes[rep[index]])
+            replayed += 1
+    return replayed
+
+
 # ---------------------------------------------------------------------------
 # The prover chain on one sequent (shared by every executor)
 # ---------------------------------------------------------------------------
@@ -563,10 +577,7 @@ class Dispatcher:
         else:
             busy = self._run_processes(sequents, open_indices, outcomes, deadline)
 
-        for index, sequent in enumerate(sequents):
-            if outcomes[index] is None:
-                outcomes[index] = _replayed_outcome(sequent, outcomes[rep[index]])
-                result.dedup_replayed += 1
+        result.dedup_replayed = _fan_out_duplicates(sequents, rep, outcomes)
         _merge_outcomes(result, outcomes, self.cache is not None)
         # Persist the learned ordering once per batch, when it has a path and
         # learned anything new (the chains record every answer as it lands).

@@ -14,6 +14,11 @@ place, so the two sides cannot drift:
   here;
 * **outcomes** of raw sequent batches travel as per-answer verdict records.
 
+Decoding a request checks its shape first: a frame that is not a JSON
+object, or a sequent with a missing or mistyped field, raises
+:class:`WireError` with a message naming the field (``sequents[0].goal:
+missing``), which the daemon answers as ``{"ok": false, "error": ...}``.
+
 The type environment of a sequent is *not* transported: provers treat
 ``env=None`` sequents exactly like the test/benchmark corpus built via
 :func:`repro.vcgen.sequent.sequent`.  ``verify_method``/``verify_class``
@@ -24,10 +29,11 @@ VCs (with environments) server-side.
 from __future__ import annotations
 
 import dataclasses
+import json
 from typing import Any, Dict, List, Sequence
 
 from ..core.report import ClassReport, MethodReport
-from ..form.parser import parse_formula
+from ..form.parser import ParseError, parse_formula
 from ..form.printer import to_str
 from ..provers.base import ProverAnswer, ProverStats, Verdict
 from ..vcgen.sequent import Labeled, Sequent
@@ -39,6 +45,22 @@ from ..vcgen.sequent import Labeled, Sequent
 #: bounding a misbehaving client.  Overridable per server
 #: (``max_request_bytes=`` / ``--max-request-bytes``).
 DEFAULT_MAX_REQUEST_BYTES = 16 * 1024 * 1024
+
+
+class WireError(ValueError):
+    """A request that does not decode; the message names the bad field."""
+
+
+def request_from_wire(frame: bytes) -> Dict[str, Any]:
+    """One request frame as its JSON object."""
+    try:
+        request = json.loads(frame)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise WireError(f"request is not valid JSON: {exc}") from None
+    if not isinstance(request, dict):
+        raise WireError("request must be a JSON object")
+    return request
+
 
 # -- sequents -----------------------------------------------------------------
 
@@ -58,20 +80,47 @@ def sequent_to_wire(sequent: Sequent) -> Dict[str, Any]:
     }
 
 
-def _labeled_from_wire(payload: Dict[str, Any]) -> Labeled:
-    return Labeled(
-        parse_formula(payload["formula"]), tuple(payload.get("labels", ()))
-    )
+def _strings(payload: Dict[str, Any], key: str, where: str) -> tuple:
+    value = payload.get(key, ())
+    if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
+        raise WireError(f"{where}.{key}: must be a list of strings")
+    return tuple(value)
 
 
-def sequent_from_wire(payload: Dict[str, Any]) -> Sequent:
+def _labeled_from_wire(payload: Any, where: str) -> Labeled:
+    if not isinstance(payload, dict):
+        raise WireError(f"{where}: must be an object")
+    if "formula" not in payload:
+        raise WireError(f"{where}.formula: missing")
+    formula = payload["formula"]
+    if not isinstance(formula, str):
+        raise WireError(f"{where}.formula: must be a string")
+    try:
+        parsed = parse_formula(formula)
+    except ParseError as exc:
+        raise WireError(f"{where}.formula: {exc}") from None
+    return Labeled(parsed, _strings(payload, "labels", where))
+
+
+def sequent_from_wire(payload: Any, where: str = "sequent") -> Sequent:
+    if not isinstance(payload, dict):
+        raise WireError(f"{where}: must be an object")
+    if "goal" not in payload:
+        raise WireError(f"{where}.goal: missing")
+    assumptions = payload.get("assumptions", ())
+    if not isinstance(assumptions, (list, tuple)):
+        raise WireError(f"{where}.assumptions: must be a list")
+    origin = payload.get("origin", "")
+    if not isinstance(origin, str):
+        raise WireError(f"{where}.origin: must be a string")
     return Sequent(
         assumptions=tuple(
-            _labeled_from_wire(a) for a in payload.get("assumptions", ())
+            _labeled_from_wire(a, f"{where}.assumptions[{i}]")
+            for i, a in enumerate(assumptions)
         ),
-        goal=_labeled_from_wire(payload["goal"]),
-        hints=tuple(payload.get("hints", ())),
-        origin=payload.get("origin", ""),
+        goal=_labeled_from_wire(payload["goal"], f"{where}.goal"),
+        hints=_strings(payload, "hints", where),
+        origin=origin,
     )
 
 
@@ -164,5 +213,7 @@ def sequents_to_wire(sequents: Sequence[Sequent]) -> List[Dict[str, Any]]:
     return [sequent_to_wire(s) for s in sequents]
 
 
-def sequents_from_wire(payloads: Sequence[Dict[str, Any]]) -> List[Sequent]:
-    return [sequent_from_wire(p) for p in payloads]
+def sequents_from_wire(payloads: Any) -> List[Sequent]:
+    if not isinstance(payloads, list):
+        raise WireError(f"sequents must be a list of objects, got {payloads!r:.80}")
+    return [sequent_from_wire(p, f"sequents[{i}]") for i, p in enumerate(payloads)]

@@ -15,6 +15,10 @@ The contract pinned here:
   enforce the threaded ``Deadline`` cooperatively) and post-deadline
   outcomes come back ``budget_exhausted`` — the request never waits for the
   slow prover to finish on its own schedule.
+* store-first admission: a request the verdict store settles outright is
+  answered without waiting for the window or dispatching a batch, with the
+  outcomes a local warm dispatch returns; a partly warm request still goes
+  through exactly one batch.
 
 All tests drive :class:`VerifyService` directly under asyncio with a
 registered in-process test prover, so they run at ``workers=1``, each batch
@@ -30,8 +34,8 @@ import pytest
 from repro.form.parser import parse_formula as parse
 from repro.provers.base import Deadline, Prover, ProverAnswer, Verdict, registry
 from repro.provers.cache import SequentCache
-from repro.provers.dispatcher import DispatchConfig, make_provers
-from repro.server import VerifyService
+from repro.provers.dispatcher import DispatchConfig, Dispatcher, make_provers
+from repro.server import ServiceStopped, VerifyService
 from repro.vcgen.sequent import sequent
 
 
@@ -281,3 +285,178 @@ def test_deadlined_request_never_clips_cobatched_work():
         assert service.stats.live_reproofs == 0
 
     asyncio.run(run())
+
+
+# -- store-first admission -----------------------------------------------------
+
+#: A syntactic-first chain: ``P (x + k) |- P (x + k)`` settles on syntactic,
+#: ``|- Q k`` only after a cached syntactic UNKNOWN, on sleepy.
+ADMISSION_CONFIG = DispatchConfig(["syntactic", "sleepy"], {"sleepy": {"delay": 0.0}})
+
+
+def _admission_request():
+    """Both kinds of chain, with one in-request duplicate."""
+    return [
+        _syntactic_seq(0),
+        sequent([], parse("Q 1")),
+        _syntactic_seq(2),
+        sequent([], parse("Q 1")),
+    ]
+
+
+def _answer_view(result):
+    """Everything a report is built from: per outcome its verdict, prover
+    and answers (with detail and the ``cached`` flag), and dedup replays."""
+    outcomes = [
+        (
+            outcome.proved,
+            outcome.prover,
+            outcome.budget_exhausted,
+            [(a.verdict, a.prover, a.detail, a.cached) for a in outcome.answers],
+        )
+        for outcome in result.outcomes
+    ]
+    return outcomes, result.dedup_replayed
+
+
+def _filled_store(sequents):
+    """A store filled by a local dispatch, and that dispatch's warm rerun."""
+    store = SequentCache()
+    local = Dispatcher(ADMISSION_CONFIG, store, dedup=True)
+    local.prove_all(sequents)
+    return store, local.prove_all(sequents)
+
+
+def test_store_settled_request_skips_the_window():
+    """With a 5 s window, a request the store settles comes back at once,
+    dispatches no batch, and carries exactly the local warm outcomes."""
+    request = _admission_request()
+    store, local_warm = _filled_store(request)
+
+    async def run():
+        service = await VerifyService(store, window=5.0, lanes=2, workers=1).start()
+        loop = asyncio.get_running_loop()
+        try:
+            started = loop.time()
+            result = await service.prove(request, ADMISSION_CONFIG)
+            elapsed = loop.time() - started
+        finally:
+            await service.stop()
+        return service.stats, result, elapsed
+
+    stats, result, elapsed = asyncio.run(run())
+    assert elapsed < 1.0, f"a store-settled request waited {elapsed:.2f}s"
+    assert stats.batches == 0
+    assert stats.store_answered == 1
+    assert (stats.requests, stats.sequents, stats.replayed) == (1, 4, 4)
+    assert _answer_view(result) == _answer_view(local_warm)
+    assert result.dedup_replayed == 1
+    assert result.batch_wall_time == 0.0
+
+
+def test_partly_warm_request_goes_through_one_batch():
+    """One cold sequent sends the whole request to a batch (``max_batch``
+    equal to its size makes the batch due at once despite the 5 s window):
+    only the cold sequent is proved live, the warm ones replay."""
+    warm = _admission_request()
+    store, _ = _filled_store(warm)
+    request = warm + [sequent([], parse("Q 9"))]
+
+    async def run():
+        service = await VerifyService(
+            store, window=5.0, max_batch=len(request), lanes=2, workers=1
+        ).start()
+        try:
+            result = await service.prove(request, ADMISSION_CONFIG)
+        finally:
+            await service.stop()
+        return service.stats, result
+
+    stats, result = asyncio.run(run())
+    assert result.proved == 5
+    assert result.replayed == 4
+    assert stats.batches == 1
+    assert stats.store_answered == 0
+    assert stats.live_proved == 1
+    assert stats.live_reproofs == 0
+
+
+def test_expired_request_is_not_answered_from_the_store():
+    """A warm request whose budget has already run out is answered
+    ``budget_exhausted`` and counted as expired, as a queued one would be."""
+    request = _admission_request()
+    store, _ = _filled_store(request)
+
+    async def run():
+        service = await VerifyService(store, window=5.0, lanes=2, workers=1).start()
+        try:
+            result = await service.prove(
+                request, ADMISSION_CONFIG, deadline=Deadline.after(0.0)
+            )
+        finally:
+            await service.stop()
+        return service.stats, result
+
+    stats, result = asyncio.run(run())
+    assert result.proved == 0
+    assert all(o.budget_exhausted and not o.answers for o in result.outcomes)
+    assert (stats.requests_expired, stats.store_answered, stats.batches) == (1, 0, 0)
+
+
+def test_stopped_service_refuses_store_settled_requests():
+    """Stopping closes admission too: a warm request is refused with
+    ``ServiceStopped``, not answered from the store."""
+    request = _admission_request()
+    store, _ = _filled_store(request)
+
+    async def run():
+        service = await VerifyService(store, window=5.0, lanes=2, workers=1).start()
+        await service.stop()
+        with pytest.raises(ServiceStopped):
+            await service.prove(request, ADMISSION_CONFIG)
+        return service.stats
+
+    stats = asyncio.run(run())
+    assert (stats.requests, stats.store_answered) == (0, 0)
+
+
+def test_concurrent_admissions_keep_the_counters_exact():
+    """Warm and cold requests in flight together, with a short thread
+    switch interval: the admission scans read the store while lanes write
+    it, and every counter still adds up — each request is answered once,
+    every sequent is either replayed or proved live, none twice."""
+    import random
+    import sys
+
+    warm = [_syntactic_seq(k) for k in range(8)]
+    cold = [sequent([], parse(f"Q {k}")) for k in range(8)]
+    store, _ = _filled_store(warm)
+    rng = random.Random(3)
+    requests = [rng.sample(warm + cold, 3) for _ in range(24)]
+    all_warm = sum(1 for request in requests if all(s in warm for s in request))
+
+    async def run():
+        service = await VerifyService(store, window=0.01, lanes=2, workers=1).start()
+        try:
+            results = await asyncio.wait_for(
+                asyncio.gather(*(service.prove(r, ADMISSION_CONFIG) for r in requests)),
+                timeout=60,
+            )
+        finally:
+            await service.stop()
+        return service.stats, results
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stats, results = asyncio.run(run())
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result.proved == 3 for result in results)
+    assert stats.requests == len(requests)
+    assert stats.sequents == 3 * len(requests)
+    assert stats.replayed == sum(result.replayed for result in results)
+    assert stats.replayed + stats.live_proved == stats.sequents
+    assert stats.live_reproofs == 0
+    assert stats.live_proved == len({s.digest() for r in requests for s in r if s in cold})
+    assert stats.store_answered >= all_warm
