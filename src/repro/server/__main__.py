@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 
 from .client import DEFAULT_PORT
-from .daemon import DEFAULT_COMPACT_INTERVAL, DEFAULT_LANES, VerifyServer
+from .daemon import DEFAULT_COMPACT_INTERVAL, DEFAULT_LANES, DEFAULT_WINDOW, VerifyServer
 from .wire import DEFAULT_MAX_REQUEST_BYTES
 
 
@@ -50,7 +50,7 @@ def main() -> None:
         help="directory of the on-disk verdict store (default: memory only)",
     )
     parser.add_argument(
-        "--window", type=float, default=0.05,
+        "--window", type=float, default=DEFAULT_WINDOW,
         help="cross-request batch window in seconds (default: %(default)s)",
     )
     parser.add_argument(
