@@ -5,9 +5,9 @@ store is warm, heavy concurrent traffic is answered by replay — no sequent
 is ever proved twice.  This benchmark fires two waves of concurrent
 ``prove_sequents`` requests at an in-process daemon:
 
-* a **cold** wave populates the store (the dedup pre-pass already collapses
-  the duplicates *within* each merged batch window, so even the cold wave
-  proves each distinct digest exactly once);
+* a **cold** wave populates the store (each request dispatches on its own
+  lane, and the in-flight registry defers a digest another lane is already
+  proving, so even the cold wave proves each distinct digest exactly once);
 * a **warm** wave — the measured one — must be answered entirely from the
   store: hit rate >= 99%, zero live re-proofs, zero failed requests, and,
   since the store settles every warm request at admission, no batch.
@@ -123,9 +123,7 @@ def test_server_load_warm_wave_is_pure_replay(benchmark, tmp_path):
     """Cold wave populates the store; the measured warm wave must be
     answered entirely by replay: hit rate >= 99%, zero re-proved sequents,
     zero failed requests, every request answered at admission (no batch)."""
-    server = VerifyServer(
-        port=0, store_dir=str(tmp_path / "store"), window=0.01, max_batch=1024
-    ).start()
+    server = VerifyServer(port=0, store_dir=str(tmp_path / "store")).start()
     control = VerifyClient(port=server.port)
     try:
         cold = _fire_wave(server.port, REQUESTS, THREADS)
@@ -152,7 +150,7 @@ def test_server_load_warm_wave_is_pure_replay(benchmark, tmp_path):
     assert hit_rate >= 0.99, f"warm hit rate {hit_rate:.2%}"
     assert live_proofs_warm == 0, f"{live_proofs_warm} sequents re-proved warm"
     assert service_warm["live_reproofs"] == 0
-    # Store-first admission: the warm wave never waited for a batch window.
+    # Store-first admission: the warm wave never waited for a lane.
     assert service_warm["batches"] == service_cold["batches"]
     assert service_warm["store_answered"] - service_cold["store_answered"] == REQUESTS
     # The cold wave proved each distinct obligation exactly once.
@@ -258,9 +256,9 @@ def _mixed_config_wave(port):
 
 
 def _lanes_run(lanes):
-    # One worker: each lane proves its batch inline, because the sleepy
+    # One worker: each lane proves its request inline, because the sleepy
     # prover is registered only in this process and a farm could not run it.
-    server = VerifyServer(port=0, window=0.01, lanes=lanes, workers=1).start()
+    server = VerifyServer(port=0, lanes=lanes, workers=1).start()
     control = VerifyClient(port=server.port)
     try:
         wall, results = _mixed_config_wave(server.port)

@@ -82,11 +82,6 @@ class MethodReport:
     #: program, zero when an already-parsed program was passed) and
     #: ``vcgen`` (weakest-precondition generation plus splitting).
     frontend_phases: Dict[str, float] = field(default_factory=dict)
-    #: Wall time of the *merged daemon batch* this method's sequents rode in
-    #: (zero for local dispatch): several co-batched requests share one
-    #: batch, so this is deliberately separate from ``total_time`` /
-    #: ``wall_time``, which carry only this method's own answer times.
-    batch_wall_time: float = 0.0
 
     @property
     def succeeded(self) -> bool:

@@ -165,7 +165,6 @@ def verify(
         dedup_replayed=dispatched.dedup_replayed,
         trusted_assumes=method_vc.trusted_assumes,
         frontend_phases={"parse": parse_time, "vcgen": vcgen_time},
-        batch_wall_time=dispatched.batch_wall_time,
     )
     return report
 

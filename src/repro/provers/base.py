@@ -247,6 +247,11 @@ class Prover(ABC):
     signature_excludes: Tuple[str, ...] = ()
 
     def __init__(self, timeout: float = 10.0) -> None:
+        # Refused here, when the portfolio is built, so a bad option is
+        # reported by name instead of failing inside the chain's arithmetic.
+        # ``not timeout > 0`` refuses NaN too.
+        if type(timeout) not in (int, float) or not timeout > 0:
+            raise ValueError(f"timeout must be a positive number of seconds, got {timeout!r}")
         self.timeout = timeout
 
     def options_signature(self) -> str:

@@ -247,7 +247,7 @@ class SequentCache:
     # -- maintenance ----------------------------------------------------------
 
     #: Staging files older than this are leftovers of a crashed writer (the
-    #: write-then-replace window is milliseconds) and are swept by compact().
+    #: write-then-replace gap is milliseconds) and are swept by compact().
     STALE_TMP_SECONDS = 60.0
 
     def compact(

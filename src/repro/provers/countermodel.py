@@ -5,7 +5,7 @@ makes every assumption true and the goal false.  This module looks for one
 over a finite domain, in the style of Nitpick (Blanchette & Nipkow, ITP
 2010): ``null`` plus ``k <= MAX_OBJECTS`` further objects, every field a
 total map, every set a subset, ``card`` and ``rtrancl`` computed exactly
-over the domain, and integer constants drawn from a small window with exact
+over the domain, and integer constants drawn from a small range with exact
 Python arithmetic on them.
 
 The evaluator is exact or silent: it answers true or false only when that

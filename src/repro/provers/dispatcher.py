@@ -205,11 +205,6 @@ class DispatchResult:
     #: sequent in the batch, by structural digest): their verdicts were fanned
     #: out from the representative's, not computed.
     dedup_replayed: int = 0
-    #: Wall time of the merged daemon batch this result was sliced from
-    #: (zero for local dispatch): co-batched requests share one batch, so
-    #: a slice's own ``total_time``/``wall_time`` carry only its answer-time
-    #: sum while the shared batch wall lives here.
-    batch_wall_time: float = 0.0
 
     @property
     def total(self) -> int:

@@ -2,13 +2,12 @@
 
 The per-process pipeline (split → dispatch → cache) becomes a long-lived
 daemon: many concurrent clients submit ``verify_class`` / ``verify_method``
-/ raw sequent-batch requests, the daemon accumulates their sequents into
-cross-request dispatch batches (a small time/size window) grouped by prover
-configuration, and dispatches batches for *different* configurations
-concurrently on per-config batch lanes (``--lanes``) sharing one persistent
-process-pool prover farm sized to the machine (``--workers``).  The digest
-dedup pre-pass runs over each *merged* batch so identical obligations from
-different clients are proved once, an in-flight registry keeps the
+/ raw sequent-batch requests.  A request the verdict store settles is
+answered at admission; any other request waits for one of ``--lanes``
+lanes and dispatches alone, so requests with *different* prover
+configurations run concurrently, sharing one persistent process-pool
+prover farm sized to the machine (``--workers``).  Each dispatch runs the
+digest dedup pre-pass over its request, an in-flight registry keeps the
 single-flight guarantee per (digest, configuration) *across* lanes, and
 every verdict is backed by one content-addressed
 :class:`repro.provers.cache.SequentCache` safe under concurrent
@@ -45,7 +44,7 @@ zero live re-proofs on the warm wave, and p50/p95/p99 request latency
 (see the module docstring of ``benchmarks/bench_server_load.py`` for how to
 read the output; ``SERVER_LOAD_REQUESTS`` scales the wave).
 
-Components: :class:`VerifyServer` (asyncio TCP daemon + batching service),
+Components: :class:`VerifyServer` (asyncio TCP daemon + verify service),
 :class:`VerifyClient` (sync client), ``repro.server.wire`` (the JSON
 encodings both sides share).
 """

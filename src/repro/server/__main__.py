@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 
 from .client import DEFAULT_PORT
-from .daemon import DEFAULT_COMPACT_INTERVAL, DEFAULT_LANES, DEFAULT_WINDOW, VerifyServer
+from .daemon import DEFAULT_COMPACT_INTERVAL, DEFAULT_LANES, VerifyServer
 from .wire import DEFAULT_MAX_REQUEST_BYTES
 
 
@@ -31,7 +31,7 @@ def _announce(server: VerifyServer) -> None:
     service = server.service
     print(
         f"verify daemon on {server.host}:{server.port} "
-        f"(store: {where}; window {server.window}s; "
+        f"(store: {where}; "
         f"{service.lanes} lanes x {service.workers} workers"
         f"{compaction})",
         flush=True,
@@ -50,17 +50,9 @@ def main() -> None:
         help="directory of the on-disk verdict store (default: memory only)",
     )
     parser.add_argument(
-        "--window", type=float, default=DEFAULT_WINDOW,
-        help="cross-request batch window in seconds (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=512,
-        help="dispatch a batch early once it holds this many sequents",
-    )
-    parser.add_argument(
-        "--lanes", type=int, default=DEFAULT_LANES,
-        help="concurrent batch lanes — batches for different prover "
-        "configurations dispatch in parallel (default: %(default)s)",
+        "--lanes", type=int, default=0,
+        help="requests that may dispatch at once; the rest wait for a lane "
+        f"(default: one per farm worker, at least {DEFAULT_LANES})",
     )
     parser.add_argument(
         "--workers", type=int, default=0,
@@ -97,9 +89,7 @@ def main() -> None:
         host=args.host,
         port=args.port,
         store_dir=args.store_dir,
-        window=args.window,
-        max_batch=args.max_batch,
-        lanes=args.lanes,
+        lanes=args.lanes or None,
         workers=args.workers or None,
         request_workers=args.request_workers,
         max_request_bytes=args.max_request_bytes,

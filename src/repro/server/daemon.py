@@ -5,28 +5,27 @@ dispatch, digest dedup, verdict caching — lives here behind a long-lived
 asyncio server, so *many* concurrent clients share one prover farm and one
 verdict store:
 
-* :class:`VerifyService` is the cross-request batcher.  A request is first
-  admitted against the verdict store: when the store settles every one of
-  its sequents (the warm case), it is answered at once, from the same cache
-  scan and slicing a batch would use, and never waits for a window.  The
-  sequents of every other request (from ``verify_class`` /
-  ``verify_method`` / raw batch requests) accumulate in a small time window
-  (``window`` seconds, capped at ``max_batch`` sequents) and are dispatched
-  as merged batches per prover configuration — so ``window`` applies only
-  to requests that need a prover.
-  Batches for *different* configurations run concurrently on up to ``lanes``
-  batch lanes — clients with different prover options no longer serialize
-  behind each other — while an in-flight digest registry keeps the
-  single-flight guarantee *per (digest, configuration)*: a lane assembling a
-  batch skips digests currently being proved by another lane under the same
-  configuration and picks their verdicts from the store once that dispatch
-  lands (``ServiceStats.live_reproofs == 0`` pins this across lanes).
+* :class:`VerifyService` answers each request on its own.  A request is
+  first admitted against the verdict store: when the store settles every
+  one of its sequents (the warm case), it is answered at once, from the
+  same cache scan and accounting a dispatch would use.  Every other request
+  (from ``verify_class`` / ``verify_method`` / raw ``prove_sequents``)
+  waits for one of ``lanes`` lanes (by default one per farm worker, at
+  least :data:`DEFAULT_LANES`), holds it until it is answered, and
+  dispatches alone under its own configuration and deadline.  Requests for
+  *different* configurations therefore never serialize behind each other,
+  while an in-flight digest registry keeps the single-flight guarantee
+  *per (digest, configuration)*: a lane skips digests currently being
+  proved by another lane under the same configuration and picks their
+  verdicts from the store once that dispatch lands
+  (``ServiceStats.live_reproofs == 0`` pins this across lanes).
 * Every claimed dispatch builds a fresh
   :class:`repro.provers.dispatcher.ParallelDispatcher` (cheap: a portfolio
   and its option signatures).  With ``workers > 1`` (by default one per
   core) it runs on the prover farm, one *persistent* process pool shared by
-  every lane, whose processes keep their prover portfolios across batches;
-  with ``workers=1`` the batch runs inline in its lane thread.
+  every lane, whose processes keep their prover portfolios across
+  dispatches; with ``workers=1`` the dispatch runs inline in its lane
+  thread.
 * One :class:`repro.provers.cache.SequentCache` backs the verdicts:
   content-addressed by structural digest, one ``<store-dir>/<key>.json``
   file per verdict, safe under concurrent multi-process access — several
@@ -43,21 +42,20 @@ verdict store:
   drained and answered with a structured error instead of dropping the
   connection.  ``verify_*`` requests run :func:`repro.core.verifier.verify`
   with a ``dispatch`` hook that routes the split sequents through the
-  batcher — report assembly is byte-for-byte the local code path, which is
+  service — report assembly is byte-for-byte the local code path, which is
   what makes a server-backed run's report identical to a local warm-cache
-  run's (request slices deliberately report ``workers=1``: farm occupancy is
-  a daemon-level number surfaced by the ``stats`` op, not a per-request
-  one).
+  run's (request results deliberately report ``workers=1``: farm occupancy
+  is a daemon-level number surfaced by the ``stats`` op, not a per-request
+  one).  A source the Java or specification frontend cannot read is
+  answered ``source: <message>``, with the frontend's location.
 
 Per-request budgets reuse :class:`repro.provers.base.Deadline`: a request
-carrying ``budget=T`` seconds is dropped from its batch (and answered
-``budget_exhausted``) once its deadline passes while queued, and — unlike
-the pre-lane daemon, which only checked *before* dispatch — the deadline is
-threaded into the dispatch itself: a deadlined request dispatches alone
-under its own deadline (so a short budget never clips co-batched unbudgeted
-work), the prover chains enforce it cooperatively, and outcomes reached
-after it passes come back ``budget_exhausted``.  Per-sequent prover budgets
-(``sequent_budget``) are enforced inside the engines as everywhere else.
+carrying ``budget=T`` seconds is answered ``budget_exhausted`` if its
+deadline passes before it holds a lane, and the deadline is threaded into
+the dispatch itself: the prover chains enforce it cooperatively, and
+outcomes reached after it passes come back ``budget_exhausted``.
+Per-sequent prover budgets (``sequent_budget``) are enforced inside the
+engines as everywhere else.
 
 Starting a daemon::
 
@@ -72,8 +70,9 @@ or in-process (tests, benchmarks)::
     server.stop()
 
 Graceful shutdown: ``stop(drain=True)`` (or the ``shutdown`` op) stops
-accepting connections, flushes the pending batch queue, completes in-flight
-lanes, then exits.
+accepting connections, answers every admitted request, then exits;
+``stop(drain=False)`` refuses requests still waiting for a lane with
+:class:`ServiceStopped` and lets running dispatches complete.
 """
 
 from __future__ import annotations
@@ -85,13 +84,11 @@ import json
 import os
 import threading
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     List,
     Optional,
@@ -101,6 +98,9 @@ from typing import (
 )
 
 from ..core.verifier import verify, verify_class
+from ..form.parser import ParseError
+from ..java.lexer import JavaSyntaxError
+from ..java.resolver import ResolveError
 from ..provers.base import Deadline
 from ..provers.cache import SequentCache
 from ..provers.dispatcher import (
@@ -115,6 +115,7 @@ from ..provers.dispatcher import (
     _merge_outcomes,
     _settled_outcome,
 )
+from ..spec.specparse import SpecParseError
 from ..vcgen.sequent import Sequent
 from .wire import (
     DEFAULT_MAX_REQUEST_BYTES,
@@ -126,19 +127,20 @@ from .wire import (
     sequents_from_wire,
 )
 
-#: Default batch window in seconds.  Only requests the store cannot settle
-#: wait for it (store-settled ones are answered at admission), so it is
-#: kept near the cost of one cheap proof: a longer window makes every cold
-#: request wait several times its own proving time, while the in-flight
-#: registry, not the merge, is what keeps a digest from being proved twice.
-DEFAULT_WINDOW = 0.01
-
-#: Default batch-lane count: enough concurrent config keys for a mixed
-#: workload without oversubscribing the farm (lanes share one process pool).
+#: The fewest lanes (requests that may dispatch at once) a service gets
+#: by default.  The default is one lane per farm worker and never fewer
+#: than this: every cold request dispatches alone, so a burst of small
+#: requests keeps the whole farm busy only with at least one lane per
+#: worker, and a narrow farm still lets requests of different
+#: configurations dispatch side by side.
 DEFAULT_LANES = 4
 
 #: Seconds between periodic store compactions (when disk caps are set).
 DEFAULT_COMPACT_INTERVAL = 300.0
+
+#: What the Java and specification frontends raise on a source they cannot
+#: read; a ``verify_*`` request answers these as ``source: <message>``.
+_FRONTEND_ERRORS = (JavaSyntaxError, ResolveError, SpecParseError, ParseError)
 
 #: Verify-request fields whose only accepted value is true: ``verify`` always
 #: runs the syntactic prover first and includes frame conditions, so a request
@@ -147,40 +149,19 @@ _ALWAYS_ON_VERIFY_FIELDS = ("always_syntactic_first", "include_frame")
 
 
 class ServiceStopped(RuntimeError):
-    """Raised to pending requests when the daemon stops without draining."""
-
-
-@dataclass
-class _PendingRequest:
-    """One client request waiting for the next batch window.
-
-    Requests merge into one dispatch batch only when their whole dispatch
-    configuration agrees (equal ``config.key()``) — verdicts depend on
-    prover order, options and the enforced per-sequent budget, so mixing
-    configurations would either fragment the verdict-store keys or replay
-    answers across budgets.
-    """
-
-    config: DispatchConfig
-    #: ``config.key()``, computed once: the scheduler reads it on every pass.
-    key: str
-    sequents: List[Sequent]
-    future: "asyncio.Future[DispatchResult]"
-    deadline: Optional[Deadline] = None
-    #: Event-loop timestamp of arrival: a key's batch dispatches once its
-    #: oldest request has waited out the window (or the batch is full).
-    arrived: float = 0.0
+    """Raised to waiting requests when the daemon stops without draining."""
 
 
 @dataclass
 class ServiceStats:
-    """Cumulative counters of the batching service (the ``stats`` op)."""
+    """Cumulative counters of the verify service (the ``stats`` op)."""
 
     requests: int = 0
     requests_expired: int = 0
     #: Requests the verdict store settled at admission: answered without a
-    #: batch (their sequents still count in ``sequents`` and ``replayed``).
+    #: dispatch (their sequents still count in ``sequents`` and ``replayed``).
     store_answered: int = 0
+    #: Dispatches run: one per claim round of a request on its lane.
     batches: int = 0
     sequents: int = 0
     live_proved: int = 0
@@ -194,7 +175,7 @@ class ServiceStats:
     #: another lane under the same configuration (their verdicts were picked
     #: from the store afterwards instead of re-proved).
     deferred_sequents: int = 0
-    #: High-water mark of concurrently running batch lanes.
+    #: High-water mark of concurrently busy lanes.
     peak_lanes_busy: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -202,53 +183,47 @@ class ServiceStats:
 
 
 class VerifyService:
-    """Accumulates sequents from concurrent requests into merged batches.
+    """Answers requests from the store, else dispatches each on a lane.
 
-    Batches are grouped by dispatch configuration (``DispatchConfig.key``)
-    and up to ``lanes`` of them dispatch concurrently on a shared,
-    persistent prover farm.  Single-flight is per (digest, configuration), not per daemon: the
-    in-flight registry lets a lane defer digests another lane is already
-    proving under the same configuration and replay their verdicts from the
-    store once that dispatch lands, so a digest is proved live at most once
-    per configuration across the daemon's lifetime
-    (``ServiceStats.live_reproofs`` pins this).  A request the store settles
-    outright never reaches a batch: it is answered at admission
-    (``ServiceStats.store_answered``).
+    Up to ``lanes`` requests dispatch at once on a shared, persistent prover
+    farm; the rest wait for a lane in arrival order.  Single-flight is per
+    (digest, configuration), not per daemon: the in-flight registry lets a
+    lane defer digests another lane is already proving under the same
+    configuration and replay their verdicts from the store once that
+    dispatch lands, so a digest is proved live at most once per
+    configuration across the daemon's lifetime (``ServiceStats.live_reproofs``
+    pins this).  A request the store settles outright never takes a lane: it
+    is answered at admission (``ServiceStats.store_answered``).
     """
 
     def __init__(
         self,
         store: SequentCache,
-        window: float = DEFAULT_WINDOW,
-        max_batch: int = 512,
-        lanes: int = DEFAULT_LANES,
+        lanes: Optional[int] = None,
         workers: Optional[int] = None,
     ) -> None:
         self.store = store
-        self.window = window
-        self.max_batch = max_batch
-        self.lanes = max(1, int(lanes))
         # The farm defaults to the machine: every core a process worker.
         self.workers = max(1, int(workers)) if workers else (os.cpu_count() or 1)
+        self.lanes = max(1, int(lanes)) if lanes else max(DEFAULT_LANES, self.workers)
         self.stats = ServiceStats()
-        self._pending: Deque[_PendingRequest] = deque()
-        #: Requests whose admission store scan is still running.
+        self._lane_slots = asyncio.Semaphore(self.lanes)
+        #: Requests in their admission store scan, sequents of requests
+        #: waiting for a lane, and lanes dispatching.
         self._admitting = 0
-        self._wakeup = asyncio.Event()
+        self._pending = 0
+        self._lanes_busy = 0
         self._stopping = False
-        self._task: Optional[asyncio.Task] = None
-        # Lane executor: each concurrently dispatching batch occupies one
-        # thread here while its prove_all blocks — proving inline at
-        # ``workers=1``, else waiting on the farm below.
+        # Lane executor: each dispatching request occupies one thread here
+        # while its prove_all blocks — proving inline at ``workers=1``, else
+        # waiting on the farm below.
         self._executor = ThreadPoolExecutor(self.lanes, thread_name_prefix="verify-lane")
         # The persistent prover farm: one process pool shared by every lane
         # and every configuration, its processes — and their per-process
-        # portfolio caches — reused across batches.
+        # portfolio caches — reused across dispatches.
         self._farm: Optional[ProcessPoolExecutor] = (
             ProcessPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
         )
-        self._lane_tasks: Dict[int, asyncio.Task] = {}
-        self._lane_counter = 0
         # The cross-lane single-flight registry: (digest, config key) ->
         # event set once the dispatch proving that digest has stored its
         # verdicts.  Only touched from the event loop.
@@ -260,20 +235,16 @@ class VerifyService:
 
     @property
     def pending(self) -> int:
-        return sum(len(r.sequents) for r in self._pending)
+        """Sequents of the requests waiting for a lane."""
+        return self._pending
 
     @property
     def lanes_busy(self) -> int:
-        return len(self._lane_tasks)
+        return self._lanes_busy
 
     @property
     def busy(self) -> bool:
-        return bool(self._lane_tasks) or bool(self._pending) or bool(self._admitting)
-
-    async def start(self) -> "VerifyService":
-        if self._task is None:
-            self._task = asyncio.create_task(self._run(), name="verify-batch-loop")
-        return self
+        return bool(self._admitting or self._pending or self._lanes_busy)
 
     async def prove(
         self,
@@ -281,17 +252,16 @@ class VerifyService:
         config: DispatchConfig = DispatchConfig(),
         deadline: Optional[Deadline] = None,
     ) -> DispatchResult:
-        """Submit a batch of sequents; resolves once the store or a
-        dispatched window has answered every one.
+        """Answer a request's sequents from the store or a dispatch.
 
         ``config`` names the chain, options and per-sequent budget; the farm
-        supplies the executor, and every batch runs the dedup pre-pass.
+        supplies the executor, and every dispatch runs the dedup pre-pass.
 
         Admission comes first: the store is scanned for the request's dedup
         representatives off the event loop, and a request it settles
-        outright is answered at once, sliced exactly as a batch would slice
-        it.  Only a request with a sequent left to prove waits for the
-        window."""
+        outright is answered at once, built exactly as a dispatch would
+        build it.  Any other request waits for a lane, holds it until it is
+        answered, and dispatches alone under its own deadline."""
         if self._stopping:
             raise ServiceStopped("the verify service is shutting down")
         if not sequents:
@@ -313,201 +283,73 @@ class VerifyService:
             self.stats.sequents += result.total
             self.stats.replayed += result.replayed
             return result
-        if self._stopping:
-            raise ServiceStopped("the verify service is shutting down")
-        loop = asyncio.get_running_loop()
         config = dataclasses.replace(config, dedup=True, workers=self.workers)
-        request = _PendingRequest(
-            config=config,
-            key=config.key(),
-            sequents=sequents,
-            future=loop.create_future(),
-            deadline=deadline,
-            arrived=loop.time(),
-        )
-        self._pending.append(request)
-        self._wakeup.set()
-        return await request.future
+        self._pending += len(sequents)
+        try:
+            await self._lane_slots.acquire()
+        finally:
+            self._pending -= len(sequents)
+        try:
+            # A stop without draining refuses every request still waiting
+            # for a lane, one per freed lane.
+            if self._stopping:
+                raise ServiceStopped("service stopped")
+            # A request whose deadline lapsed while it waited is answered
+            # budget_exhausted without consuming any prover time.
+            if deadline is not None and deadline.expired():
+                self.stats.requests_expired += 1
+                return _expired_result(sequents)
+            self._lanes_busy += 1
+            self.stats.peak_lanes_busy = max(self.stats.peak_lanes_busy, self._lanes_busy)
+            try:
+                return await self._dispatch(sequents, config, deadline)
+            finally:
+                self._lanes_busy -= 1
+        finally:
+            self._lane_slots.release()
 
     async def drain(self) -> None:
-        """Wait until every queued request has been answered."""
+        """Wait until every admitted request has been answered."""
         while self.busy:
             await asyncio.sleep(0.005)
 
     async def stop(self, drain: bool = True) -> None:
+        """Stop the service.  With ``drain`` every request already admitted
+        is answered first; without it, requests still waiting for a lane get
+        :class:`ServiceStopped`, while dispatches already running complete."""
         if drain:
             await self.drain()
         self._stopping = True
-        self._wakeup.set()
-        if self._task is not None:
-            await self._task
-            self._task = None
-        for request in self._pending:
-            if not request.future.done():
-                request.future.set_exception(ServiceStopped("service stopped"))
-        self._pending.clear()
+        await self.drain()
         self._executor.shutdown(wait=True)
         if self._farm is not None:
             self._farm.shutdown(wait=True)
 
-    # -- the lane scheduler ---------------------------------------------------
+    # -- dispatch -------------------------------------------------------------
 
-    def _key_state(self) -> Tuple[Dict[str, float], Dict[str, int]]:
-        """Oldest arrival and pending sequent count per config key."""
-        oldest: Dict[str, float] = {}
-        count: Dict[str, int] = {}
-        for request in self._pending:
-            key = request.key
-            oldest.setdefault(key, request.arrived)
-            count[key] = count.get(key, 0) + len(request.sequents)
-        return oldest, count
-
-    def _next_due_in(self, now: float) -> Optional[float]:
-        """Seconds until the next batch window closes (None = nothing to
-        schedule until a wakeup: empty queue or every lane occupied)."""
-        if not self._pending or len(self._lane_tasks) >= self.lanes:
-            return None
-        oldest, count = self._key_state()
-        soonest = min(
-            0.0 if count[key] >= self.max_batch else (arrived + self.window - now)
-            for key, arrived in oldest.items()
-        )
-        return max(0.0, soonest)
-
-    def _launch_due_lanes(self, now: float) -> None:
-        """Start a lane task per due config key while lanes are free.  A key
-        is due once its oldest request has waited out the window or its
-        pending sequents fill a batch; keys go oldest-first, and a key whose
-        earlier batch is still in flight may get a second lane — the
-        in-flight registry keeps the two from proving a digest twice."""
-        oldest, count = self._key_state()
-        for key in sorted(oldest, key=oldest.__getitem__):
-            if len(self._lane_tasks) >= self.lanes:
-                break
-            due = (
-                self._stopping
-                or count[key] >= self.max_batch
-                or now - oldest[key] >= self.window - 1e-6
-            )
-            if not due:
-                continue
-            batch = self._take_batch(key)
-            if not batch:
-                continue
-            self._lane_counter += 1
-            lane_id = self._lane_counter
-            task = asyncio.create_task(
-                self._lane(lane_id, batch), name=f"verify-lane-{lane_id}"
-            )
-            self._lane_tasks[lane_id] = task
-            self.stats.peak_lanes_busy = max(
-                self.stats.peak_lanes_busy, len(self._lane_tasks)
-            )
-
-    def _take_batch(self, key: str) -> List[_PendingRequest]:
-        """Pop whole requests of one config key up to the size cap (always at
-        least one); everything else keeps its queue position."""
-        batch: List[_PendingRequest] = []
-        taken = 0
-        rest: Deque[_PendingRequest] = deque()
-        while self._pending:
-            request = self._pending.popleft()
-            if request.key == key and (not batch or taken < self.max_batch):
-                batch.append(request)
-                taken += len(request.sequents)
-            else:
-                rest.append(request)
-        self._pending = rest
-        return batch
-
-    async def _run(self) -> None:
+    async def _dispatch(
+        self,
+        sequents: List[Sequent],
+        config: DispatchConfig,
+        deadline: Optional[Deadline],
+    ) -> DispatchResult:
+        """Prove one request's sequents under the single-flight registry:
+        claim every digest nobody is proving and dispatch the claims, wait
+        for digests another lane is proving under this configuration, and
+        repeat until every sequent has an outcome."""
         loop = asyncio.get_running_loop()
-        while True:
-            timeout = self._next_due_in(loop.time())
-            if timeout is None:
-                await self._wakeup.wait()
-            else:
-                try:
-                    await asyncio.wait_for(self._wakeup.wait(), timeout=timeout)
-                except asyncio.TimeoutError:
-                    pass
-            self._wakeup.clear()
-            if self._stopping:
-                # stop() drains first when asked to; anything still queued
-                # here is deliberately abandoned (stop(drain=False)), but
-                # lanes already dispatching run to completion.
-                if self._lane_tasks:
-                    await asyncio.gather(
-                        *list(self._lane_tasks.values()), return_exceptions=True
-                    )
-                return
-            self._launch_due_lanes(loop.time())
-
-    async def _lane(self, lane_id: int, batch: List[_PendingRequest]) -> None:
-        try:
-            await self._process(batch)
-        except Exception as exc:  # noqa: BLE001 - fail the batch, not the loop
-            for request in batch:
-                if not request.future.done():
-                    request.future.set_exception(exc)
-        finally:
-            self._lane_tasks.pop(lane_id, None)
-            self._wakeup.set()
-
-    # -- batch processing -----------------------------------------------------
-
-    async def _process(self, batch: List[_PendingRequest]) -> None:
-        # Requests whose *request-level* Deadline expired while queued are
-        # answered budget_exhausted without consuming any prover time.
-        live: List[_PendingRequest] = []
-        for request in batch:
-            if request.deadline is not None and request.deadline.expired():
-                self.stats.requests_expired += 1
-                request.future.set_result(_expired_result(request.sequents))
-                continue
-            live.append(request)
-        if not live:
-            return
-        # Deadlined requests dispatch alone under their own deadline —
-        # earliest expiry first — so a short budget never clips co-batched
-        # unbudgeted work and the deadline threaded into dispatch is exactly
-        # the request's own.  Unbudgeted requests merge as one batch.
-        deadlined = sorted(
-            (r for r in live if r.deadline is not None),
-            key=lambda r: r.deadline.expires_at,
-        )
-        plain = [r for r in live if r.deadline is None]
-        for request in deadlined:
-            await self._process_group([request], request.deadline)
-        if plain:
-            await self._process_group(plain, None)
-
-    async def _process_group(
-        self, requests: List[_PendingRequest], deadline: Optional[Deadline]
-    ) -> None:
-        """Dispatch one merged same-config group under the single-flight
-        registry, then slice the merged result back per request."""
-        loop = asyncio.get_running_loop()
-        first = requests[0]
-        key = first.key
-        merged: List[Sequent] = []
-        slices: List[Tuple[_PendingRequest, int, int]] = []
-        for request in requests:
-            start = len(merged)
-            merged.extend(request.sequents)
-            slices.append((request, start, len(merged)))
-        digests = [sequent.digest() for sequent in merged]
-        rep = _dedup_representatives(merged)
-        outcomes: List[Optional[SequentOutcome]] = [None] * len(merged)
+        key = config.key()
+        digests = [sequent.digest() for sequent in sequents]
+        rep = _dedup_representatives(sequents)
+        outcomes: List[Optional[SequentOutcome]] = [None] * len(sequents)
         deferred: Set[str] = set()
-        group_started = loop.time()
 
-        pending = list(range(len(merged)))
+        pending = list(range(len(sequents)))
         while pending:
             if deadline is not None and deadline.expired():
                 for index in pending:
                     outcomes[index] = SequentOutcome(
-                        sequent=merged[index], proved=False, budget_exhausted=True
+                        sequent=sequents[index], proved=False, budget_exhausted=True
                     )
                 break
             # Partition the open sequents: claim every digest nobody is
@@ -538,14 +380,12 @@ class VerifyService:
                 try:
                     # Built inside the try: a config the registry cannot
                     # build must still release the digests claimed above.
-                    dispatcher = ParallelDispatcher(
-                        first.config, self.store, executor=self._farm
-                    )
+                    dispatcher = ParallelDispatcher(config, self.store, executor=self._farm)
                     result = await loop.run_in_executor(
                         self._executor,
                         functools.partial(
                             dispatcher.prove_all,
-                            [merged[index] for index in mine],
+                            [sequents[index] for index in mine],
                             deadline=deadline,
                         ),
                     )
@@ -572,14 +412,7 @@ class VerifyService:
             else:
                 await waiters
 
-        merged_result = DispatchResult()
-        merged_result.outcomes = [outcome for outcome in outcomes]
-        merged_result.total_time = loop.time() - group_started
-        for request, start, stop in slices:
-            if not request.future.done():
-                request.future.set_result(
-                    _slice_result(merged_result, rep, start, stop, deadline)
-                )
+        return _request_result(outcomes, rep, deadline)
 
     def _account(self, result: DispatchResult, key: str) -> None:
         """Fold one dispatch into the service counters (event-loop only).
@@ -618,7 +451,7 @@ def _wire_settings(request: Dict[str, Any]) -> Dict[str, Any]:
 def _settings_error(request: Dict[str, Any]) -> Optional[str]:
     """Why a request's dispatch settings are refused (None when valid).
     Checked before dispatch: a malformed field would otherwise fail deep
-    inside the batcher, with an error that does not name it."""
+    inside the service, with an error that does not name it."""
     provers = request.get("provers")
     if provers is not None and not (
         isinstance(provers, list) and all(isinstance(name, str) for name in provers)
@@ -716,9 +549,9 @@ def _store_answer(
     This is the dispatcher's own pre-pass: each dedup representative is
     cache-scanned under the chain's signatures, the first one the scan
     leaves open ends the admission, duplicates replay their
-    representative's outcome, and the slice is cut as a batch's would be —
-    so the answer is the one a batch would have produced from the same
-    store."""
+    representative's outcome, and the result is accounted as a dispatch's
+    would be — so the answer is the one a dispatch would have produced
+    from the same store."""
     signatures = [(p.name, p.options_signature()) for p in config.make_provers()]
     rep = _dedup_representatives(sequents)
     outcomes: List[Optional[SequentOutcome]] = [None] * len(sequents)
@@ -730,9 +563,7 @@ def _store_answer(
             return None
         outcomes[index] = _settled_outcome(sequent, answers)
     _fan_out_duplicates(sequents, rep, outcomes)
-    return _slice_result(
-        DispatchResult(outcomes=outcomes), rep, 0, len(sequents), deadline
-    )
+    return _request_result(outcomes, rep, deadline)
 
 
 def _expired_result(sequents: Sequence[Sequent]) -> DispatchResult:
@@ -744,40 +575,34 @@ def _expired_result(sequents: Sequence[Sequent]) -> DispatchResult:
     return result
 
 
-def _slice_result(
-    merged: DispatchResult,
+def _request_result(
+    outcomes: List[SequentOutcome],
     rep: List[int],
-    start: int,
-    stop: int,
     deadline: Optional[Deadline] = None,
 ) -> DispatchResult:
-    """One request's view of a merged batch: its outcome slice re-accounted
-    exactly as a standalone dispatch would have been (stats recorded answer
-    by answer, cache hits/misses per answer), so reports built from it match
-    local runs.  Slices keep the default ``workers=1`` whatever the farm
-    width: per-request reports carry per-request latency, and stamping the
-    farm size here would both misattribute shared capacity and break the
+    """One request's answer: its outcomes re-accounted exactly as a local
+    dispatch would account them (stats recorded answer by answer, cache
+    hits/misses per answer), so reports built from it match local runs.
+    The result keeps the default ``workers=1`` whatever the farm width:
+    per-request reports carry per-request latency, and stamping the farm
+    size here would both misattribute shared capacity and break the
     byte-identical-report guarantee against local runs — daemon occupancy
     lives in the ``stats`` op instead."""
     if deadline is not None and deadline.expired():
         # The request's own deadline lapsed mid-dispatch: whatever its chain
         # did not settle in time is a budget casualty, marked as such (the
         # module contract: post-deadline outcomes are ``budget_exhausted``).
-        for outcome in merged.outcomes[start:stop]:
+        for outcome in outcomes:
             if not outcome.settled:
                 outcome.budget_exhausted = True
     result = DispatchResult()
-    _merge_outcomes(result, merged.outcomes[start:stop], cache_enabled=True)
-    result.dedup_replayed = sum(1 for i in range(start, stop) if rep[i] != i)
-    # The slice's own answer-time sum, not the merged batch's wall: stamping
-    # ``merged.total_time`` on every slice would bill each co-batched client
-    # for the whole window, inflating per-request stats by the number of
-    # clients sharing the batch.  ``cpu_time`` was accumulated answer by
-    # answer just above, so it is exactly what a standalone dispatch of this
-    # slice would have measured (replays cost zero); the shared batch wall
-    # stays available separately.
+    _merge_outcomes(result, outcomes, cache_enabled=True)
+    result.dedup_replayed = sum(1 for i, r in enumerate(rep) if r != i)
+    # The request's own answer-time sum: ``cpu_time`` was accumulated answer
+    # by answer just above, so it is what a local dispatch of these
+    # sequents would have measured (replays cost zero), and store-answered
+    # and dispatched requests are billed alike.
     result.total_time = result.wall_time = result.cpu_time
-    result.batch_wall_time = merged.total_time
     return result
 
 
@@ -787,7 +612,7 @@ def _slice_result(
 
 
 class VerifyServer:
-    """A TCP daemon exposing the batching service (newline-delimited JSON).
+    """A TCP daemon exposing the verify service (newline-delimited JSON).
 
     ``port=0`` binds an ephemeral port (read :attr:`port` after
     :meth:`start`, or pass ``on_ready`` — called with the server once it is
@@ -803,9 +628,7 @@ class VerifyServer:
         host: str = "127.0.0.1",
         port: int = 0,
         store_dir: Optional[str] = None,
-        window: float = DEFAULT_WINDOW,
-        max_batch: int = 512,
-        lanes: int = DEFAULT_LANES,
+        lanes: Optional[int] = None,
         workers: Optional[int] = None,
         request_workers: int = 8,
         drain_timeout: float = 30.0,
@@ -824,8 +647,6 @@ class VerifyServer:
         self.store_max_age = store_max_age
         self.compactions = 0
         self.evicted_entries = 0
-        self.window = window
-        self.max_batch = max_batch
         self.lanes = lanes
         self.workers = workers
         self.max_request_bytes = max(1024, int(max_request_bytes))
@@ -895,14 +716,7 @@ class VerifyServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_requested = asyncio.Event()
-        self.service = VerifyService(
-            self.store,
-            window=self.window,
-            max_batch=self.max_batch,
-            lanes=self.lanes,
-            workers=self.workers,
-        )
-        await self.service.start()
+        self.service = VerifyService(self.store, lanes=self.lanes, workers=self.workers)
         server = await asyncio.start_server(
             self._handle_connection,
             self.host,
@@ -1057,6 +871,10 @@ class VerifyServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            except asyncio.CancelledError:
+                # Loop teardown cancelled the close of a connection whose
+                # peer had just left; the task ends here either way.
+                pass
 
     # -- operations -----------------------------------------------------------
 
@@ -1071,7 +889,7 @@ class VerifyServer:
             if error is not None:
                 return {"ok": False, "error": error}
             # One config for the whole request: the report's prover_order and
-            # the chain the batcher dispatches are the same resolved chain, so
+            # the chain the service dispatches are the same resolved chain, so
             # server-backed runs key the verdict store exactly as local ones do.
             settings = _wire_settings(request)
             config = (
@@ -1128,13 +946,10 @@ class VerifyServer:
             "replayed": result.replayed,
             "proved_from_cache": result.proved_from_cache,
             "dedup_replayed": result.dedup_replayed,
-            # Per-slice latency accounting (see _slice_result): this
-            # request's own answer-time sum, with the shared batch wall
-            # reported separately instead of billed to every client.
+            # This request's own answer-time sum (see _request_result).
             "total_time": result.total_time,
             "wall_time": result.wall_time,
             "cpu_time": result.cpu_time,
-            "batch_wall_time": result.batch_wall_time,
             "outcomes": [outcome_to_wire(o) for o in result.outcomes],
         }
 
@@ -1150,13 +965,13 @@ class VerifyServer:
 
         def dispatch(sequents: Sequence[Sequent]) -> DispatchResult:
             # Runs on a request-pool thread inside verify(): hop the sequents
-            # over to the event loop's batcher and block for the verdicts.
+            # over to the event loop's service and block for the verdicts.
             return asyncio.run_coroutine_threadsafe(
                 self.service.prove(list(sequents), config, deadline), loop
             ).result()
 
-        if class_wide:
-            def work():
+        def work():
+            if class_wide:
                 return verify_class(
                     source,
                     class_name=request.get("class_name"),
@@ -1164,22 +979,22 @@ class VerifyServer:
                     config=config,
                     dispatch=dispatch,
                 )
-
-            report = await loop.run_in_executor(self._request_pool, work)
-            return {"ok": True, "report": class_report_to_wire(report)}
-
-        method = request["method"]
-
-        def work():
             return verify(
                 source,
-                method=method,
+                method=request["method"],
                 class_name=request.get("class_name"),
                 config=config,
                 dispatch=dispatch,
             )
 
-        report = await loop.run_in_executor(self._request_pool, work)
+        try:
+            report = await loop.run_in_executor(self._request_pool, work)
+        except _FRONTEND_ERRORS as exc:
+            # The client's source does not parse or resolve: answer with the
+            # frontend's located message, not a Python exception name.
+            return {"ok": False, "error": f"source: {exc}"}
+        if class_wide:
+            return {"ok": True, "report": class_report_to_wire(report)}
         return {"ok": True, "report": method_report_to_wire(report)}
 
     # -- instrumentation ------------------------------------------------------

@@ -185,7 +185,12 @@ def method_report_to_wire(report: MethodReport) -> Dict[str, Any]:
 
 
 def method_report_from_wire(payload: Dict[str, Any]) -> MethodReport:
-    kwargs = dict(payload)
+    # Keys that are not report fields are dropped, so a client still reads
+    # the reports of an older daemon that sends a field this one removed
+    # (the shared batch's wall time, from before requests stopped sharing
+    # batches).
+    names = {field.name for field in dataclasses.fields(MethodReport)}
+    kwargs = {name: value for name, value in payload.items() if name in names}
     kwargs["prover_stats"] = {
         name: _stats_from_wire(stats)
         for name, stats in payload.get("prover_stats", {}).items()

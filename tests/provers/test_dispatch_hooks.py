@@ -54,7 +54,7 @@ def test_local_verify_dispatches_once_per_method(calls):
 def test_daemon_batch_dispatches_through_the_farm_entry_only(calls, tmp_path):
     sequents = [sequent([parse("a < b"), parse("b < c")], parse(f"a < c + {k}"))
                 for k in range(3)]
-    server = VerifyServer(port=0, store_dir=str(tmp_path / "store"), window=0.02).start()
+    server = VerifyServer(port=0, store_dir=str(tmp_path / "store")).start()
     try:
         with VerifyClient(port=server.port) as client:
             answer = client.prove_sequents(sequents, provers=["syntactic", "smt"],

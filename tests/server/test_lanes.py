@@ -1,29 +1,31 @@
-"""Lane-concurrency tests of the multi-lane batching service.
+"""Lane-concurrency tests of the multi-lane verify service.
 
 The contract pinned here:
 
-* batches for *different* prover configurations dispatch concurrently —
-  a fast config's request returns while a slow config's batch is still in
-  flight, and ``peak_lanes_busy`` records the overlap;
-* batches of the *same* configuration overlap too, each on a portfolio of
+* requests for *different* prover configurations dispatch concurrently —
+  a fast config's request returns while a slow config's dispatch is still
+  in flight, and ``peak_lanes_busy`` records the overlap;
+* requests of the *same* configuration overlap too, each on a portfolio of
   its own, even when the farm is one worker wide;
 * the in-flight digest registry preserves single-flight per (digest,
-  configuration) *across* lanes: a second lane assembling a batch over
-  digests another lane is proving defers them and replays their verdicts
-  from the store, keeping ``live_reproofs == 0``;
+  configuration) *across* lanes: a second lane dispatching digests
+  another lane is proving defers them and replays their verdicts from the
+  store, keeping ``live_reproofs == 0``;
 * a request-level deadline cuts a dispatch off *mid-flight* (the chains
   enforce the threaded ``Deadline`` cooperatively) and post-deadline
   outcomes come back ``budget_exhausted`` — the request never waits for the
   slow prover to finish on its own schedule.
 * store-first admission: a request the verdict store settles outright is
-  answered without waiting for the window or dispatching a batch, with the
-  outcomes a local warm dispatch returns; a partly warm request still goes
-  through exactly one batch.
+  answered without waiting for a lane or dispatching, with the outcomes a
+  local warm dispatch returns; a partly warm request still dispatches
+  exactly once;
+* ``stop(drain=False)`` refuses the requests still waiting for a lane and
+  lets the running dispatch complete.
 
 All tests drive :class:`VerifyService` directly under asyncio with a
-registered in-process test prover, so they run at ``workers=1``, each batch
-inline in its lane thread (the process farm cannot see a prover registered
-only in the test process).
+registered in-process test prover, so they run at ``workers=1``, each
+dispatch inline in its lane thread (the process farm cannot see a prover
+registered only in the test process).
 """
 
 import asyncio
@@ -36,6 +38,7 @@ from repro.provers.base import Deadline, Prover, ProverAnswer, Verdict, registry
 from repro.provers.cache import SequentCache
 from repro.provers.dispatcher import DispatchConfig, Dispatcher, make_provers
 from repro.server import ServiceStopped, VerifyService
+from repro.server.daemon import DEFAULT_LANES
 from repro.vcgen.sequent import sequent
 
 
@@ -85,7 +88,6 @@ def _register_sleepy():
 
 
 def _service(**kwargs):
-    kwargs.setdefault("window", 0.01)
     kwargs.setdefault("lanes", 2)
     kwargs.setdefault("workers", 1)
     return VerifyService(SequentCache(), **kwargs)
@@ -106,12 +108,12 @@ async def _wait_for(predicate, timeout=5.0):
 
 
 def test_distinct_configs_dispatch_concurrently():
-    """A fast config's batch must not queue behind a slow config's: the
+    """A fast config's request must not queue behind a slow config's: the
     syntactic request returns while the sleepy dispatch is still in flight
     (the pre-lane daemon serialized them: ~0.6s for the fast client)."""
 
     async def run():
-        service = await _service().start()
+        service = _service()
         try:
             slow = asyncio.ensure_future(
                 service.prove(
@@ -138,14 +140,14 @@ def test_distinct_configs_dispatch_concurrently():
 
 
 def test_same_config_lanes_overlap_on_portfolios_of_their_own():
-    """Two batches of one configuration, distinct digests, on a one-worker
-    farm: the second lane proves while the first batch is still in flight
-    (each lane runs its batch inline), and no prover instance is inside
+    """Two requests of one configuration, distinct digests, on a one-worker
+    farm: the second lane proves while the first dispatch is still in flight
+    (each lane runs its dispatch inline), and no prover instance is inside
     ``attempt`` twice at once — every dispatch builds its own portfolio."""
 
     async def run():
         _ATTEMPTS.clear()
-        service = await _service(workers=1, lanes=2, window=0.01).start()
+        service = _service(workers=1, lanes=2)
         config = DispatchConfig(["tracking"], {"tracking": {"delay": 0.4}})
         try:
             first = asyncio.ensure_future(service.prove([_syntactic_seq(0)], config))
@@ -169,7 +171,7 @@ def test_inflight_registry_blocks_cross_lane_reproofs():
     verdict from the store — never prove it live a second time."""
 
     async def run():
-        service = await _service().start()
+        service = _service()
         options = {"sleepy": {"delay": 0.4}}
         try:
             first = asyncio.ensure_future(
@@ -183,7 +185,7 @@ def test_inflight_registry_blocks_cross_lane_reproofs():
                     [_syntactic_seq(0)], DispatchConfig(["sleepy"], options)
                 )
             )
-            # The second batch gets its own lane while the first is in flight.
+            # The second request gets its own lane while the first is in flight.
             await _wait_for(lambda: service.stats.peak_lanes_busy >= 2)
             a, b = await asyncio.gather(first, second)
         finally:
@@ -199,11 +201,11 @@ def test_inflight_registry_blocks_cross_lane_reproofs():
 
 
 def test_all_lanes_busy_queues_the_next_batch():
-    """With every lane occupied, a new config's batch waits — and dispatches
-    as soon as a lane frees up (the scheduler's wakeup on lane completion)."""
+    """With every lane occupied, a new config's request waits — and
+    dispatches as soon as a lane frees up."""
 
     async def run():
-        service = await _service(lanes=1).start()
+        service = _service(lanes=1)
         try:
             slow = asyncio.ensure_future(
                 service.prove(
@@ -214,7 +216,7 @@ def test_all_lanes_busy_queues_the_next_batch():
             await _wait_for(lambda: service._inflight)
             fast = await service.prove([_syntactic_seq(1)], DispatchConfig(["syntactic"]))
             assert fast.proved == 1
-            assert slow.done(), "one lane: the fast batch had to wait its turn"
+            assert slow.done(), "one lane: the fast request had to wait its turn"
             await slow
         finally:
             await service.stop()
@@ -229,11 +231,11 @@ def test_all_lanes_busy_queues_the_next_batch():
 def test_deadline_expires_mid_dispatch():
     """Regression (the deadline bugfix): a request whose budget runs out
     *during* dispatch must come back ``budget_exhausted`` promptly — the old
-    daemon only checked deadlines before the batch started, so this request
+    daemon only checked deadlines before the dispatch started, so this request
     used to block for the sleepy prover's full 10 seconds."""
 
     async def run():
-        service = await _service(lanes=1).start()
+        service = _service(lanes=1)
         loop = asyncio.get_running_loop()
         try:
             started = loop.time()
@@ -249,7 +251,7 @@ def test_deadline_expires_mid_dispatch():
         assert result.proved == 0
         (outcome,) = result.outcomes
         assert outcome.budget_exhausted
-        # The request made it into dispatch — it did not expire while queued.
+        # The request made it into dispatch — it did not expire while waiting.
         assert service.stats.requests_expired == 0
         assert service.stats.batches == 1
 
@@ -257,12 +259,12 @@ def test_deadline_expires_mid_dispatch():
 
 
 def test_deadlined_request_never_clips_cobatched_work():
-    """A short-budget request sharing a window with an unbudgeted one must
-    not drag the latter under its deadline: deadlined requests dispatch
-    solo, the plain batch runs to completion."""
+    """A short-budget request arriving with an unbudgeted one must not drag
+    the latter under its deadline: each request dispatches alone under its
+    own deadline, and the plain one runs to completion."""
 
     async def run():
-        service = await _service(lanes=1, window=0.05).start()
+        service = _service(lanes=1)
         options = {"sleepy": {"delay": 0.4}}
         try:
             budgeted = asyncio.ensure_future(
@@ -281,7 +283,7 @@ def test_deadlined_request_never_clips_cobatched_work():
         finally:
             await service.stop()
         assert a.proved == 0 and a.outcomes[0].budget_exhausted
-        assert b.proved == 1, "the unbudgeted co-batched request must complete"
+        assert b.proved == 1, "the unbudgeted request must complete"
         assert service.stats.live_reproofs == 0
 
     asyncio.run(run())
@@ -327,45 +329,53 @@ def _filled_store(sequents):
     return store, local.prove_all(sequents)
 
 
-def test_store_settled_request_skips_the_window():
-    """With a 5 s window, a request the store settles comes back at once,
-    dispatches no batch, and carries exactly the local warm outcomes."""
+def test_store_settled_request_skips_the_lane_queue():
+    """While a sleepy dispatch holds the only lane, a request the store
+    settles comes back at once, dispatches nothing, and carries exactly the
+    local warm outcomes."""
     request = _admission_request()
     store, local_warm = _filled_store(request)
 
     async def run():
-        service = await VerifyService(store, window=5.0, lanes=2, workers=1).start()
+        service = VerifyService(store, lanes=1, workers=1)
         loop = asyncio.get_running_loop()
         try:
+            slow = asyncio.ensure_future(
+                service.prove(
+                    [sequent([], parse("R 0"))],
+                    DispatchConfig(["sleepy"], {"sleepy": {"delay": 1.0}}),
+                )
+            )
+            await _wait_for(lambda: service._inflight)
+            batches = service.stats.batches
             started = loop.time()
             result = await service.prove(request, ADMISSION_CONFIG)
             elapsed = loop.time() - started
+            assert not slow.done(), "the sleepy dispatch should still hold the lane"
+            assert service.stats.batches == batches
+            assert (await slow).proved == 1
         finally:
             await service.stop()
         return service.stats, result, elapsed
 
     stats, result, elapsed = asyncio.run(run())
-    assert elapsed < 1.0, f"a store-settled request waited {elapsed:.2f}s"
-    assert stats.batches == 0
+    assert elapsed < 0.5, f"a store-settled request waited {elapsed:.2f}s"
+    assert stats.batches == 1  # the sleepy request's dispatch only
     assert stats.store_answered == 1
-    assert (stats.requests, stats.sequents, stats.replayed) == (1, 4, 4)
+    assert (stats.requests, stats.sequents, stats.replayed) == (2, 5, 4)
     assert _answer_view(result) == _answer_view(local_warm)
     assert result.dedup_replayed == 1
-    assert result.batch_wall_time == 0.0
 
 
 def test_partly_warm_request_goes_through_one_batch():
-    """One cold sequent sends the whole request to a batch (``max_batch``
-    equal to its size makes the batch due at once despite the 5 s window):
-    only the cold sequent is proved live, the warm ones replay."""
+    """One cold sequent sends the whole request to one dispatch: only the
+    cold sequent is proved live, the warm ones replay."""
     warm = _admission_request()
     store, _ = _filled_store(warm)
     request = warm + [sequent([], parse("Q 9"))]
 
     async def run():
-        service = await VerifyService(
-            store, window=5.0, max_batch=len(request), lanes=2, workers=1
-        ).start()
+        service = VerifyService(store, lanes=2, workers=1)
         try:
             result = await service.prove(request, ADMISSION_CONFIG)
         finally:
@@ -383,12 +393,12 @@ def test_partly_warm_request_goes_through_one_batch():
 
 def test_expired_request_is_not_answered_from_the_store():
     """A warm request whose budget has already run out is answered
-    ``budget_exhausted`` and counted as expired, as a queued one would be."""
+    ``budget_exhausted`` and counted as expired, as a waiting one would be."""
     request = _admission_request()
     store, _ = _filled_store(request)
 
     async def run():
-        service = await VerifyService(store, window=5.0, lanes=2, workers=1).start()
+        service = VerifyService(store, lanes=2, workers=1)
         try:
             result = await service.prove(
                 request, ADMISSION_CONFIG, deadline=Deadline.after(0.0)
@@ -410,7 +420,7 @@ def test_stopped_service_refuses_store_settled_requests():
     store, _ = _filled_store(request)
 
     async def run():
-        service = await VerifyService(store, window=5.0, lanes=2, workers=1).start()
+        service = VerifyService(store, lanes=2, workers=1)
         await service.stop()
         with pytest.raises(ServiceStopped):
             await service.prove(request, ADMISSION_CONFIG)
@@ -436,7 +446,7 @@ def test_concurrent_admissions_keep_the_counters_exact():
     all_warm = sum(1 for request in requests if all(s in warm for s in request))
 
     async def run():
-        service = await VerifyService(store, window=0.01, lanes=2, workers=1).start()
+        service = VerifyService(store, lanes=2, workers=1)
         try:
             results = await asyncio.wait_for(
                 asyncio.gather(*(service.prove(r, ADMISSION_CONFIG) for r in requests)),
@@ -460,3 +470,52 @@ def test_concurrent_admissions_keep_the_counters_exact():
     assert stats.live_reproofs == 0
     assert stats.live_proved == len({s.digest() for r in requests for s in r if s in cold})
     assert stats.store_answered >= all_warm
+
+
+# -- lane count ----------------------------------------------------------------
+
+
+def test_default_lanes_follow_the_farm_width():
+    """Each cold request dispatches alone, so the default gives every farm
+    worker a lane (never fewer than ``DEFAULT_LANES``): a burst of
+    one-sequent requests can then keep a wide farm busy.  An explicit
+    ``lanes`` wins."""
+
+    async def run():
+        services = [
+            VerifyService(SequentCache(), workers=1),
+            VerifyService(SequentCache(), workers=DEFAULT_LANES + 8),
+            VerifyService(SequentCache(), lanes=3, workers=DEFAULT_LANES + 8),
+        ]
+        for service in services:
+            await service.stop()  # the farm starts no process before a dispatch
+        return [service.lanes for service in services]
+
+    assert asyncio.run(run()) == [DEFAULT_LANES, DEFAULT_LANES + 8, 3]
+
+
+# -- stopping ------------------------------------------------------------------
+
+
+def test_stop_without_drain_refuses_waiting_requests():
+    """``stop(drain=False)`` with one request dispatching on the only lane
+    and a second waiting for it: the waiting request gets ``ServiceStopped``
+    without dispatching, the running one completes, and nothing stays busy."""
+
+    async def run():
+        service = _service(lanes=1)
+        config = DispatchConfig(["sleepy"], {"sleepy": {"delay": 0.4}})
+        running = asyncio.ensure_future(service.prove([_syntactic_seq(0)], config))
+        await _wait_for(lambda: service._inflight)
+        waiting = asyncio.ensure_future(service.prove([_syntactic_seq(1)], config))
+        await _wait_for(lambda: service.pending == 1)
+        await service.stop(drain=False)
+        with pytest.raises(ServiceStopped):
+            await waiting
+        result = await running
+        assert not service.busy
+        return service.stats, result
+
+    stats, result = asyncio.run(run())
+    assert result.proved == 1
+    assert (stats.batches, stats.live_proved) == (1, 1)

@@ -62,7 +62,7 @@ def test_refuted_replays_after_a_daemon_restart_without_smt(tmp_path):
     store_dir = str(tmp_path / "store")
     batch = [_invalid(k) for k in range(3)]
 
-    first = VerifyServer(port=0, store_dir=store_dir, window=0.01).start()
+    first = VerifyServer(port=0, store_dir=store_dir).start()
     try:
         with VerifyClient(port=first.port) as c:
             cold = c.prove_sequents(batch, provers=PROVERS, prover_options=OPTIONS)
@@ -73,7 +73,7 @@ def test_refuted_replays_after_a_daemon_restart_without_smt(tmp_path):
     assert [a["verdict"] for a in refuted] == ["refuted"] * 3
     assert not any(a["cached"] for a in refuted)
 
-    second = VerifyServer(port=0, store_dir=store_dir, window=0.01).start()
+    second = VerifyServer(port=0, store_dir=store_dir).start()
     try:
         with VerifyClient(port=second.port) as c:
             warm = c.prove_sequents(batch, provers=PROVERS, prover_options=OPTIONS)
@@ -105,7 +105,7 @@ def test_server_report_with_refutations_is_byte_identical_to_local(tmp_path):
         local_warm.format()
     )
 
-    server = VerifyServer(port=0, store_dir=str(tmp_path / "store"), window=0.01).start()
+    server = VerifyServer(port=0, store_dir=str(tmp_path / "store")).start()
     try:
         with VerifyClient(port=server.port) as client:
             client.verify_method(source, **kwargs)

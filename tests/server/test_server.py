@@ -13,6 +13,7 @@ The daemon's contract, pinned here:
 * shutdown drains gracefully and the port stops answering.
 """
 
+import re
 import threading
 
 import pytest
@@ -39,9 +40,7 @@ def _corpus(count=8):
 
 @pytest.fixture
 def server(tmp_path):
-    srv = VerifyServer(
-        port=0, store_dir=str(tmp_path / "store"), window=0.02
-    ).start()
+    srv = VerifyServer(port=0, store_dir=str(tmp_path / "store")).start()
     yield srv
     srv.stop()
 
@@ -113,7 +112,7 @@ def test_cached_nonproof_verdict_is_replayed_traffic(client):
 
 def test_cross_client_dedup_proves_each_digest_once(server):
     """Six concurrent clients submit overlapping slices of one corpus: the
-    daemon merges their windows, the dedup pre-pass + store guarantee every
+    in-flight registry, the dedup pre-pass and the store guarantee every
     distinct digest is proved live exactly once across all of them."""
     corpus = _corpus(8)
     responses = {}
@@ -179,14 +178,11 @@ def _pigeonhole(n=8, bound=None):
 
 
 def test_cobatched_clients_are_billed_their_own_latency(tmp_path):
-    """Two clients sharing one batch window: the cheap client's slice must
-    report *its own* answer-time sum, not the merged batch's wall (which the
-    slow client's grinding sequent dominates).  Stamping the batch wall on
-    every slice used to bill each co-batched client for the whole window."""
+    """Two clients arriving together: the cheap client's answer must report
+    *its own* answer-time sum, not the time the slow client's sequent
+    grinds beside it."""
     slow_options = {"smt": {"timeout": 1.2}}
-    server = VerifyServer(
-        port=0, store_dir=str(tmp_path / "store"), window=0.5
-    ).start()
+    server = VerifyServer(port=0, store_dir=str(tmp_path / "store")).start()
     try:
         responses = {}
         errors = []
@@ -212,21 +208,13 @@ def test_cobatched_clients_are_billed_their_own_latency(tmp_path):
         for t in threads:
             t.join()
         assert not errors
-        with VerifyClient(port=server.port) as c:
-            stats = _service_stats(c)
     finally:
         server.stop()
 
-    # Both requests landed in one merged batch (the 0.5s window caught them).
-    assert stats["batches"] == 1
     cheap, slow = responses["cheap"], responses["slow"]
     assert cheap["proved"] == 3
-    # The batch wall is dominated by the pigeonhole grind (~1.2s timeout)
-    # and is reported identically to every slice of the batch...
-    assert cheap["batch_wall_time"] >= 1.0
-    assert cheap["batch_wall_time"] == pytest.approx(slow["batch_wall_time"])
-    # ...but the cheap client's own latency is its three syntactic answers,
-    # nowhere near the batch wall it used to be billed for.
+    # The cheap client's own latency is its three syntactic answers, nowhere
+    # near the pigeonhole grind (~1.2s timeout) of the slow client.
     assert cheap["wall_time"] < 0.5
     assert cheap["total_time"] == pytest.approx(cheap["wall_time"])
     assert slow["wall_time"] >= 1.0
@@ -240,7 +228,7 @@ def test_daemon_persists_the_learned_ordering(tmp_path):
     from repro.provers.ordering import DEFAULT_FILENAME
 
     store_dir = str(tmp_path / "store")
-    daemon = VerifyServer(port=0, store_dir=store_dir, window=0.01).start()
+    daemon = VerifyServer(port=0, store_dir=store_dir).start()
     try:
         with VerifyClient(port=daemon.port) as c:
             response = c.prove_sequents(_corpus(4), provers=PROVERS, prover_options=OPTIONS)
@@ -331,7 +319,7 @@ def test_verify_refuses_a_disabled_syntactic_first_or_frame(client, op, knob):
 
 def test_alias_and_engine_name_requests_share_one_lane(server):
     """``z3`` is an alias of ``smt``: requests naming either resolve to one
-    DispatchConfig, so they batch under one key and share their verdicts."""
+    DispatchConfig, so they key the store alike and share their verdicts."""
     alias = DispatchConfig(["syntactic", "z3"], OPTIONS)
     engine = DispatchConfig(["syntactic", "smt"], OPTIONS)
     assert alias.key() == engine.key()
@@ -350,7 +338,7 @@ def test_store_persists_across_daemon_restarts(tmp_path):
     store_dir = str(tmp_path / "store")
     batch = _corpus(4)
 
-    first = VerifyServer(port=0, store_dir=store_dir, window=0.01).start()
+    first = VerifyServer(port=0, store_dir=store_dir).start()
     try:
         with VerifyClient(port=first.port) as c:
             cold = c.prove_sequents(batch, provers=PROVERS, prover_options=OPTIONS)
@@ -358,7 +346,7 @@ def test_store_persists_across_daemon_restarts(tmp_path):
     finally:
         first.stop()
 
-    second = VerifyServer(port=0, store_dir=store_dir, window=0.01).start()
+    second = VerifyServer(port=0, store_dir=store_dir).start()
     try:
         with VerifyClient(port=second.port) as c:
             warm = c.prove_sequents(batch, provers=PROVERS, prover_options=OPTIONS)
@@ -384,7 +372,7 @@ def test_daemon_compacts_a_prefilled_store_to_its_exact_cap(tmp_path):
     assert prefill.disk_entries() == 10
 
     daemon = VerifyServer(
-        port=0, store_dir=str(store_dir), store_max_entries=3, window=0.01
+        port=0, store_dir=str(store_dir), store_max_entries=3
     ).start()
     try:
         assert daemon.store.disk_entries() == 3
@@ -449,11 +437,18 @@ def test_malformed_request_settings_are_refused_by_name(client, fields, named):
 @pytest.mark.parametrize("fields, error", [
     ({"provers": ["nope"]}, "^provers: unknown prover 'nope'"),
     ({"prover_options": {"smt": {"bogus": 1}}}, "^prover_options: .*'bogus'"),
-], ids=["provers", "prover_options"])
+    ({"prover_options": {"smt": {"timeout": "x"}}}, "^prover_options: timeout must be"),
+    ({"prover_options": {"smt": {"timeout": float("nan")}}},
+     "^prover_options: timeout must be"),
+    ({"prover_options": {"smt": {"timeout": True}}}, "^prover_options: timeout must be"),
+    ({"prover_options": {"smt": {"timeout": 0}}}, "^prover_options: timeout must be"),
+], ids=["provers", "prover_options", "timeout-str", "timeout-nan", "timeout-true",
+        "timeout-zero"])
 def test_unbuildable_prover_chains_are_refused_before_queueing(client, op, fields, error):
-    """An unknown prover name or option keyword is refused with an error
-    naming the field before anything is queued (for ``verify_method``,
-    before the source is parsed), not raised from inside a lane."""
+    """An unknown prover name or option keyword, or a prover timeout that is
+    not a positive number of seconds, is refused with an error naming the
+    field before anything is queued (for ``verify_method``, before the
+    source is parsed), not raised from inside a lane."""
     from repro.server.wire import sequents_to_wire
 
     request = {"provers": ["smt"], "prover_options": OPTIONS, **fields}
@@ -467,6 +462,27 @@ def test_unbuildable_prover_chains_are_refused_before_queueing(client, op, field
     assert _service_stats(client)["requests"] == 0
     response = client.prove_sequents([_arith(75)], provers=PROVERS, prover_options=OPTIONS)
     assert response["proved"] == 1
+
+
+@pytest.mark.parametrize("break_source, located", [
+    (lambda src: src.replace("return size;", "return size", 1), r"\(line \d+:\d+\)$"),
+    (lambda src: src.replace("invariant", "invariant (", 1), r"\(in SizedList line \d+\)$"),
+], ids=["java-syntax", "class-spec"])
+def test_unreadable_source_is_answered_with_its_location(client, break_source, located):
+    """A ``verify_*`` source the Java or spec frontend cannot read is
+    answered ``source: <message>`` with the frontend's location, and no
+    Python exception name in front."""
+    source = break_source(suite.source("SizedList"))
+    for op in ("verify_method", "verify_class"):
+        with pytest.raises(VerifyServiceError) as raised:
+            client.call(op, source=source, class_name="SizedList", method="size",
+                        provers=["smt"], prover_options=OPTIONS)
+        error = str(raised.value)
+        assert error.startswith("source: "), error
+        assert re.search(located, error), error
+        assert "Error:" not in error, error
+    assert _service_stats(client)["requests"] == 0
+    assert client.ping()
 
 
 def test_verify_ops_check_the_same_settings(client):
@@ -531,7 +547,7 @@ def test_daemon_ignores_shard_directories_from_older_daemons(tmp_path):
     assert len(old_files) == 3
 
     daemon = VerifyServer(
-        port=0, store_dir=str(store_dir), store_max_entries=0, window=0.01
+        port=0, store_dir=str(store_dir), store_max_entries=0
     ).start()
     try:
         assert daemon.store.disk_entries() == 0
@@ -545,7 +561,7 @@ def test_daemon_ignores_shard_directories_from_older_daemons(tmp_path):
 
 
 def test_shutdown_op_drains_and_stops(tmp_path):
-    server = VerifyServer(port=0, window=0.01).start()
+    server = VerifyServer(port=0).start()
     with VerifyClient(port=server.port) as c:
         assert c.prove_sequents(_corpus(2), provers=PROVERS, prover_options=OPTIONS)[
             "proved"
@@ -558,7 +574,7 @@ def test_shutdown_op_drains_and_stops(tmp_path):
 
 
 def test_stop_without_drain_abandons_nothing_inflight(tmp_path):
-    server = VerifyServer(port=0, window=0.01).start()
+    server = VerifyServer(port=0).start()
     with VerifyClient(port=server.port) as c:
         assert c.ping()
     server.stop(drain=False)
@@ -573,7 +589,7 @@ def test_large_request_over_64k_is_served(tmp_path):
     64 KiB StreamReader limit must be served normally — the old server
     started without ``limit=`` and dropped the connection on the first big
     ``prove_sequents`` batch, leaving the client blocked on a reply."""
-    server = VerifyServer(port=0, window=0.01).start()
+    server = VerifyServer(port=0).start()
     try:
         batch = [_arith(0)] * 3000  # ~240 KiB on the wire
         with VerifyClient(port=server.port) as c:
@@ -591,7 +607,7 @@ def test_oversized_frame_gets_structured_error_not_a_dropped_connection():
     import json as _json
     import socket as _socket
 
-    server = VerifyServer(port=0, window=0.01, max_request_bytes=4096).start()
+    server = VerifyServer(port=0, max_request_bytes=4096).start()
     try:
         with _socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
             f = sock.makefile("rwb")
@@ -640,8 +656,7 @@ def test_two_daemon_processes_share_one_store_root(tmp_path):
         proc = _subprocess.Popen(
             [
                 _sys.executable, "-m", "repro.server", "--port", "0",
-                "--store-dir", store_dir, "--window", "0.01",
-                "--lanes", "2", "--workers", "1",
+                "--store-dir", store_dir, "--lanes", "2", "--workers", "1",
             ],
             stdout=_subprocess.PIPE, stderr=_subprocess.STDOUT, text=True, env=env,
         )

@@ -126,6 +126,17 @@ def test_method_report_wire_roundtrip_is_exact():
     assert back.format() == report.format()
 
 
+def test_method_report_from_wire_ignores_fields_it_does_not_know():
+    from repro.core.report import MethodReport
+
+    report = MethodReport(class_name="C", method_name="m", total_sequents=1)
+    payload = method_report_to_wire(report)
+    # An older daemon still sends fields this reader no longer has, such
+    # as the wall time of the batch a request shared with others.
+    payload["retired_field"] = 0.25
+    assert method_report_from_wire(payload) == report
+
+
 # -- disk-tier lifecycle (compaction) -----------------------------------------
 
 

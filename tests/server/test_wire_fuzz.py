@@ -126,7 +126,7 @@ def _mutants(rng):
 
 @pytest.fixture
 def warm_daemon():
-    server = VerifyServer(port=0, window=0.01, workers=1).start()
+    server = VerifyServer(port=0, workers=1).start()
     with VerifyClient(port=server.port) as client:
         for frame in _valid_frames():
             op = frame.pop("op")
