@@ -31,8 +31,11 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 from repro.form.parser import parse_formula as parse
+from repro.provers.base import Prover, ProverAnswer, Seconds, Verdict, registry
+from repro.provers.dispatcher import make_provers
 from repro.server import VerifyClient, VerifyServer
 from repro.vcgen.sequent import sequent
 
@@ -189,35 +192,31 @@ N_CONFIGS = 4
 REQS_PER_CONFIG = 6
 
 
+class SleepyProver(Prover):
+    """Proves everything after ``delay`` seconds of deadline-polled sleep —
+    a wall-clock-heavy, CPU-free stand-in for a slow decision procedure, so
+    the lane-overlap speedup below is deterministic even on a single core."""
+
+    name = "sleepy"
+
+    @dataclass(frozen=True)
+    class Options(Prover.Options):
+        timeout: Seconds = 30.0
+        delay: float = 0.08
+
+    def attempt(self, sequent, deadline=None):
+        end = time.monotonic() + self.options.delay
+        while time.monotonic() < end:
+            if deadline is not None:
+                deadline.checkpoint(detail="sleeping")
+            time.sleep(0.005)
+        return ProverAnswer(Verdict.PROVED, self.name, detail="slept")
+
+
 def _register_sleepy():
-    """Register the sleepy prover: proves everything after ``delay`` seconds
-    of deadline-polled sleep — a wall-clock-heavy, CPU-free stand-in for a
-    slow decision procedure, so the lane-overlap speedup below is
-    deterministic even on a single core."""
-
-    from repro.provers.base import Prover, ProverAnswer, Verdict, registry
-    from repro.provers.dispatcher import make_provers
-
     make_provers(["syntactic"])  # seed the default registry
-    if "sleepy" in registry.known():
-        return
-
-    class SleepyProver(Prover):
-        name = "sleepy"
-
-        def __init__(self, timeout=30.0, delay=0.08):
-            super().__init__(timeout=timeout)
-            self.delay = delay
-
-        def attempt(self, sequent, deadline=None):
-            end = time.monotonic() + self.delay
-            while time.monotonic() < end:
-                if deadline is not None:
-                    deadline.checkpoint(detail="sleeping")
-                time.sleep(0.005)
-            return ProverAnswer(Verdict.PROVED, self.name, detail="slept")
-
-    registry.register("sleepy", SleepyProver)
+    if "sleepy" not in registry.known():
+        registry.register("sleepy", SleepyProver)
 
 
 def _mixed_config_wave(port):

@@ -10,7 +10,7 @@ algebra) can discharge alone.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..form import ast as F
 from ..form.rewrite import expand_field_writes, nnf, simplify
@@ -138,8 +138,7 @@ class BapaProver(Prover):
 
     name = "bapa"
 
-    def attempt(self, sequent: Sequent, deadline: Optional[Deadline] = None) -> ProverAnswer:
-        deadline = deadline or Deadline.after(self.timeout)
+    def attempt(self, sequent: Sequent, deadline: Deadline) -> ProverAnswer:
         prepared = relevant_assumptions(sequent.restricted(), rounds=2)
         assumptions = [
             simplify(expand_field_writes(beta_reduce(a.formula))) for a in prepared.assumptions

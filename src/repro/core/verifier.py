@@ -63,8 +63,8 @@ SourceOrProgram = Union[str, Program]
 
 #: A pluggable dispatch backend: takes the split sequents, returns the
 #: dispatch result.  The verify daemon injects one that routes sequents
-#: through its cross-request batching service (``repro.server``), so
-#: server-backed reports are assembled by exactly this module's code.
+#: through its verify service (``repro.server``: the verdict store, then a
+#: dispatch lane), so server-backed reports are assembled by this module.
 DispatchFn = Callable[[Sequence[Sequent]], DispatchResult]
 
 
@@ -118,7 +118,7 @@ def verify(
     ``dispatch`` replaces the dispatch backend entirely: the split sequents
     are handed to the callable and its :class:`DispatchResult` feeds the
     report.  The verify daemon (:mod:`repro.server`) uses this to route
-    sequents through its cross-request batcher while the report is still
+    sequents through its verdict store and lanes while the report is still
     assembled here — which is what makes server-backed reports byte-identical
     to local ones.  Only the config's prover chain then matters here (it is
     the report's ``prover_order``); the rest is the callable's concern.
@@ -185,7 +185,7 @@ def verify_class(
     class lets invariant obligations that repeat between methods be proved
     once and replayed, and ``dedup`` additionally collapses duplicates
     within each method's batch before any prover runs.  The verify daemon
-    passes its cross-request batcher as ``dispatch``.
+    passes its verify service as ``dispatch``.
     """
     config = _dispatch_config(config, settings)
     program = _as_program(source)

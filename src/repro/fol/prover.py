@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Literal, Optional
 
 from ..form import ast as F
-from ..provers.base import Deadline, PhaseTimer, Prover, ProverAnswer, Verdict
+from ..provers.base import Deadline, PhaseTimer, Prover, ProverAnswer, Seconds, Verdict
 from ..vcgen.sequent import Sequent
 from .clausify import ClausificationError
 from .hol2fol import translate_sequent
@@ -49,10 +50,8 @@ class FirstOrderProver(Prover):
     * ``ordering``/``selection`` restrict resolution to KBO-maximal or
       selected-negative literals.
 
-    All three knobs can flip a verdict between PROVED and UNKNOWN, so they
-    are scalar instance attributes and therefore part of
-    :meth:`Prover.options_signature` — cached verdicts computed under one
-    strategy are never replayed for another.
+    All three knobs can flip a verdict between PROVED and UNKNOWN; like
+    every option, they key the verdict cache.
 
     Cardinality and arithmetic goals are answered UNSUPPORTED at once: the
     untyped FOL translation erases ``card`` (BAPA's fragment) and the
@@ -63,57 +62,34 @@ class FirstOrderProver(Prover):
 
     name = "fol"
 
-    #: With deadlines enforced inside the saturation loop, wall time is
-    #: bounded by ``timeout`` alone, so the clause-count limits are safety
-    #: nets against memory blow-up rather than the de-facto time budget;
-    #: they default high enough for the backbone-reachability proofs of the
-    #: suite's invariant-exit obligations (~100k generated clauses).
-    #: The default budget is short: profiling across the whole suite shows
-    #: every refutation this engine finds completes in well under a second
-    #: (the indexed given-clause loop either finds the empty clause quickly
-    #: or saturates unproductively), so longer budgets are pure deadline
-    #: burn on unprovable goals.  ``timeout`` keys the verdict cache.
-    def __init__(
-        self,
-        timeout: float = 1.5,
-        max_processed: int = 6000,
-        max_generated: int = 200000,
-        strategy: str = "sos",
-        ordering: str = "kbo",
-        selection: str = "negative",
-        backward_subsumption: bool = True,
-        interning: bool = True,
-    ) -> None:
-        super().__init__(timeout=timeout)
-        # Every knob silently changes search behaviour (and keys the verdict
-        # cache), so a typo'd value must fail loudly, not degrade to "fair".
-        for name, value, allowed in (
-            ("strategy", strategy, ("sos", "fair")),
-            ("ordering", ordering, ("kbo", "none")),
-            ("selection", selection, ("negative", "none")),
-        ):
-            if value not in allowed:
-                raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")
-        self.max_processed = max_processed
-        self.max_generated = max_generated
-        self.strategy = strategy
-        self.ordering = ordering
-        self.selection = selection
+    @dataclass(frozen=True)
+    class Options(Prover.Options):
+        #: Short: across the whole suite every refutation this engine finds
+        #: completes in well under a second, so longer budgets are pure
+        #: deadline burn on unprovable goals.
+        timeout: Seconds = 1.5
+        #: Safety nets against memory blow-up (``timeout`` bounds the wall
+        #: time), high enough for the backbone-reachability proofs of the
+        #: suite's invariant-exit obligations (~100k generated clauses).
+        max_processed: int = 6000
+        max_generated: int = 200000
+        strategy: Literal["sos", "fair"] = "sos"
+        ordering: Literal["kbo", "none"] = "kbo"
+        selection: Literal["negative", "none"] = "negative"
         #: Backward subsumption (discard active clauses subsumed by a new
         #: one).  On by default: with the subsumption index the scan is
         #: cheap, and discarding dominated active clauses shrinks the
-        #: resolution frontier.  A scalar instance attribute, so it keys
-        #: the verdict cache like the other strategy knobs.
-        self.backward_subsumption = bool(backward_subsumption)
+        #: resolution frontier.
+        backward_subsumption: bool = True
         #: Translate through a per-attempt :class:`repro.form.intern.TermBank`
         #: (canonical pointer-comparable FOL terms, memoised normalisation);
         #: observationally identical, off reproduces the pre-interning path.
-        self.interning = bool(interning)
+        interning: bool = True
 
     def _support(self, translation) -> Optional[List[Clause]]:
         """The initial set of support (see the class docstring), or None
         for the fair loop."""
-        if self.strategy != "sos" or not translation.goal_clauses:
+        if self.options.strategy != "sos" or not translation.goal_clauses:
             return None
         support = list(translation.goal_clauses)
         goal_set = set(support)
@@ -124,8 +100,7 @@ class FirstOrderProver(Prover):
                 support.append(clause)
         return support
 
-    def attempt(self, sequent: Sequent, deadline: Optional[Deadline] = None) -> ProverAnswer:
-        deadline = deadline or Deadline.after(self.timeout)
+    def attempt(self, sequent: Sequent, deadline: Deadline) -> ProverAnswer:
         timer = PhaseTimer()
         if _outside_fragment(sequent.goal.formula):
             return ProverAnswer(
@@ -139,7 +114,7 @@ class FirstOrderProver(Prover):
                 # this package's terms, so a top-level import would be circular.
                 from ..form.intern import TermBank
 
-                bank = TermBank() if self.interning else None
+                bank = TermBank() if self.options.interning else None
                 translation = translate_sequent(sequent, bank=bank)
         except ClausificationError as exc:
             # The negated goal has no clause form (assumptions that have none
@@ -158,14 +133,10 @@ class FirstOrderProver(Prover):
                 detail="trivial after approximation",
                 phases=dict(timer.phases),
             )
+        o = self.options
         engine = ResolutionProver(
-            max_seconds=self.timeout,
-            max_processed=self.max_processed,
-            max_generated=self.max_generated,
-            strategy=self.strategy,
-            ordering=self.ordering,
-            selection=self.selection,
-            backward_subsumption=self.backward_subsumption,
+            max_processed=o.max_processed, max_generated=o.max_generated, strategy=o.strategy,
+            ordering=o.ordering, selection=o.selection, backward_subsumption=o.backward_subsumption,
         )
         with timer("saturate"):
             result = engine.refute(
@@ -175,7 +146,7 @@ class FirstOrderProver(Prover):
         if result.refuted:
             detail = (
                 f"refutation found ({result.processed} processed, "
-                f"{result.generated} generated clauses, strategy={self.strategy})"
+                f"{result.generated} generated clauses, strategy={self.options.strategy})"
             )
             return ProverAnswer(Verdict.PROVED, self.name, detail=detail, phases=phases)
         if result.reason == "timeout":

@@ -16,6 +16,7 @@ checked proof.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from ..form import ast as F
@@ -30,17 +31,17 @@ class InteractiveProver(Prover):
 
     name = "interactive"
 
+    @dataclass(frozen=True)
+    class Options(Prover.Options):
+        #: Try the default ``intro*; auto`` script when no stored one proves.
+        use_default_script: bool = True
+
     def __init__(
-        self,
-        store: Optional[LemmaStore] = None,
-        timeout: float = 10.0,
-        use_default_script: bool = True,
-        kernel: Optional[Kernel] = None,
+        self, store: Optional[LemmaStore] = None, kernel: Optional[Kernel] = None, **options
     ) -> None:
-        super().__init__(timeout=timeout)
+        super().__init__(**options)
         self.store = store or LemmaStore()
         self.kernel = kernel or Kernel()
-        self.use_default_script = use_default_script
 
     def options_signature(self) -> str:
         # Verdicts depend on the lemma store's exact contents: adding,
@@ -56,14 +57,13 @@ class InteractiveProver(Prover):
         store_hash = hashlib.sha256(payload.encode()).hexdigest()[:16]
         return super().options_signature() + f";lemmas={store_hash}"
 
-    def attempt(self, sequent: Sequent, deadline: Optional[Deadline] = None) -> ProverAnswer:
-        deadline = deadline or Deadline.after(self.timeout)
+    def attempt(self, sequent: Sequent, deadline: Deadline) -> ProverAnswer:
         script = self.store.lookup(sequent)
         if script is not None and self.kernel.replay(sequent, script, deadline):
             return ProverAnswer(
                 Verdict.PROVED, self.name, detail=f"replayed stored script {script.name!r}"
             )
-        if self.use_default_script:
+        if self.options.use_default_script:
             default = self._default_script(sequent)
             if self.kernel.replay(sequent, default, deadline):
                 return ProverAnswer(

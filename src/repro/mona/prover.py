@@ -32,6 +32,7 @@ reachability content is set-shaped (the alloc/backbone invariants) can be
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..form import ast as F
@@ -39,7 +40,7 @@ from ..form.printer import to_str
 from ..form.rewrite import expand_set_equalities, expand_set_literals, simplify
 from ..form.subst import free_vars
 from ..provers.approximation import relevant_assumptions, rewrite_sequent
-from ..provers.base import Deadline, Prover, ProverAnswer, Verdict
+from ..provers.base import Deadline, Prover, ProverAnswer, Seconds, Verdict
 from ..vcgen.sequent import Sequent
 from . import ws1s
 from .reach import decompose_reachability
@@ -209,37 +210,29 @@ class MonaProver(Prover):
 
     name = "mona"
 
-    #: When the WS1S engine decides a suite obligation it does so in well
-    #: under a second; every longer attempt ends in an automaton blow-up or
-    #: deadline expiry.  The default budget is therefore short — whole-suite
-    #: profiling showed the previous 10 s default was pure deadline burn on
-    #: goals the engine never decides (it found no extra proofs anywhere).
-    #: ``timeout`` keys the verdict cache, so verdicts computed under the
-    #: old default are never replayed for this one.
-    def __init__(
-        self,
-        timeout: float = 2.0,
-        max_states: int = 20000,
-        max_tracks: int = 12,
-    ) -> None:
-        super().__init__(timeout=timeout)
-        self.compiler = Compiler(max_states=max_states, max_tracks=max_tracks)
+    @dataclass(frozen=True)
+    class Options(Prover.Options):
+        #: When the WS1S engine decides a suite obligation it does so in well
+        #: under a second; every longer attempt ends in an automaton blow-up
+        #: or deadline expiry.  The default budget is therefore short —
+        #: whole-suite profiling showed the previous 10 s default was pure
+        #: deadline burn on goals the engine never decides (it found no
+        #: extra proofs anywhere).
+        timeout: Seconds = 2.0
+        #: The automaton compiler's caps: they bound the search and
+        #: therefore decide between PROVED and UNKNOWN.
+        max_states: int = 20000
+        max_tracks: int = 12
 
     def options_signature(self) -> str:
-        # The compiler caps bound the automaton search and therefore decide
-        # between PROVED and UNKNOWN; they must invalidate cached verdicts.
-        # The reach tag versions the repro.mona.reach preprocessing: adding
-        # (or changing) the decomposition changes which sequents MONA can
-        # decide, so cached UNKNOWNs from other versions must not replay.
-        return (
-            super().options_signature()
-            + f";max_states={self.compiler.max_states}"
-            + f";max_tracks={self.compiler.max_tracks}"
-            + ";reach=escape-suffix-v1"
-        )
+        # Fields in declaration order (the key predates the sorted default).
+        # The reach tag versions the repro.mona.reach preprocessing, which
+        # decides what MONA can prove: other versions' UNKNOWNs must miss.
+        o = self.options
+        return (f"timeout={o.timeout!r};max_states={o.max_states};max_tracks={o.max_tracks}"
+                ";reach=escape-suffix-v1")
 
-    def attempt(self, sequent: Sequent, deadline: Optional[Deadline] = None) -> ProverAnswer:
-        deadline = deadline or Deadline.after(self.timeout)
+    def attempt(self, sequent: Sequent, deadline: Deadline) -> ProverAnswer:
         # Goals mentioning ``card`` or integer arithmetic are answered
         # UNSUPPORTED *before* the reachability decomposition and rewrite
         # pipeline run: those operators never rewrite away, so such goals
@@ -278,7 +271,7 @@ class MonaProver(Prover):
         except FragmentError as exc:
             return ProverAnswer(Verdict.UNSUPPORTED, self.name, detail=str(exc))
         encoded_assumptions = []
-        max_constants = self.compiler.max_tracks - 1
+        max_constants = self.options.max_tracks - 1
         for assumption in usable_assumptions:
             if len(encoder.point_names) + len(encoder.set_names) >= max_constants:
                 # Track budget reached: further assumptions are dropped
@@ -305,8 +298,9 @@ class MonaProver(Prover):
             implication = encoded_goal
 
         first_order = list(encoder.point_names.values())
+        compiler = Compiler(self.options.max_states, self.options.max_tracks)
         try:
-            if ws1s.is_valid(implication, first_order, self.compiler, deadline):
+            if ws1s.is_valid(implication, first_order, compiler, deadline):
                 return ProverAnswer(
                     Verdict.PROVED,
                     self.name,

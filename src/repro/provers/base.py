@@ -38,12 +38,15 @@ procedure can be cut off and the next prover tried, so time budgets are
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Literal, NewType, Optional, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 from ..vcgen.sequent import Sequent
 
@@ -189,6 +192,10 @@ class Verdict(Enum):
     REFUTED = "refuted"
 
 
+#: The detail prefix of the answer :meth:`Prover.prove` makes of a crash.
+INTERNAL_ERROR = "internal error: "
+
+
 @dataclass
 class ProverAnswer:
     """The answer of one prover on one sequent, with timing and diagnostics."""
@@ -221,10 +228,53 @@ class ProverAnswer:
         return self.verdict is Verdict.PROVED
 
     @property
+    def storable(self) -> bool:
+        """False for a truncated TIMEOUT or an internal error: neither says
+        anything about the sequent, so no verdict cache keeps them."""
+        return not self.truncated and not self.detail.startswith(INTERNAL_ERROR)
+
+    @property
     def settles(self) -> bool:
         """True when this answer decides the sequent, either way: a proof or
         a checked countermodel.  The prover chain stops at such an answer."""
         return self.proved or self.verdict is Verdict.REFUTED
+
+
+#: The type of a prover's ``timeout`` option: a positive number of seconds.
+Seconds = NewType("Seconds", float)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> Tuple[Tuple[str, object], ...]:
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def _expected(kind: object, value: object) -> str:
+    """What a field declared as ``kind`` must hold, or '' when ``value``
+    does.  ``bool`` subclasses ``int``, so numbers compare exact types, and
+    ``not value > 0`` refuses NaN too."""
+    if kind is Seconds:
+        ok = type(value) in (int, float) and value > 0
+        return "" if ok else "a positive number of seconds"
+    if kind is int:
+        return "" if type(value) is int and value >= 0 else "a non-negative integer"
+    if kind is bool:
+        return "" if type(value) is bool else "a bool"
+    if get_origin(kind) is Literal:
+        return "" if value in get_args(kind) else f"one of {get_args(kind)}"
+    return "" if isinstance(value, kind) else f"an instance of {kind.__name__}"
+
+
+def check_fields(options: object) -> None:
+    """Refuse, naming the field, a dataclass field value its declared type
+    does not admit: a bad option then fails when the portfolio is built, not
+    inside an engine as an ``internal error``."""
+    for name, kind in _field_types(type(options)):
+        value = getattr(options, name)
+        expected = _expected(kind, value)
+        if expected:
+            raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 class Prover(ABC):
@@ -238,21 +288,24 @@ class Prover(ABC):
     #: Short name used on the command line and in reports (e.g. ``"mona"``).
     name: str = "prover"
 
-    #: Instance attributes that can *not* change this prover's verdicts and
-    #: are therefore left out of :meth:`options_signature` (and thus out of
-    #: the sequent-result cache key).  Every enforcing prover keeps
-    #: ``timeout`` in its signature — a verdict computed under a short budget
-    #: must not be replayed for a generous one — but a prover that cannot
-    #: time out (the syntactic prover) excludes it here.
-    signature_excludes: Tuple[str, ...] = ()
+    @dataclass(frozen=True)
+    class Options:
+        """A prover's options, each declared once with its type and default
+        (engines subclass it to add theirs), checked when built, and each a
+        part of the verdict-cache key (:meth:`Prover.options_signature`)."""
 
-    def __init__(self, timeout: float = 10.0) -> None:
-        # Refused here, when the portfolio is built, so a bad option is
-        # reported by name instead of failing inside the chain's arithmetic.
-        # ``not timeout > 0`` refuses NaN too.
-        if type(timeout) not in (int, float) or not timeout > 0:
-            raise ValueError(f"timeout must be a positive number of seconds, got {timeout!r}")
-        self.timeout = timeout
+        #: Seconds per :meth:`Prover.attempt`.
+        timeout: Seconds = 10.0
+
+        def __post_init__(self) -> None:
+            check_fields(self)
+
+    def __init__(self, **options) -> None:
+        self.options = self.Options(**options)
+
+    @property
+    def timeout(self) -> float:
+        return self.options.timeout
 
     def options_signature(self) -> str:
         """A stable signature of the options that can change this prover's
@@ -260,39 +313,26 @@ class Prover(ABC):
         computed under a short timeout or a small search bound are not
         replayed for a more generous configuration.
 
-        The default serialises every scalar instance attribute (timeouts,
-        iteration/state bounds, flags) except those named in
-        :attr:`signature_excludes`, plus the scalar fields of dataclass
-        attributes (e.g. the SMT instantiation config).  Subclasses whose
-        verdicts depend on non-scalar state must extend this (the MONA
-        prover's compiler caps, the interactive prover's lemma store).
+        It is ``name=repr(value)`` for each option, sorted by name; a
+        dataclass value (the SMT instantiation config) shows its fields in
+        declaration order.
         """
-        import dataclasses
 
-        parts = []
-        for name in sorted(vars(self)):
-            if name in self.signature_excludes:
-                continue
-            value = vars(self)[name]
-            if isinstance(value, (int, float, bool, str, type(None))):
-                parts.append(f"{name}={value!r}")
-            elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-                inner = ",".join(
-                    f"{f.name}={getattr(value, f.name)!r}"
-                    for f in dataclasses.fields(value)
-                    if isinstance(
-                        getattr(value, f.name), (int, float, bool, str, type(None))
-                    )
-                )
-                parts.append(f"{name}=({inner})")
-        return ";".join(parts)
+        def show(value: object) -> str:
+            if not dataclasses.is_dataclass(value):
+                return repr(value)
+            return "(" + ",".join(f"{f.name}={show(getattr(value, f.name))}"
+                                  for f in dataclasses.fields(value)) + ")"
+
+        names = sorted(f.name for f in dataclasses.fields(self.options))
+        return ";".join(f"{name}={show(getattr(self.options, name))}" for name in names)
 
     @abstractmethod
-    def attempt(self, sequent: Sequent, deadline: Optional[Deadline] = None) -> ProverAnswer:
+    def attempt(self, sequent: Sequent, deadline: Deadline) -> ProverAnswer:
         """Try to prove the sequent; must be sound, may be incomplete.
 
-        ``deadline`` is the enforced time budget of this attempt (never
-        ``None`` when called through :meth:`prove`); engines poll it on
+        ``deadline`` is the enforced time budget of this attempt, which
+        :meth:`prove` bounds by the ``timeout`` option; engines poll it on
         their hot loops and may let :class:`DeadlineExpired` propagate —
         :meth:`prove` converts it into a ``TIMEOUT`` answer.
         """
@@ -321,7 +361,7 @@ class Prover(ABC):
                 answer.phases = dict(exc.phases)
         except Exception as exc:  # noqa: BLE001 - prover bugs must not kill the run
             answer = ProverAnswer(
-                Verdict.UNKNOWN, self.name, detail=f"internal error: {exc!r}"
+                Verdict.UNKNOWN, self.name, detail=f"{INTERNAL_ERROR}{exc!r}"
             )
         answer.prover = self.name
         answer.time = time.perf_counter() - start

@@ -36,15 +36,13 @@ preserve validity (and invalidity, so a cached ``REFUTED`` replays just as
 soundly).
 
 Cache-invalidation note (options signatures): the options part of the key
-is ``Prover.options_signature()``, which serialises only *verdict-affecting*
-options.  Provers that cannot time out (the syntactic prover) exclude
-``timeout`` via ``Prover.signature_excludes``, so their entries survive
-timeout reconfiguration; every enforcing prover keeps ``timeout`` in its
-signature.  Changing what a signature covers (as the deadline-enforcement
-change did for the syntactic prover) silently orphans old disk entries —
-they are keyed under the old signature and simply miss, which is safe but
-means a one-off re-proving pass; delete the cache directory to reclaim the
-space.
+is ``Prover.options_signature()``, derived from the prover's typed
+``Options``; the syntactic prover, which cannot time out, keys its entries
+with an empty signature.  Changing what a signature covers (as the
+deadline-enforcement change did for the syntactic prover) silently orphans
+old disk entries — they are keyed under the old signature and simply miss,
+which is safe but means a one-off re-proving pass; delete the cache
+directory to reclaim the space.
 """
 
 from __future__ import annotations

@@ -82,9 +82,19 @@ def resolve_prover_names(names: Sequence[str]) -> List[str]:
     return [PROVER_ALIASES.get(name.lower(), name.lower()) for name in names]
 
 
+def resolve_prover_options(options: Dict[str, dict]) -> Dict[str, dict]:
+    """Key each prover's options by engine name, aliases resolved as in the
+    chain; two keys naming one engine are refused."""
+    resolved = dict(zip(resolve_prover_names(options), map(dict, options.values())))
+    if len(resolved) < len(options):
+        raise ValueError(f"two option sets for one prover in {sorted(options)}")
+    return resolved
+
+
 def make_provers(names: Sequence[str], **options) -> List[Prover]:
     """Instantiate the provers named on the command line, in order."""
     _register_default_provers()
+    options = resolve_prover_options(options)
     return [registry.create(name, **options.get(name, {})) for name in resolve_prover_names(names)]
 
 
@@ -94,9 +104,10 @@ class DispatchConfig:
 
     ``provers`` is the chain in portfolio order; aliases are resolved on
     construction, so ``("z3",)`` and ``("smt",)`` are the same
-    configuration.  ``prover_options`` maps an engine name to the keyword
-    arguments its prover is built with.  ``sequent_budget`` bounds (and
-    enforces) the time the whole chain may spend on one sequent.  ``dedup``
+    configuration.  ``prover_options`` maps an engine name (or an alias,
+    resolved too) to the keyword arguments its prover is built with;
+    options for engines outside the chain are ignored.  ``sequent_budget``
+    bounds (and enforces) the time the whole chain may spend on one sequent.  ``dedup``
     enables the pre-pass (see the module docstring).  ``workers`` chooses
     the executor: inline for one worker, else a pool of ``workers``
     processes.
@@ -115,8 +126,7 @@ class DispatchConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers!r}")
         object.__setattr__(self, "provers", tuple(resolve_prover_names(self.provers)))
-        options = {name: dict(opts) for name, opts in (self.prover_options or {}).items()}
-        object.__setattr__(self, "prover_options", options)
+        object.__setattr__(self, "prover_options", resolve_prover_options(self.prover_options or {}))
 
     @classmethod
     def for_verify(
@@ -137,7 +147,7 @@ class DispatchConfig:
 
     def key(self) -> str:
         """A canonical string naming the configuration: equal configs give
-        equal keys (the verify daemon batches requests by it)."""
+        equal keys (a pool process keeps one portfolio per key)."""
         settings = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         return json.dumps(settings, sort_keys=True, default=repr)
 
@@ -408,14 +418,13 @@ def _run_prover_chain(
             break
         prover = provers[index]
         answer = prover.prove(sequent, deadline=deadline)
-        if cache is not None and not answer.truncated:
-            # A *truncated* TIMEOUT — the chain deadline left the prover less
-            # than its configured timeout (the option that keys the cache
-            # entry) — reflects the budget's remainder, not the prover, and
-            # storing it would poison later runs that grant the full budget.
-            # ``Prover.prove`` sets the flag from the slack it actually had,
-            # so a TIMEOUT that did get its whole configured budget is a
-            # genuine verdict and stays cacheable.
+        if cache is not None and answer.storable:
+            # Not ``storable``: an internal error, or a *truncated* TIMEOUT —
+            # the chain deadline left the prover less than its configured
+            # timeout (the option that keys the entry), so it reflects the
+            # budget's remainder, not the prover, and would poison later runs
+            # that grant the full budget.  A TIMEOUT that had its whole
+            # configured budget is a genuine verdict and stays cacheable.
             cache.store(sequent, prover.name, answer, prover.options_signature())
         if ordering is not None:
             ordering.observe(sequent, answer, bucket)
@@ -630,11 +639,11 @@ class Dispatcher:
                 # wall-time" semantics, never exceeding ~1).
                 busy += sum(a.time for a in tail.answers) / self.config.workers
                 # Store the fresh verdicts here and teach the ordering.
-                # ``truncated`` travels on the pickled answer, so the rule of
-                # the in-process chain applies: budget-clipped TIMEOUTs are
-                # never stored.
+                # The pickled answer carries what ``storable`` reads, so the
+                # rule of the in-process chain applies: budget-clipped
+                # TIMEOUTs and internal errors are never stored.
                 for answer in tail.answers:
-                    if self.cache is not None and not answer.truncated:
+                    if self.cache is not None and answer.storable:
                         signature = signatures[names.index(answer.prover)][1]
                         self.cache.store(sequents[index], answer.prover, answer, signature)
                     self.ordering.observe(sequents[index], answer, bucket)

@@ -18,7 +18,7 @@ re-established unchanged immediately afterwards.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from ..form import ast as F
 from ..form.rewrite import simplify
@@ -219,12 +219,12 @@ class SyntacticProver(Prover):
 
     name = "syntactic"
 
-    #: The syntactic check is a bounded structural scan that never times
-    #: out, so the timeout cannot affect its verdicts and is left out of the
-    #: cache key (see ``Prover.signature_excludes``).
-    signature_excludes = ("timeout",)
+    def options_signature(self) -> str:
+        # The syntactic check is a bounded structural scan that never times
+        # out, so its one option cannot affect a verdict: the key is empty.
+        return ""
 
-    def attempt(self, seq: Sequent, deadline: Optional[Deadline] = None) -> ProverAnswer:
+    def attempt(self, seq: Sequent, deadline: Deadline) -> ProverAnswer:
         goal = _normalize(seq.goal.formula)
         if goal == F.TRUE or trivially_true(seq.goal.formula):
             return ProverAnswer(Verdict.PROVED, self.name, detail="goal is True")

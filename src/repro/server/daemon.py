@@ -514,9 +514,9 @@ def _verify_fields_error(request: Dict[str, Any], class_wide: bool) -> Optional[
 
 def _portfolio_error(config: DispatchConfig) -> Optional[str]:
     """Why a request's prover chain cannot be built (None when it can).
-    Checked before queueing: an unknown prover name or option keyword would
-    otherwise fail only in the lane (for ``verify_*``, after parsing and
-    splitting the source)."""
+    Checked before queueing: an unknown prover name, option keyword or
+    option value would otherwise fail only in the lane (for ``verify_*``,
+    after parsing and splitting the source) or inside the engine."""
     try:
         config.make_provers()
     except KeyError as exc:
@@ -892,10 +892,13 @@ class VerifyServer:
             # the chain the service dispatches are the same resolved chain, so
             # server-backed runs key the verdict store exactly as local ones do.
             settings = _wire_settings(request)
-            config = (
-                DispatchConfig(**settings) if op == "prove_sequents"
-                else DispatchConfig.for_verify(**settings)
-            )
+            try:
+                config = (
+                    DispatchConfig(**settings) if op == "prove_sequents"
+                    else DispatchConfig.for_verify(**settings)
+                )
+            except ValueError as exc:  # two option sets for one engine
+                return {"ok": False, "error": f"prover_options: {exc}"}
             error = _portfolio_error(config)
             if error is not None:
                 return {"ok": False, "error": error}

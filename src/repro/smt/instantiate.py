@@ -82,16 +82,16 @@ from ..form.printer import to_str
 from ..form.rewrite import nnf, simplify
 from ..form.subst import free_vars, fresh_name, substitute
 from ..form.types import INT, OBJ, Type
-from ..provers.base import Deadline
+from ..provers.base import Deadline, check_fields
 from .congruence import CongruenceClosure
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstantiationConfig:
-    """Limits of the E-matching engine; part of the SMT prover's
-    ``options_signature`` (and therefore of the sequent-cache key), so
-    verdicts computed under one configuration are never replayed under
-    another."""
+    """Limits of the E-matching engine; the SMT prover's ``instantiation``
+    option, so part of its ``options_signature`` (and therefore of the
+    sequent-cache key): verdicts computed under one configuration are never
+    replayed under another.  Checked when built, like the prover options."""
 
     # -- fallback enumeration (rule 4) ----------------------------------------
     #: Ground candidates tried per parameter.
@@ -123,6 +123,9 @@ class InstantiationConfig:
     #: match) is cut at the term level.  Sized to admit witness-shaped
     #: terms (tuples of field reads) while rejecting unfolding chains.
     max_substitution_size: int = 8
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 class GroundHarvest:

@@ -26,6 +26,7 @@ A lazy SMT loop over ground formulas:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..fol.clausify import ClausificationError, FAppBuilder, term_to_fol
@@ -36,12 +37,7 @@ from ..form.intern import TermBank
 from ..form.printer import to_str
 from ..provers.approximation import is_ground_smt_atom
 from ..provers.base import (
-    Deadline,
-    DeadlineExpired,
-    PhaseTimer,
-    Prover,
-    ProverAnswer,
-    Verdict,
+    Deadline, DeadlineExpired, PhaseTimer, Prover, ProverAnswer, Seconds, Verdict,
 )
 from ..vcgen.sequent import Sequent
 from .congruence import euf_conflict_tags
@@ -170,11 +166,8 @@ def _mentions_card(formula: F.Term) -> bool:
 class SmtProver(Prover):
     """The ground SMT prover of the portfolio.
 
-    ``instantiation`` sets the E-matching limits
-    (:class:`repro.smt.instantiate.InstantiationConfig`; ``None`` takes the
-    defaults).  The configuration is part of :meth:`options_signature`, so
-    cached verdicts computed under one setting are never replayed under
-    another.
+    The ``instantiation`` option sets the E-matching limits
+    (:class:`repro.smt.instantiate.InstantiationConfig`).
 
     Cardinality goals are answered UNSUPPORTED at once: the ground SMT
     fragment has no cardinality reasoning (BAPA's job), so those attempts
@@ -183,38 +176,27 @@ class SmtProver(Prover):
 
     name = "smt"
 
-    #: Whole-suite profiling: with the interned terms and incremental trail
-    #: every suite proof this engine finds lands comfortably inside 3s, so
-    #: the previous 5s default spent its last two seconds exclusively on
-    #: goals the engine never decides.  ``timeout`` keys the verdict cache,
-    #: so old-default verdicts are never replayed for the new budget.
-    def __init__(
-        self,
-        timeout: float = 3.0,
-        max_theory_iterations: int = 300,
-        instantiation: Optional[InstantiationConfig] = None,
-        interning: bool = True,
-        incremental: bool = True,
-    ) -> None:
-        super().__init__(timeout=timeout)
-        self.max_theory_iterations = max_theory_iterations
+    @dataclass(frozen=True)
+    class Options(Prover.Options):
+        #: Whole-suite profiling: with the interned terms and incremental
+        #: trail every suite proof this engine finds lands comfortably
+        #: inside 3s, so the previous 5s default spent its last two seconds
+        #: exclusively on goals the engine never decides.
+        timeout: Seconds = 3.0
+        max_theory_iterations: int = 300
+        instantiation: InstantiationConfig = InstantiationConfig()
         #: Hash-cons terms through a per-attempt :class:`TermBank` (identity
         #: sharing + memoised printing/normalisation).  Off reproduces the
         #: pre-interning engine for benchmarking.
-        self.interning = interning
+        interning: bool = True
         #: Keep the SAT core's trail across DPLL(T) iterations (resume from
         #: the highest consistent decision level after each blocking clause)
         #: instead of re-solving from scratch.
-        self.incremental = incremental
-        if instantiation is not None and not isinstance(instantiation, InstantiationConfig):
-            raise TypeError(
-                f"instantiation must be an InstantiationConfig, got {instantiation!r}"
-            )
-        self.instantiation = instantiation or InstantiationConfig()
+        incremental: bool = True
 
     # -- main entry point ------------------------------------------------------
 
-    def attempt(self, sequent: Sequent, deadline: Optional[Deadline] = None) -> ProverAnswer:
+    def attempt(self, sequent: Sequent, deadline: Deadline) -> ProverAnswer:
         timer = PhaseTimer()
         try:
             return self._attempt(sequent, deadline, timer)
@@ -223,9 +205,8 @@ class SmtProver(Prover):
             raise
 
     def _attempt(
-        self, sequent: Sequent, deadline: Optional[Deadline], timer: PhaseTimer
+        self, sequent: Sequent, deadline: Deadline, timer: PhaseTimer
     ) -> ProverAnswer:
-        deadline = deadline or Deadline.after(self.timeout)
         with timer("translate"):
             # Reachability becomes rtc_* predicates (ground atoms the
             # congruence closure treats as uninterpreted); their sound
@@ -253,9 +234,9 @@ class SmtProver(Prover):
         # consume the per-round budget before the saturating axiom sets.
         assertions = [a.formula for a in prepared.assumptions] + [F.Not(goal)] + axioms
 
-        bank = TermBank() if self.interning else None
+        bank = TermBank() if self.options.interning else None
         printed = bank.printed if bank is not None else to_str
-        config = self.instantiation
+        config = self.options.instantiation
         with timer("instantiation"):
             engine = EMatchEngine(assertions, config, deadline, bank=bank)
             # Instantiation is purely model-driven: the first SAT model of
@@ -288,12 +269,12 @@ class SmtProver(Prover):
         #: variable per distinct atom, so this is keyed O(1) instead of by
         #: printed form).
         euf_memo: Dict[int, object] = {}
-        solver = SatSolver(encoder.num_vars, incremental=self.incremental)
+        solver = SatSolver(encoder.num_vars, incremental=self.options.incremental)
         solver.add_clauses(encoder.clauses)
         encoded_upto = len(encoder.clauses)
         theory_conflicts = 0
 
-        for _iteration in range(self.max_theory_iterations):
+        for _iteration in range(self.options.max_theory_iterations):
             atoms = len(encoder.atom_ids)
             if deadline.expired():
                 return self._answer(
@@ -418,7 +399,7 @@ class SmtProver(Prover):
 
     def _ematch_cap_reached(self, engine: EMatchEngine) -> Optional[str]:
         """The E-matching cap the engine has hit (``name=value``), or None."""
-        config = self.instantiation
+        config = self.options.instantiation
         if engine.stats.instances >= config.max_ematch_instances:
             return f"max_ematch_instances={config.max_ematch_instances}"
         if engine.stats.rounds >= config.ematch_rounds:

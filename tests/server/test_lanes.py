@@ -30,11 +30,12 @@ registered only in the test process).
 
 import asyncio
 import time
+from dataclasses import dataclass
 
 import pytest
 
 from repro.form.parser import parse_formula as parse
-from repro.provers.base import Deadline, Prover, ProverAnswer, Verdict, registry
+from repro.provers.base import Deadline, Prover, ProverAnswer, Seconds, Verdict, registry
 from repro.provers.cache import SequentCache
 from repro.provers.dispatcher import DispatchConfig, Dispatcher, make_provers
 from repro.server import ServiceStopped, VerifyService
@@ -49,12 +50,13 @@ class SleepyProver(Prover):
 
     name = "sleepy"
 
-    def __init__(self, timeout: float = 30.0, delay: float = 0.3) -> None:
-        super().__init__(timeout=timeout)
-        self.delay = delay
+    @dataclass(frozen=True)
+    class Options(Prover.Options):
+        timeout: Seconds = 30.0
+        delay: float = 0.3
 
     def attempt(self, sequent, deadline=None):
-        end = time.monotonic() + self.delay
+        end = time.monotonic() + self.options.delay
         while time.monotonic() < end:
             if deadline is not None:
                 deadline.checkpoint(detail="sleeping")

@@ -433,6 +433,21 @@ def test_malformed_request_settings_are_refused_by_name(client, fields, named):
     assert response["proved"] == 1
 
 
+#: (engine, option, bad value) refused over the wire as they are by
+#: ``make_provers`` (``tests/provers/test_prover_options.py``).
+BAD_OPTIONS = [
+    ("mona", "max_states", "x"),
+    ("fol", "max_processed", "x"),
+    ("fol", "max_generated", 1.5),
+    ("fol", "backward_subsumption", "no"),
+    ("fol", "strategy", "greedy"),
+    ("smt", "interning", 1),
+    ("smt", "max_theory_iterations", True),
+    ("smt", "instantiation", {"ematch_rounds": 1}),
+]
+BAD_IDS = [f"{engine}-{option}" for engine, option, _ in BAD_OPTIONS]
+
+
 @pytest.mark.parametrize("op", ["prove_sequents", "verify_method"])
 @pytest.mark.parametrize("fields, error", [
     ({"provers": ["nope"]}, "^provers: unknown prover 'nope'"),
@@ -442,13 +457,20 @@ def test_malformed_request_settings_are_refused_by_name(client, fields, named):
      "^prover_options: timeout must be"),
     ({"prover_options": {"smt": {"timeout": True}}}, "^prover_options: timeout must be"),
     ({"prover_options": {"smt": {"timeout": 0}}}, "^prover_options: timeout must be"),
+    ({"prover_options": {"smt": {"timeout": 1.0}, "z3": {"timeout": 2.0}}},
+     "^prover_options: two option sets for one prover in \\['smt', 'z3'\\]"),
+] + [
+    ({"provers": [engine], "prover_options": {engine: {option: value}}},
+     f"^prover_options: {option} must be")
+    for engine, option, value in BAD_OPTIONS
 ], ids=["provers", "prover_options", "timeout-str", "timeout-nan", "timeout-true",
-        "timeout-zero"])
+        "timeout-zero", "alias-twice"] + BAD_IDS)
 def test_unbuildable_prover_chains_are_refused_before_queueing(client, op, fields, error):
-    """An unknown prover name or option keyword, or a prover timeout that is
-    not a positive number of seconds, is refused with an error naming the
-    field before anything is queued (for ``verify_method``, before the
-    source is parsed), not raised from inside a lane."""
+    """An unknown prover name or option keyword, an option value its
+    declared type does not admit, or two option sets for one engine is
+    refused with an error naming the field before anything is queued (for
+    ``verify_method``, before the source is parsed), not raised from inside
+    a lane or stored as an engine's ``internal error``."""
     from repro.server.wire import sequents_to_wire
 
     request = {"provers": ["smt"], "prover_options": OPTIONS, **fields}

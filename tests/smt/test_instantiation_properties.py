@@ -312,7 +312,7 @@ def test_capped_ematch_yields_unknown_naming_the_cap(seq, config, cap):
 
 
 def test_instantiation_takes_only_a_config():
-    assert SmtProver(instantiation=None).instantiation == InstantiationConfig()
-    for wrong in ("ground", {"ematch_rounds": 1}):
-        with pytest.raises(TypeError, match="InstantiationConfig"):
+    assert SmtProver().options.instantiation == InstantiationConfig()
+    for wrong in ("ground", {"ematch_rounds": 1}, None):
+        with pytest.raises(ValueError, match="instantiation must be .*InstantiationConfig"):
             SmtProver(instantiation=wrong)
