@@ -222,6 +222,12 @@ class ProverAnswer:
     #: keys the cache).  Truncated answers are never stored in the sequent
     #: cache.
     truncated: bool = False
+    #: True when the budget schedule's first-pass slice cut this attempt
+    #: off while the chain still had budget (the dispatch chain sets it,
+    #: and ``truncated`` with it): never stored, but learned as an unproved
+    #: attempt, and the prover runs again with its full timeout later in
+    #: the chain.
+    slice_cut: bool = False
 
     @property
     def proved(self) -> bool:

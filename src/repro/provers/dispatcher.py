@@ -27,7 +27,10 @@ budget, the dedup pre-pass, and the executor width (``workers``).
 Whatever the executor, one sequent's chain is :func:`_run_prover_chain`:
 cached verdicts (a :class:`repro.provers.cache.SequentCache`, keyed by the
 sequent's structural digest plus prover name and options) replay first for
-free, then the live provers run under the enforced per-sequent budget.
+free, then the live provers run under the enforced per-sequent budget on a
+two-pass schedule: each ranked prover first gets a short slice learned from
+its own proof times, and only the provers a slice cut off run again, with
+their full timeout.
 """
 
 from __future__ import annotations
@@ -346,8 +349,9 @@ def _cache_scan(
 
 def _ranked(
     ordering: ProverOrdering, sequent: Sequent, names: Sequence[str], live: Sequence[int]
-) -> Tuple[str, List[int]]:
-    """The sequent's feature bucket and its live provers in learned order.
+) -> Tuple[str, List[int], List[float]]:
+    """The sequent's feature bucket, its live provers in learned order, and
+    each ranked prover's first-pass slice (:meth:`ProverOrdering.slice_of`).
 
     Called only once the cache scan has left provers to run, so a sequent
     settled by dedup or the cache never pays for
@@ -355,7 +359,8 @@ def _ranked(
     """
     bucket = sequent_features(sequent)
     order = ordering.rank_bucket(bucket, [names[index] for index in live])
-    return bucket, [live[position] for position in order]
+    ranked = [live[position] for position in order]
+    return bucket, ranked, [ordering.slice_of(bucket, names[index]) for index in ranked]
 
 
 def _settled_outcome(sequent: Sequent, answers: List[ProverAnswer]) -> SequentOutcome:
@@ -380,6 +385,31 @@ def _settle(outcome: SequentOutcome, answer: ProverAnswer) -> bool:
     return True
 
 
+def _attempt(
+    prover: Prover, sequent: Sequent, deadline: Deadline, slice_: Optional[float]
+) -> ProverAnswer:
+    """One turn of ``prover`` in the chain, under its first-pass slice when
+    one is given and it is shorter than the prover's timeout (otherwise the
+    prover runs unsliced).
+
+    An answer that does not settle the sequent and comes back after the
+    slice ran out, while the chain deadline still has budget, is a *slice
+    cut*: marked ``truncated`` (so no cache stores it) and ``slice_cut``
+    (so the table learns it as an unproved attempt, and the chain runs the
+    prover again with its full timeout).  A slice that would end after the
+    chain deadline is clipped to it, so it never cuts.  Not only a
+    ``TIMEOUT`` is cut: an engine may give up early on an expired deadline,
+    as SMT's countermodel search does.
+    """
+    if slice_ is None or slice_ >= prover.timeout:
+        return prover.prove(sequent, deadline=deadline)
+    sliced = deadline.bounded_by(slice_)
+    answer = prover.prove(sequent, deadline=sliced)
+    if not answer.settles and sliced.expired() and not deadline.expired():
+        answer.truncated = answer.slice_cut = True
+    return answer
+
+
 def _run_prover_chain(
     provers: Sequence[Prover],
     sequent: Sequent,
@@ -387,13 +417,22 @@ def _run_prover_chain(
     sequent_budget: Optional[float] = None,
     deadline: Optional[Deadline] = None,
     ordering: Optional[ProverOrdering] = None,
+    slices: Optional[Sequence[Optional[float]]] = None,
 ) -> SequentOutcome:
     """Offer one sequent to the portfolio: cached verdicts first (see
     :func:`_cache_scan`), then the live provers in the order ``ordering``
     ranks them for the sequent's feature bucket until one settles it.  Every
     live answer teaches the table as it lands, so the next sequent of the
-    bucket — even in the same batch — already benefits.  The order decides
-    the cost, never which sequents prove: a failing prover falls through.
+    bucket — even in the same batch — already benefits.
+
+    The live provers run on a two-pass budget schedule.  Pass 1 gives each
+    its first-pass slice (from ``ordering``, or ``slices`` when a process
+    worker runs a chain the parent ranked); pass 2 re-runs, in ranked
+    order, only the provers a slice cut off (see :func:`_attempt`), with
+    their full timeout.  So a sequent a later prover proves quickly no
+    longer waits out an earlier prover's whole timeout, and since every
+    prover still gets its full timeout, the order and the slices decide the
+    cost, never which sequents prove.
 
     ``sequent_budget`` becomes one :class:`Deadline` shared by the whole
     chain, bounded further by the outer (request-level) ``deadline``: each
@@ -410,27 +449,33 @@ def _run_prover_chain(
     outcome = SequentOutcome(sequent=sequent, proved=False, answers=replayed)
     bucket: Optional[str] = None
     if ordering is not None:
-        bucket, live = _ranked(ordering, sequent, [name for name, _ in signatures], live)
+        bucket, live, slices = _ranked(ordering, sequent, [name for name, _ in signatures], live)
 
-    for index in live:
-        if deadline.expired():
-            outcome.budget_exhausted = True
-            break
-        prover = provers[index]
-        answer = prover.prove(sequent, deadline=deadline)
-        if cache is not None and answer.storable:
-            # Not ``storable``: an internal error, or a *truncated* TIMEOUT —
-            # the chain deadline left the prover less than its configured
-            # timeout (the option that keys the entry), so it reflects the
-            # budget's remainder, not the prover, and would poison later runs
-            # that grant the full budget.  A TIMEOUT that had its whole
-            # configured budget is a genuine verdict and stays cacheable.
-            cache.store(sequent, prover.name, answer, prover.options_signature())
-        if ordering is not None:
-            ordering.observe(sequent, answer, bucket)
-        outcome.answers.append(answer)
-        if _settle(outcome, answer):
-            break
+    # Pass 2 is filled while pass 1 runs: the provers a slice cut off.
+    passes = [list(zip(live, slices or [None] * len(live))), []]
+    for scheduled in passes:
+        for index, slice_ in scheduled:
+            if deadline.expired():
+                outcome.budget_exhausted = True
+                return outcome
+            prover = provers[index]
+            answer = _attempt(prover, sequent, deadline, slice_)
+            if cache is not None and answer.storable:
+                # Not ``storable``: an internal error, or a *truncated*
+                # answer — a slice cut, or a TIMEOUT the chain deadline
+                # clipped below the prover's configured timeout (the option
+                # that keys the entry).  It reflects the budget, not the
+                # prover, and would poison later runs that grant the full
+                # timeout.  A TIMEOUT that had its whole configured budget
+                # is a genuine verdict and stays cacheable.
+                cache.store(sequent, prover.name, answer, prover.options_signature())
+            if ordering is not None:
+                ordering.observe(sequent, answer, bucket)
+            outcome.answers.append(answer)
+            if _settle(outcome, answer):
+                return outcome
+            if answer.slice_cut:
+                passes[1].append((index, None))
     return outcome
 
 
@@ -475,12 +520,15 @@ _PROCESS_PORTFOLIOS: "OrderedDict[str, List[Prover]]" = OrderedDict()
 
 
 def _process_worker_chain(
-    payload: Tuple[DispatchConfig, Optional[float], Sequent, Sequence[int]]
+    payload: Tuple[
+        DispatchConfig, Optional[float], Sequent, Sequence[int], Sequence[Optional[float]]
+    ]
 ) -> SequentOutcome:
     """The chain inside a process-pool worker (a picklable top-level
-    function), over exactly the provers ``order`` lists: the parent has
-    already cache-scanned the sequent and ranked its open provers."""
-    config, sequent_budget, sequent, order = payload
+    function), over exactly the provers ``order`` lists, under the
+    first-pass ``slices`` beside them: the parent has already cache-scanned
+    the sequent, ranked its open provers and looked up their slices."""
+    config, sequent_budget, sequent, order, slices = payload
     key = config.key()
     provers = _PROCESS_PORTFOLIOS.get(key)
     if provers is None:
@@ -490,7 +538,8 @@ def _process_worker_chain(
     else:
         _PROCESS_PORTFOLIOS.move_to_end(key)
     return _run_prover_chain(
-        [provers[index] for index in order], sequent, sequent_budget=sequent_budget
+        [provers[index] for index in order], sequent, sequent_budget=sequent_budget,
+        slices=slices,
     )
 
 
@@ -600,8 +649,8 @@ class Dispatcher:
         # The cache lives here, so every open sequent is cache-scanned before
         # submission, and only a sequent the scan leaves open is ranked:
         # ``scans[i]`` is (cached answers, feature bucket, live provers in
-        # learned order).
-        scans: Dict[int, Tuple[List[ProverAnswer], str, List[int]]] = {}
+        # learned order, their first-pass slices).
+        scans: Dict[int, Tuple[List[ProverAnswer], str, List[int], List[float]]] = {}
         for index in indices:
             answers, live, settled = _cache_scan(self.cache, sequents[index], signatures)
             if settled:
@@ -621,17 +670,17 @@ class Dispatcher:
         )
         with pool_scope as pool:
             futures = {}
-            for index, (_, _, live) in scans.items():
+            for index, (_, _, live, slices) in scans.items():
                 # A Deadline cannot cross the process boundary (its expiry
                 # instant is this process's monotonic clock), so the batch
                 # deadline clips each worker's sequent budget at submit time.
                 budget = self.config.sequent_budget
                 if deadline is not None:
                     budget = deadline.bounded_by(budget).remaining()
-                payload = (self.config, budget, sequents[index], live)
+                payload = (self.config, budget, sequents[index], live, slices)
                 futures[index] = pool.submit(_process_worker_chain, payload)
             for index, future in futures.items():
-                prefix, bucket, _ = scans[index]
+                prefix, bucket, _, _ = scans[index]
                 tail = future.result()
                 # The pool does not reveal which process ran the task, so
                 # report the *average* per-worker busy fraction: total prover
@@ -639,9 +688,11 @@ class Dispatcher:
                 # wall-time" semantics, never exceeding ~1).
                 busy += sum(a.time for a in tail.answers) / self.config.workers
                 # Store the fresh verdicts here and teach the ordering.
-                # The pickled answer carries what ``storable`` reads, so the
-                # rule of the in-process chain applies: budget-clipped
-                # TIMEOUTs and internal errors are never stored.
+                # The pickled answer carries what ``storable`` and
+                # ``observe`` read, so the rules of the in-process chain
+                # apply: slice cuts, budget-clipped TIMEOUTs and internal
+                # errors are never stored, and slice cuts are learned as
+                # unproved attempts.
                 for answer in tail.answers:
                     if self.cache is not None and answer.storable:
                         signature = signatures[names.index(answer.prover)][1]

@@ -5,8 +5,8 @@ The paper's Figure 7 command line fixes one prover order for a whole run
 (``-usedp spass mona bapa``), so a sequent that only MONA can discharge
 still pays the full SPASS budget first.  This module learns a better
 per-sequent order from the outcomes the dispatcher has already observed
-(the order decides the cost, never which sequents prove: every prover
-still gets its turn until one proves):
+(the order *and the slices* decide the cost, never which sequents prove:
+every prover still gets its full turn until one proves):
 
 * :func:`sequent_features` maps a sequent to a small, stable *feature
   bucket* — the goal's head connective/operator, the logic-fragment flags
@@ -26,6 +26,14 @@ still gets its turn until one proves):
   ``min_attempts``+ times without a single proof sink to the back.  With an
   empty table the ranking *is* the portfolio order, so a cold table
   reproduces the fixed-order prover choice exactly.
+* :meth:`ProverOrdering.slice_of` is the budget schedule's first-pass slice
+  of one prover in one bucket: ``SLICE_FACTOR`` times the longest proof
+  (or refutation) the prover has given there, never below ``SLICE_FLOOR``.
+  The dispatch chain runs each ranked prover under its slice first, and
+  re-runs the provers a slice cut off, in ranked order and with their
+  full timeout, only once every other prover has had its slice.  A
+  sequent some later prover proves quickly then no longer waits out the
+  first prover's whole timeout.
 
 The table lives as long as the verdict cache it learns beside: every
 :class:`repro.provers.cache.SequentCache` owns one (the verify daemon's
@@ -51,7 +59,14 @@ from .base import ProverAnswer
 
 #: Stats-table schema version; bump on incompatible layout changes (old
 #: files are discarded, not migrated — the table is a cache of hints).
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: The budget schedule's constants (see :meth:`ProverOrdering.slice_of`).  A
+#: prover with no proof record in a bucket gets the floor.  A 0.25 s floor
+#: cut twice as many attempts in a cold suite pass (16 against 8), many of
+#: them SMT proofs finishing just past it, and the pass took longer.
+SLICE_FLOOR = 0.5
+SLICE_FACTOR = 2.0
 
 #: Default file name, placed beside the cache/store directory it learns from.
 DEFAULT_FILENAME = "ordering.json"
@@ -172,6 +187,8 @@ class _BucketStats:
     attempted: int = 0
     proved: int = 0
     time: float = 0.0
+    #: The longest settling answer (proof or refutation), in seconds.
+    longest: float = 0.0
 
     @property
     def rate(self) -> float:
@@ -186,6 +203,7 @@ class _BucketStats:
             "attempted": self.attempted,
             "proved": self.proved,
             "time": round(self.time, 6),
+            "longest": round(self.longest, 6),
         }
 
 
@@ -198,8 +216,8 @@ class ProverOrdering:
     many failed attempts a bucket needs before it demotes a prover below
     the unknowns — fewer and one unlucky timeout would exile an engine.
 
-    Thread-safe: dispatcher worker threads and concurrent daemon lanes rank
-    and observe on one shared table.
+    Thread-safe: concurrent daemon lanes rank and observe on one shared
+    table.
     """
 
     path: Optional[str] = None
@@ -236,6 +254,7 @@ class ProverOrdering:
                         attempted=int(stats["attempted"]),
                         proved=int(stats["proved"]),
                         time=float(stats["time"]),
+                        longest=float(stats["longest"]),
                     )
                 except (KeyError, TypeError, ValueError):
                     continue
@@ -287,10 +306,14 @@ class ProverOrdering:
 
         ``bucket`` is the sequent's feature key when the caller already
         computed it for :meth:`rank_bucket`.  Cached replays teach nothing
-        new (their stats were recorded when first proved), and truncated
-        answers reflect a clipped slice, not the prover.  Both are ignored.
+        new (their stats were recorded when first proved), and an answer the
+        chain budget truncated reflects the budget's remainder, not the
+        prover.  Both are ignored.  A slice cut is truncated too, but the
+        prover failed to prove within its slice while budget remained, so it
+        counts as an unproved attempt: a prover that keeps getting cut sinks
+        in the bucket's ranking.
         """
-        if answer.cached or answer.truncated:
+        if answer.cached or (answer.truncated and not answer.slice_cut):
             return
         # A refutation settles the sequent as surely as a proof: counting it
         # as a failure would demote the refuting prover to the hopeless tier
@@ -310,6 +333,7 @@ class ProverOrdering:
             stats.attempted += 1
             if proved:
                 stats.proved += 1
+                stats.longest = max(stats.longest, time)
             stats.time += max(0.0, time)
             self.dirty += 1
 
@@ -345,6 +369,15 @@ class ProverOrdering:
                     unknown.append(index)
         winners.sort()
         return [index for _, _, index in winners] + unknown + hopeless
+
+    def slice_of(self, bucket: str, prover: str) -> float:
+        """The first-pass slice of ``prover`` in ``bucket``: ``SLICE_FACTOR``
+        times its longest settling answer there, at least ``SLICE_FLOOR``.
+        The chain leaves a prover unsliced when this reaches its timeout."""
+        with self._lock:
+            stats = self._buckets.get(bucket, {}).get(prover)
+            longest = stats.longest if stats is not None else 0.0
+        return max(SLICE_FLOOR, SLICE_FACTOR * longest)
 
     # -- introspection -----------------------------------------------------
 

@@ -136,6 +136,7 @@ def answer_to_wire(answer: ProverAnswer) -> Dict[str, Any]:
         "cached": answer.cached,
         "instances": answer.instances,
         "truncated": answer.truncated,
+        "slice_cut": answer.slice_cut,
     }
 
 
@@ -149,6 +150,7 @@ def answer_from_wire(payload: Dict[str, Any]) -> ProverAnswer:
     )
     answer.cached = payload.get("cached", False)
     answer.truncated = payload.get("truncated", False)
+    answer.slice_cut = payload.get("slice_cut", False)
     return answer
 
 

@@ -2,17 +2,20 @@
 ranking, JSON persistence (including concurrent saves), which answers teach
 it anything, how the dispatch chain learns from each answer, the sequential
 chain itself (first proof wins, fall-through, budget cut-off, cache replay),
-and that the learned order changes the cost of a run, never which sequents
-prove."""
+the two-pass budget schedule (slice cuts, pass 2, executor parity), and that
+the learned order and the slices change the cost of a run, never which
+sequents prove."""
 
 import json
 import random
 import time
+from concurrent.futures import Executor, Future
+from dataclasses import dataclass
 
 import pytest
 
 from repro.form.parser import parse_formula as parse
-from repro.provers.base import Deadline, Prover, ProverAnswer, Verdict
+from repro.provers.base import Deadline, Prover, ProverAnswer, Seconds, Verdict, registry
 from repro.provers.cache import SequentCache
 from repro.provers.dispatcher import (
     DispatchConfig,
@@ -23,6 +26,8 @@ from repro.provers.dispatcher import (
 from repro.provers.ordering import (
     DEFAULT_FILENAME,
     FORMAT_VERSION,
+    SLICE_FACTOR,
+    SLICE_FLOOR,
     ProverOrdering,
     sequent_features,
 )
@@ -606,3 +611,220 @@ def test_verify_report_counts_do_not_depend_on_the_table():
     assert reversed_run.prover_stats["smt"].attempted == reversed_run.total_sequents
     assert reversed_run.proved_sequents == fresh.proved_sequents
     assert reversed_run.total_sequents == fresh.total_sequents
+
+
+# -- the budget schedule ---------------------------------------------------------
+
+
+class _Sleeps(Prover):
+    """Answers after ``delay`` seconds (PROVED, or UNKNOWN when not
+    ``proves``), polling its deadline every few milliseconds: a stand-in for
+    an engine whose run time is fixed, whatever budget it is given."""
+
+    name = "sleeps"
+
+    @dataclass(frozen=True)
+    class Options(Prover.Options):
+        timeout: Seconds = 5.0
+        delay: float = 1.0
+        proves: bool = True
+
+    def attempt(self, sequent, deadline=None):
+        end = time.monotonic() + self.options.delay
+        while time.monotonic() < end:
+            deadline.checkpoint(detail="sleeping")
+            time.sleep(0.005)
+        return ProverAnswer(Verdict.PROVED if self.options.proves else Verdict.UNKNOWN, self.name)
+
+
+class _Sleeps2(_Sleeps):
+    name = "sleeps2"
+
+
+@pytest.fixture
+def sleepers():
+    make_provers(["syntactic"])  # populate the default registry first
+    registry.register(_Sleeps.name, _Sleeps)
+    registry.register(_Sleeps2.name, _Sleeps2)
+    yield
+
+
+def _sleepers(slow, quick, **settings):
+    """A chain of ``sleeps`` (options ``slow``) then ``sleeps2`` (``quick``)."""
+    return DispatchConfig(("sleeps", "sleeps2"), {"sleeps": slow, "sleeps2": quick}, **settings)
+
+
+def _trail(outcome):
+    return [(a.prover, a.verdict, a.slice_cut) for a in outcome.answers]
+
+
+def test_slice_is_the_floor_until_the_bucket_records_a_proof():
+    ordering = ProverOrdering()
+    bucket = "head=eq;frag=none;asm=0;qd=0"
+    assert ordering.slice_of(bucket, "smt") == SLICE_FLOOR
+    ordering.observe_outcome(bucket, "smt", proved=False, time=2.0)
+    assert ordering.slice_of(bucket, "smt") == SLICE_FLOOR
+    ordering.observe_outcome(bucket, "smt", proved=True, time=0.1)
+    assert ordering.slice_of(bucket, "smt") == SLICE_FLOOR
+    ordering.observe_outcome(bucket, "smt", proved=True, time=0.75)
+    ordering.observe_outcome(bucket, "smt", proved=True, time=0.3)
+    assert ordering.slice_of(bucket, "smt") == SLICE_FACTOR * 0.75
+    assert ordering.slice_of(bucket, "fol") == SLICE_FLOOR
+
+
+def test_a_slice_cut_prover_reruns_with_its_full_timeout(sleepers, executor):
+    """Pass 1 cuts ``sleeps`` off at the floor; ``sleeps2`` cannot prove; pass
+    2 gives ``sleeps`` its full timeout, and it proves."""
+    config = _sleepers({"delay": 0.8}, {"delay": 0.0, "proves": False}, **executor)
+    result = Dispatcher(config).prove_all([sequent([parse("p")], parse("q"))])
+    (outcome,) = result.outcomes
+    assert outcome.proved and outcome.prover == "sleeps"
+    assert _trail(outcome) == [
+        ("sleeps", Verdict.TIMEOUT, True),
+        ("sleeps2", Verdict.UNKNOWN, False),
+        ("sleeps", Verdict.PROVED, False),
+    ]
+    assert SLICE_FLOOR - EPSILON <= outcome.answers[0].time <= SLICE_FLOOR + EPSILON
+    assert outcome.answers[0].truncated and not outcome.budget_exhausted
+    assert (result.stats["sleeps"].attempted, result.stats["sleeps"].proved) == (2, 1)
+
+
+def test_a_later_pass_one_proof_ends_the_chain(sleepers, executor):
+    """The prover after a cut one proves within its slice: the chain ends
+    there, and the cut prover never runs again."""
+    config = _sleepers({"delay": 0.8}, {"delay": 0.05}, **executor)
+    result = Dispatcher(config).prove_all([sequent([parse("p")], parse("q"))])
+    (outcome,) = result.outcomes
+    assert outcome.proved and outcome.prover == "sleeps2"
+    assert _trail(outcome) == [
+        ("sleeps", Verdict.TIMEOUT, True),
+        ("sleeps2", Verdict.PROVED, False),
+    ]
+    assert result.stats["sleeps"].attempted == 1
+
+
+def test_a_slice_cut_is_learned_as_an_attempt_but_never_stored(sleepers, executor):
+    """Pass 1 cuts ``sleeps`` with chain budget left: the cut is kept out of
+    the cache, counts as an unproved attempt, and leaves the longest proof
+    alone.  Pass 2 then runs into the sequent budget: that TIMEOUT is a
+    budget clip, neither stored nor learned."""
+    cache, ordering = SequentCache(), ProverOrdering()
+    seq = sequent([parse("p")], parse("q"))
+    bucket = sequent_features(seq)
+    ordering.observe_outcome(bucket, "sleeps", proved=True, time=0.1)
+    config = _sleepers(
+        {"delay": 2.0}, {"delay": 0.0, "proves": False}, sequent_budget=1.0, **executor
+    )
+    result = Dispatcher(config, cache, ordering=ordering).prove_all([seq])
+    (outcome,) = result.outcomes
+    assert _trail(outcome) == [
+        ("sleeps", Verdict.TIMEOUT, True),
+        ("sleeps2", Verdict.UNKNOWN, False),
+        ("sleeps", Verdict.TIMEOUT, False),
+    ]
+    assert outcome.answers[2].truncated and not outcome.proved
+    slow, quick = make_provers(["sleeps", "sleeps2"], sleeps={"delay": 2.0},
+                               sleeps2={"delay": 0.0, "proves": False})
+    assert cache.lookup(seq, "sleeps", slow.options_signature()) is None
+    assert cache.lookup(seq, "sleeps2", quick.options_signature()) is not None
+    stats = ordering.snapshot()[bucket]
+    assert (stats["sleeps"]["attempted"], stats["sleeps"]["proved"]) == (2, 1)
+    assert stats["sleeps"]["longest"] == 0.1
+    assert stats["sleeps2"]["attempted"] == 1
+
+
+def test_a_slice_at_or_above_the_timeout_leaves_the_prover_unsliced(sleepers, executor):
+    """A timeout below the slice is the prover's own: its TIMEOUT is genuine,
+    stored, and not run again."""
+    cache = SequentCache()
+    seq = sequent([parse("p")], parse("q"))
+    config = _sleepers({"delay": 1.0, "timeout": 0.2}, {"delay": 0.0, "proves": False},
+                       **executor)
+    (outcome,) = Dispatcher(config, cache).prove_all([seq]).outcomes
+    assert _trail(outcome) == [
+        ("sleeps", Verdict.TIMEOUT, False),
+        ("sleeps2", Verdict.UNKNOWN, False),
+    ]
+    assert not outcome.answers[0].truncated
+    slow = make_provers(["sleeps"], sleeps={"delay": 1.0, "timeout": 0.2})[0]
+    assert cache.lookup(seq, "sleeps", slow.options_signature()) is not None
+
+
+class _InlinePool(Executor):
+    """A lent "pool" that runs each task in the calling process, so the
+    process path's payloads and chains can be watched in-process."""
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def test_both_executors_compute_the_same_slices(sleepers, monkeypatch):
+    """The process path ships the parent's slices to the worker's chain:
+    seeded alike, both paths run the same (prover, slice) turns and give
+    the same answers."""
+    from repro.provers import dispatcher
+
+    turns = []
+    real_attempt = dispatcher._attempt
+
+    def watched(prover, sequent, deadline, slice_):
+        turns.append((prover.name, slice_))
+        return real_attempt(prover, sequent, deadline, slice_)
+
+    monkeypatch.setattr(dispatcher, "_attempt", watched)
+    seq = sequent([parse("p")], parse("q"))
+    config = _sleepers({"delay": 0.8}, {"delay": 0.05, "proves": False})
+    runs = []
+    for executor in (None, _InlinePool()):
+        ordering = ProverOrdering()
+        ordering.observe_outcome(sequent_features(seq), "sleeps2", proved=True, time=0.4)
+        turns.clear()
+        (outcome,) = Dispatcher(config, ordering=ordering, executor=executor).prove_all(
+            [seq]).outcomes
+        runs.append((list(turns), _trail(outcome)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [("sleeps2", 0.8), ("sleeps", SLICE_FLOOR), ("sleeps", None)]
+
+
+def test_the_schedule_proves_what_an_unsliced_chain_proves_on_cheap_methods(monkeypatch):
+    """Suite obligations: the default slices prove sequent for sequent what
+    a chain with a floor above every timeout (so no slicing) proves."""
+    from repro import suite
+    from repro.java.resolver import parse_program
+    from repro.provers import ordering as ordering_module
+    from repro.vcgen.vcgen import generate_method_vc
+
+    names = ["syntactic", "smt", "fol", "mona", "bapa"]
+    options = {"smt": {"timeout": 3.0}, "fol": {"timeout": 1.5}}
+    batches = []
+    for structure, method in CHEAP_METHODS:
+        program = parse_program(suite.source(structure))
+        batches.append(generate_method_vc(program, structure, method).sequents)
+    sliced = [_proved(Dispatcher(make_provers(names, **options)).prove_all(b)) for b in batches]
+    monkeypatch.setattr(ordering_module, "SLICE_FLOOR", 1e9)
+    unsliced = [_proved(Dispatcher(make_provers(names, **options)).prove_all(b)) for b in batches]
+    assert sliced == unsliced
+
+
+def test_a_version_one_table_is_discarded(tmp_path):
+    """Version-1 tables record no longest proofs, so they are not loaded."""
+    path = tmp_path / DEFAULT_FILENAME
+    path.write_text(json.dumps({"version": 1, "buckets": {
+        "head=eq;frag=none;asm=0;qd=0": {"smt": {"attempted": 1, "proved": 1, "time": 0.1}}
+    }}))
+    assert FORMAT_VERSION == 2
+    assert ProverOrdering(path=str(path)).bucket_count() == 0
+
+
+def test_save_load_roundtrip_keeps_the_longest_proof(tmp_path):
+    path = str(tmp_path / DEFAULT_FILENAME)
+    ordering = ProverOrdering(path=path)
+    bucket = "head=eq;frag=arith;asm=1-3;qd=0"
+    ordering.observe_outcome(bucket, "smt", proved=True, time=0.25)
+    ordering.observe_outcome(bucket, "smt", proved=True, time=0.75)
+    assert ordering.save()
+    reloaded = ProverOrdering(path=path)
+    assert reloaded.snapshot()[bucket]["smt"]["longest"] == 0.75
+    assert reloaded.slice_of(bucket, "smt") == SLICE_FACTOR * 0.75

@@ -120,7 +120,7 @@ def test_worker_portfolio_cache_is_a_bounded_lru(monkeypatch):
     configs = [DispatchConfig(["syntactic"], sequent_budget=k + 1.0) for k in range(40)]
 
     def run(config):
-        assert dispatcher._process_worker_chain((config, None, seq, [0])).proved
+        assert dispatcher._process_worker_chain((config, None, seq, [0], [None])).proved
 
     for config in configs:
         run(config)
