@@ -31,7 +31,7 @@ FOL_TIMEOUT = 20.0
 METHODS = [("AssocList", "put"), ("BinarySearchTree", "insert")]
 
 
-def _verify(structure: str, method: str, strategy: str):
+def _verify(structure: str, method: str, strategy: str, provers=("smt", "fol", "mona", "bapa")):
     options = {
         "smt": {"timeout": 2.0},
         "fol": {
@@ -46,7 +46,7 @@ def _verify(structure: str, method: str, strategy: str):
         suite.source(structure),
         class_name=structure,
         method=method,
-        provers=["smt", "fol", "mona", "bapa"],
+        provers=provers,
         prover_options=options,
         sequent_budget=FOL_TIMEOUT + 5.0,
     )
@@ -91,13 +91,16 @@ def test_sos_discharges_bst_insert_without_assume(benchmark):
 def test_sos_at_least_twice_as_fast_as_fair_on_fol_heavy_methods(benchmark):
     """The acceptance criterion: summed FOL time of the FOL-heavy methods
     under sos is at most half the fair strategy's (whose timeouts bound it
-    from above, making the comparison conservative)."""
+    from above, making the comparison conservative).  It measures the
+    engine, not the chain: inside the chain SMT settles most of
+    ``AssocList.put`` before FOL sees it, so here FOL runs alone (after the
+    syntactic prover) and both strategies get the same sequents."""
     sos_reports = [
-        _verify(structure, method, "sos") for structure, method in METHODS
+        _verify(structure, method, "sos", ["fol"]) for structure, method in METHODS
     ]
 
     def run_fair():
-        return [_verify(structure, method, "fair") for structure, method in METHODS]
+        return [_verify(structure, method, "fair", ["fol"]) for structure, method in METHODS]
 
     fair_reports = run_once(benchmark, run_fair)
     sos_time = sum(r.time_of("fol") for r in sos_reports)

@@ -8,8 +8,9 @@ Figure 15 aggregates the same numbers per data structure.
 On top of the paper's numbers, the reports surface the dispatch
 instrumentation of the parallel cached dispatcher: sequent-cache hit rates
 (``cache_hits`` / ``cache_misses`` / ``proved_from_cache``), wall versus
-CPU time, per-worker utilization when ``workers > 1``, and the number of
-sequents answered by the dedup pre-pass (``dedup_replayed``).
+CPU time when some chain ran on a pool of ``workers > 1`` (the pool's
+utilization is a field, not printed), and the number of sequents answered
+by the dedup pre-pass (``dedup_replayed``).
 
 Time and budget semantics
 -------------------------
@@ -162,14 +163,11 @@ class MethodReport:
                 f"({self.cache_hit_rate:.0%}); {replay}."
             )
         if self.workers > 1:
-            utilization = ", ".join(
-                f"{worker}={fraction:.0%}"
-                for worker, fraction in sorted(self.worker_utilization.items())
-            )
+            # Times print at the 0.1 s grain of the prover lines; the pool's
+            # utilization is CPU over workers times wall, and stays a field.
             lines.append(
                 f"Dispatched on {self.workers} workers: wall {self.wall_time:.1f} s, "
                 f"prover CPU {self.cpu_time:.1f} s"
-                + (f" [{utilization}]" if utilization else "")
             )
         lines.append("=" * 56)
         lines.append(

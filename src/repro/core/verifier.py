@@ -22,11 +22,11 @@ Dispatch settings are the fields of one frozen
   command line, and each engine's options.  The syntactic prover always
   runs first (it is free and discharges the many trivial conjuncts every
   VC contains).
-* ``workers=N``: the executor.  ``workers=1`` (the default) dispatches
-  inline; more workers fan the split sequents out to a process pool, as
-  Jahob runs its provers as separate processes.
-  Outcomes never depend on the executor; with several workers the prover
-  credited for a sequent may.
+* ``workers=N``: the executor.  By default one worker per CPU this
+  process may run on fans the split sequents out to a process pool, as
+  Jahob runs its provers as separate processes; ``workers=1`` dispatches
+  inline.  Outcomes never depend on the executor; with several workers the
+  prover credited for a sequent may.
 * ``sequent_budget=T`` bounds the time the portfolio may spend on any one
   sequent — and the bound is *enforced*: every prover polls the budget's
   deadline on its hot loop and answers ``TIMEOUT`` when its slice runs out

@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
-from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext
+from collections import OrderedDict, deque
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -94,6 +95,15 @@ def resolve_prover_options(options: Dict[str, dict]) -> Dict[str, dict]:
     return resolved
 
 
+def available_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask, which a
+    container or ``taskset`` can narrow below ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def make_provers(names: Sequence[str], **options) -> List[Prover]:
     """Instantiate the provers named on the command line, in order."""
     _register_default_provers()
@@ -112,8 +122,8 @@ class DispatchConfig:
     options for engines outside the chain are ignored.  ``sequent_budget``
     bounds (and enforces) the time the whole chain may spend on one sequent.  ``dedup``
     enables the pre-pass (see the module docstring).  ``workers`` chooses
-    the executor: inline for one worker, else a pool of ``workers``
-    processes.
+    the executor: inline for one worker (the default here), else a pool of
+    ``workers`` processes (the default of :meth:`for_verify`).
 
     A config is immutable and picklable — the process executor ships it to
     its workers, which rebuild the portfolio with :meth:`make_provers`.
@@ -137,10 +147,13 @@ class DispatchConfig:
     ) -> "DispatchConfig":
         """The configuration :func:`repro.core.verifier.verify` dispatches:
         the syntactic prover first (it is free and discharges the many
-        trivial conjuncts every VC contains), then ``provers``."""
+        trivial conjuncts every VC contains), then ``provers``, on one
+        worker per CPU this process may run on unless ``workers`` says
+        otherwise."""
         names = resolve_prover_names(provers)
         if "syntactic" not in names:
             names = ["syntactic"] + names
+        settings.setdefault("workers", available_cpus())
         return cls(tuple(names), **settings)
 
     def make_provers(self) -> List[Prover]:
@@ -211,6 +224,8 @@ class DispatchResult:
     #: for inline dispatch the two coincide (modulo bookkeeping).
     wall_time: float = 0.0
     cpu_time: float = 0.0
+    #: The pool's width when some chain ran on it, else 1 (inline, or a
+    #: batch the cache and dedup settled, reported as an inline replay).
     workers: int = 1
     #: Fraction of the dispatch wall-time each worker spent proving.
     worker_utilization: Dict[str, float] = field(default_factory=dict)
@@ -559,11 +574,13 @@ class Dispatcher:
     one portfolio built with the dispatcher; each chain scans and ranks when
     it starts, so each answer already reorders the next sequent of its
     bucket.  Otherwise the chains run on a process pool, which scales
-    across cores: the cache and the ordering table stay in this process,
-    which cache-scans and ranks each open sequent before submitting it and
-    stores and learns from the answers when they come back.  Answers then
-    land in completion order, so which prover gets credit for a sequent may
-    differ from an inline run — which sequents prove never does.
+    across cores, with at most ``workers`` chains in flight: the cache and
+    the ordering table stay in this process, which cache-scans and ranks
+    each open sequent when a worker frees up for it and stores and learns
+    from each chain's answers as it completes.  A sequent then misses the
+    answers of at most ``workers - 1`` chains still running, so which
+    prover gets credit for it may differ from an inline run — which
+    sequents prove never does.
 
     ``executor=`` lends the dispatcher a long-lived ``ProcessPoolExecutor``
     instead of building one per :meth:`prove_all`; a lent pool is used even
@@ -612,7 +629,7 @@ class Dispatcher:
     ) -> DispatchResult:
         """The one dispatch body: pre-pass, executor, merge."""
         start = time.perf_counter()
-        result = DispatchResult(workers=self.config.workers)
+        result = DispatchResult()
         rep = _dedup_representatives(sequents) if self.config.dedup else None
         outcomes: List[Optional[SequentOutcome]] = [None] * len(sequents)
         # Duplicates are fanned out from their representative below.
@@ -629,6 +646,10 @@ class Dispatcher:
                 )
         else:
             busy = self._run_processes(sequents, open_indices, outcomes, deadline)
+            # A dispatch the cache and dedup settled ran no chain on the pool,
+            # and reports what an inline one would: one worker.
+            if busy:
+                result.workers = self.config.workers
 
         result.dedup_replayed = _fan_out_duplicates(sequents, rep, outcomes)
         _merge_outcomes(result, outcomes, self.cache is not None)
@@ -644,63 +665,79 @@ class Dispatcher:
         return result
 
     def _run_processes(self, sequents, indices, outcomes, deadline) -> Dict[str, float]:
+        """Run the open sequents' chains on the process pool, at most
+        ``workers`` at a time, and return the pool's busy time (empty when
+        no chain ran on it; a pool of our own is only built for a chain).
+
+        The cache and the ordering table stay in this process.  A sequent is
+        cache-scanned and ranked only when a worker is free for it, and each
+        chain's answers are stored and learned as soon as it completes, so
+        every sequent is ranked after all earlier answers but those of at
+        most ``workers - 1`` chains still running.  A sequent reached after
+        the batch ``deadline`` passed comes back ``budget_exhausted`` and
+        never takes a worker.
+        """
         signatures = [(p.name, p.options_signature()) for p in self._portfolio]
         names = [name for name, _ in signatures]
-        # The cache lives here, so every open sequent is cache-scanned before
-        # submission, and only a sequent the scan leaves open is ranked:
-        # ``scans[i]`` is (cached answers, feature bucket, live provers in
-        # learned order, their first-pass slices).
-        scans: Dict[int, Tuple[List[ProverAnswer], str, List[int], List[float]]] = {}
-        for index in indices:
-            answers, live, settled = _cache_scan(self.cache, sequents[index], signatures)
-            if settled:
-                outcomes[index] = _settled_outcome(sequents[index], answers)
-            elif deadline is not None and deadline.expired():
-                outcomes[index] = SequentOutcome(
-                    sequents[index], proved=False, answers=answers, budget_exhausted=True
-                )
-            else:
-                scans[index] = (answers, *_ranked(self.ordering, sequents[index], names, live))
-
+        queue = deque(indices)
+        # future -> (sequent index, cached answers, feature bucket)
+        running: Dict[Future, Tuple[int, List[ProverAnswer], str]] = {}
+        submitted = False
         busy = 0.0
         # A lent pool outlives the batch; a pool of our own is shut down with it.
-        pool_scope = (
-            ProcessPoolExecutor(max_workers=self.config.workers)
-            if self.executor is None else nullcontext(self.executor)
-        )
-        with pool_scope as pool:
-            futures = {}
-            for index, (_, _, live, slices) in scans.items():
-                # A Deadline cannot cross the process boundary (its expiry
-                # instant is this process's monotonic clock), so the batch
-                # deadline clips each worker's sequent budget at submit time.
-                budget = self.config.sequent_budget
-                if deadline is not None:
-                    budget = deadline.bounded_by(budget).remaining()
-                payload = (self.config, budget, sequents[index], live, slices)
-                futures[index] = pool.submit(_process_worker_chain, payload)
-            for index, future in futures.items():
-                prefix, bucket, _, _ = scans[index]
-                tail = future.result()
-                # The pool does not reveal which process ran the task, so
-                # report the *average* per-worker busy fraction: total prover
-                # time spread across the pool (keeps the "fraction of
-                # wall-time" semantics, never exceeding ~1).
-                busy += sum(a.time for a in tail.answers) / self.config.workers
-                # Store the fresh verdicts here and teach the ordering.
-                # The pickled answer carries what ``storable`` and
-                # ``observe`` read, so the rules of the in-process chain
-                # apply: slice cuts, budget-clipped TIMEOUTs and internal
-                # errors are never stored, and slice cuts are learned as
-                # unproved attempts.
-                for answer in tail.answers:
-                    if self.cache is not None and answer.storable:
-                        signature = signatures[names.index(answer.prover)][1]
-                        self.cache.store(sequents[index], answer.prover, answer, signature)
-                    self.ordering.observe(sequents[index], answer, bucket)
-                tail.answers[:0] = prefix
-                outcomes[index] = tail
-        return {"process-pool-avg": busy} if futures else {}
+        with ExitStack() as scope:
+            pool = self.executor
+            while True:
+                while queue and len(running) < self.config.workers:
+                    index = queue.popleft()
+                    sequent = sequents[index]
+                    answers, live, settled = _cache_scan(self.cache, sequent, signatures)
+                    if settled:
+                        outcomes[index] = _settled_outcome(sequent, answers)
+                        continue
+                    if deadline is not None and deadline.expired():
+                        outcomes[index] = SequentOutcome(
+                            sequent, proved=False, answers=answers, budget_exhausted=True
+                        )
+                        continue
+                    bucket, live, slices = _ranked(self.ordering, sequent, names, live)
+                    # A Deadline cannot cross the process boundary (its expiry
+                    # instant is this process's monotonic clock), so the batch
+                    # deadline clips the worker's sequent budget here.
+                    budget = self.config.sequent_budget
+                    if deadline is not None:
+                        budget = deadline.bounded_by(budget).remaining()
+                    if pool is None:
+                        pool = scope.enter_context(
+                            ProcessPoolExecutor(max_workers=self.config.workers)
+                        )
+                    payload = (self.config, budget, sequent, live, slices)
+                    running[pool.submit(_process_worker_chain, payload)] = (index, answers, bucket)
+                    submitted = True
+                if not running:
+                    return {"process-pool-avg": busy} if submitted else {}
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in sorted(done, key=lambda done_future: running[done_future][0]):
+                    index, prefix, bucket = running.pop(future)
+                    tail = future.result()
+                    # The pool does not reveal which process ran the task, so
+                    # report the *average* per-worker busy fraction: total
+                    # prover time spread across the pool (keeps the "fraction
+                    # of wall-time" semantics, never exceeding ~1).
+                    busy += sum(a.time for a in tail.answers) / self.config.workers
+                    # Store the fresh verdicts here and teach the ordering.
+                    # The pickled answer carries what ``storable`` and
+                    # ``observe`` read, so the rules of the in-process chain
+                    # apply: slice cuts, budget-clipped TIMEOUTs and internal
+                    # errors are never stored, and slice cuts are learned as
+                    # unproved attempts.
+                    for answer in tail.answers:
+                        if self.cache is not None and answer.storable:
+                            signature = signatures[names.index(answer.prover)][1]
+                            self.cache.store(sequents[index], answer.prover, answer, signature)
+                        self.ordering.observe(sequents[index], answer, bucket)
+                    tail.answers[:0] = prefix
+                    outcomes[index] = tail
 
 
 class ParallelDispatcher(Dispatcher):

@@ -57,7 +57,7 @@ def main() -> None:
     parser.add_argument(
         "--workers", type=int, default=0,
         help="prover farm width shared by all lanes; 1 proves inline in each "
-        "lane (default: one per core)",
+        "lane (default: one per CPU the daemon may run on)",
     )
     parser.add_argument(
         "--request-workers", type=int, default=8,

@@ -22,10 +22,10 @@ verdict store:
 * Every claimed dispatch builds a fresh
   :class:`repro.provers.dispatcher.ParallelDispatcher` (cheap: a portfolio
   and its option signatures).  With ``workers > 1`` (by default one per
-  core) it runs on the prover farm, one *persistent* process pool shared by
-  every lane, whose processes keep their prover portfolios across
-  dispatches; with ``workers=1`` the dispatch runs inline in its lane
-  thread.
+  CPU the daemon may run on) it runs on the prover farm, one *persistent*
+  process pool shared by every lane, whose processes keep their prover
+  portfolios across dispatches; with ``workers=1`` the dispatch runs
+  inline in its lane thread.
 * One :class:`repro.provers.cache.SequentCache` backs the verdicts:
   content-addressed by structural digest, one ``<store-dir>/<key>.json``
   file per verdict, safe under concurrent multi-process access — several
@@ -81,7 +81,6 @@ import asyncio
 import dataclasses
 import functools
 import json
-import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -114,6 +113,7 @@ from ..provers.dispatcher import (
     _fan_out_duplicates,
     _merge_outcomes,
     _settled_outcome,
+    available_cpus,
 )
 from ..spec.specparse import SpecParseError
 from ..vcgen.sequent import Sequent
@@ -203,8 +203,9 @@ class VerifyService:
         workers: Optional[int] = None,
     ) -> None:
         self.store = store
-        # The farm defaults to the machine: every core a process worker.
-        self.workers = max(1, int(workers)) if workers else (os.cpu_count() or 1)
+        # The farm defaults to the machine: every CPU this process may run
+        # on a process worker.
+        self.workers = max(1, int(workers)) if workers else available_cpus()
         self.lanes = max(1, int(lanes)) if lanes else max(DEFAULT_LANES, self.workers)
         self.stats = ServiceStats()
         self._lane_slots = asyncio.Semaphore(self.lanes)

@@ -124,7 +124,9 @@ def verify_structure(name: str, provers: Optional[Sequence[str]] = None, **optio
         ==> verify_structure("SizedList", provers=["spass", "mona", "bapa"],
         ...                  workers=8, cache=SequentCache())
 
-    ``workers=N`` proves the split sequents on a pool of N processes;
+    ``workers=N`` proves the split sequents on a pool of N processes (by
+    default one per CPU this process may run on; ``workers=1`` proves
+    inline);
     ``cache=SequentCache(...)`` memoises verdicts per normalized sequent, so
     re-running a row (or the whole Figure 15 table) replays prior proofs
     instead of recomputing them.  See ``benchmarks/bench_parallel_dispatch.py``.

@@ -2,12 +2,17 @@
 executors, the dispatch config, and the stable sequent digests that key the
 cache."""
 
+import multiprocessing
+import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+
 import pytest
 
 from repro.form.parser import parse_formula as parse
-from repro.provers.base import ProverAnswer, Verdict
+from repro.provers.base import Deadline, Prover, ProverAnswer, Verdict, registry
 from repro.provers.cache import CacheStats, SequentCache
-from repro.provers.dispatcher import DispatchConfig, Dispatcher, make_provers
+from repro.provers.dispatcher import DispatchConfig, Dispatcher, available_cpus, make_provers
 from repro.vcgen.sequent import Labeled, Sequent, sequent
 
 
@@ -303,6 +308,127 @@ def test_prover_list_dispatches_inline_only():
         Dispatcher(make_provers(["syntactic"]), workers=2)
 
 
+# -- the process path: rank at submission, deadline, clean-up -------------------
+
+
+class _Unknowing(Prover):
+    """Never proves anything, at once."""
+
+    name = "unknowing"
+
+    def attempt(self, sequent, deadline):
+        return ProverAnswer(Verdict.UNKNOWN, self.name)
+
+
+class _Proving(Prover):
+    """Proves everything, at once."""
+
+    name = "proving"
+
+    def attempt(self, sequent, deadline):
+        return ProverAnswer(Verdict.PROVED, self.name)
+
+
+class _Slow(Prover):
+    """Proves everything after a second, polling its deadline."""
+
+    name = "slow"
+
+    def attempt(self, sequent, deadline):
+        end = time.monotonic() + 1.0
+        while time.monotonic() < end:
+            deadline.checkpoint(detail="slow")
+            time.sleep(0.005)
+        return ProverAnswer(Verdict.PROVED, self.name)
+
+
+class _Raising(Prover):
+    """A prover bug :meth:`Prover.prove` cannot turn into an answer."""
+
+    name = "raising"
+
+    def prove(self, sequent, deadline=None):
+        raise RuntimeError("prover bug")
+
+    def attempt(self, sequent, deadline):  # pragma: no cover - prove raises first
+        raise AssertionError
+
+
+@pytest.fixture
+def fakes():
+    """Registers the fake provers before any pool forks, so its workers
+    can build them too."""
+    make_provers(["syntactic"])  # populate the default registry first
+    for fake in (_Unknowing, _Proving, _Slow, _Raising):
+        registry.register(fake.name, fake)
+
+
+def _one_bucket(count):
+    """``count`` sequents with distinct digests in one feature bucket."""
+    return [sequent([parse("a < b")], parse(f"x{k} = y{k}")) for k in range(count)]
+
+
+@pytest.fixture(params=["owned", "lent"])
+def pool(request):
+    """None (the dispatcher builds its own pool) or a lent two-process pool."""
+    if request.param == "owned":
+        yield None
+        return
+    lent = ProcessPoolExecutor(max_workers=2)
+    yield lent
+    lent.shutdown(wait=True)
+
+
+def test_each_sequent_is_ranked_when_a_worker_frees_up(fakes, executor, pool):
+    """``unknowing`` leads the portfolio order, so every sequent the table
+    has not yet learned from tries it first.  A sequent is ranked only when
+    a worker is free for it, so only the first ``workers`` sequents of the
+    bucket miss that ``proving`` proves there."""
+    seqs = _one_bucket(10)
+    config = DispatchConfig(("unknowing", "proving"), **executor)
+    result = Dispatcher(config, executor=pool).prove_all(seqs)
+    assert result.proved == len(seqs)
+    assert result.stats["unknowing"].attempted <= executor["workers"]
+    assert result.stats["proving"].attempted == len(seqs)
+
+
+def test_sequents_not_submitted_by_the_deadline_never_take_a_worker(fakes, pool):
+    """Each chain takes a second; the batch deadline passes long before a
+    worker frees up, so every sequent after the first two comes back
+    ``budget_exhausted`` without a live answer."""
+    seqs = _one_bucket(6)
+    dispatcher = Dispatcher(DispatchConfig(("slow",), workers=2), executor=pool)
+    result = dispatcher.prove_all(seqs, deadline=Deadline.after(0.3))
+    assert result.outcomes[0].answers, "the first sequent is submitted at once"
+    for outcome in result.outcomes[2:]:
+        assert outcome.budget_exhausted and not outcome.answers
+    assert result.stats["slow"].attempted <= 2
+    assert result.proved == 0
+
+
+@pytest.mark.parametrize("chain", [("proving",), ("raising",)])
+def test_an_owned_pool_leaves_no_process_behind(fakes, chain):
+    before = set(multiprocessing.active_children())
+    dispatcher = Dispatcher(DispatchConfig(chain, workers=2))
+    raises = pytest.raises(RuntimeError) if chain == ("raising",) else nullcontext()
+    with raises:
+        assert dispatcher.prove_all(_one_bucket(4)).proved == 4
+    assert not set(multiprocessing.active_children()) - before
+
+
+def test_a_dispatch_settled_without_the_pool_reports_one_worker(pool):
+    """A warm batch runs no chain on the pool: its report is that of an
+    inline replay, whatever the configured width."""
+    cache = SequentCache()
+    seqs = _batch()
+    config = DispatchConfig(PAIR, workers=2, dedup=True)
+    cold = Dispatcher(config, cache, executor=pool).prove_all(seqs)
+    warm = Dispatcher(config, cache, executor=pool).prove_all(seqs + seqs)
+    assert cold.workers == 2 and cold.worker_utilization
+    assert warm.workers == 1 and not warm.worker_utilization
+    assert warm.proved_live == 0 and warm.proved == 2 * cold.proved
+
+
 # -- the dispatch config ---------------------------------------------------------
 
 
@@ -310,6 +436,13 @@ def test_config_resolves_aliases_and_prepends_syntactic_once():
     assert DispatchConfig(["Z3", "spass"]).provers == ("smt", "fol")
     assert DispatchConfig.for_verify(["z3", "mona"]).provers == ("syntactic", "smt", "mona")
     assert DispatchConfig.for_verify(["smt", "syntactic"]).provers == ("smt", "syntactic")
+
+
+def test_verify_defaults_to_one_worker_per_available_cpu():
+    assert DispatchConfig.for_verify(["smt"]).workers == available_cpus() >= 1
+    assert DispatchConfig.for_verify(["smt"], workers=1).workers == 1
+    assert DispatchConfig(PAIR).workers == 1
+    assert Dispatcher(make_provers(PAIR)).config.workers == 1
 
 
 @pytest.mark.parametrize("settings", [{"workers": 0}, {"workers": -2}])
@@ -366,6 +499,9 @@ def test_verify_plumbs_workers_and_cache():
     assert first.succeeded and second.succeeded
     assert second.proved_live == 0
     assert second.cache_hit_rate == 1.0
-    assert second.workers == 2
+    # The first run proves on the pool; the replay runs no chain there and
+    # reports one worker, as an inline replay would.
+    assert first.workers == 2 and second.workers == 1
+    assert "workers" in first.format()
     text = second.format()
-    assert "Sequent cache" in text and "workers" in text
+    assert "Sequent cache" in text and "workers" not in text
