@@ -1,8 +1,8 @@
 """E1 — Figure 15: per-data-structure proved sequents per prover and times.
 
 One benchmark per data structure of the suite (paper Section 7).  Each run
-verifies every contracted method of the structure with the standard prover
-order and records, in ``extra_info``, the row of the Figure 15 table:
+verifies every contracted method of the structure with the default prover
+chain and records, in ``extra_info``, the row of the Figure 15 table:
 sequents proved by the syntactic prover / SMT / first-order / MONA / BAPA
 provers, the number proved during splitting, and whether every obligation
 was discharged.
@@ -11,7 +11,7 @@ Absolute times differ from the paper (different provers, hardware and
 substrate); the comparable part is the shape of the row: the syntactic
 prover and the SMT/first-order provers carry the bulk of the sequents, the
 specialised decision procedures (MONA, BAPA) pick up the set-algebraic and
-cardinality obligations, and a residue may remain for interactive proof.
+cardinality obligations, and a residue of open obligations may remain.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from __future__ import annotations
 import pytest
 
 from repro import suite
+from repro.provers.dispatcher import DEFAULT_ORDER
 from conftest import FAST_PROVER_OPTIONS, run_once
 
-PROVERS = ["smt", "fol", "mona", "bapa"]
+PROVERS = list(DEFAULT_ORDER)
 
 
 @pytest.mark.parametrize("name", list(suite.FIGURE15_NAMES))
@@ -43,12 +44,12 @@ def test_figure15_row(benchmark, name):
             "proved_sequents": report.proved_sequents,
             "proved_during_splitting": report.proved_during_splitting,
             "verified": report.succeeded,
-            **{f"proved_by_{p}": report.proved_by(p) for p in ["syntactic"] + PROVERS},
+            **{f"proved_by_{p}": report.proved_by(p) for p in PROVERS},
             "row": row,
         }
     )
     # The harness reproduces the table even when a residue of obligations is
-    # left for interactive proof; every structure must at least discharge the
-    # majority of its obligations automatically.
+    # left open; every structure must at least discharge the majority of its
+    # obligations automatically.
     assert report.total_sequents > 0
     assert report.proved_sequents + report.proved_during_splitting > 0

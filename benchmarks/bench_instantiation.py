@@ -17,6 +17,7 @@ pins the headline claims of the SMT prover's E-matching engine:
 from __future__ import annotations
 
 from repro import suite, verify
+from repro.provers.dispatcher import DEFAULT_ORDER
 
 from conftest import run_once
 
@@ -29,7 +30,7 @@ def _verify(structure: str, method: str):
         suite.source(structure),
         class_name=structure,
         method=method,
-        provers=["smt", "fol", "mona", "bapa"],
+        provers=DEFAULT_ORDER,
         prover_options={
             "smt": {"timeout": 6.0},
             "fol": {"timeout": 3.0},

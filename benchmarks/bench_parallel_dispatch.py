@@ -19,7 +19,7 @@ import os
 from repro import suite, verify_class
 from repro.java.resolver import parse_program
 from repro.provers.cache import SequentCache
-from repro.provers.dispatcher import DispatchConfig, Dispatcher, make_provers
+from repro.provers.dispatcher import DEFAULT_ORDER, DispatchConfig, Dispatcher, make_provers
 from repro.provers.ordering import ProverOrdering
 from repro.vcgen.vcgen import generate_method_vc
 
@@ -132,7 +132,7 @@ def test_tight_budget_dispatch_never_overruns(benchmark):
     epsilon = 0.25
     sequents = _sequent_batch()
     dispatcher = Dispatcher(
-        make_provers(["syntactic", "smt", "fol", "mona", "bapa"]),
+        make_provers(DEFAULT_ORDER),
         sequent_budget=budget,
     )
 

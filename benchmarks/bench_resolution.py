@@ -22,6 +22,7 @@ not the (unbounded) true search time.
 from __future__ import annotations
 
 from repro import suite, verify
+from repro.provers.dispatcher import DEFAULT_ORDER
 
 from conftest import run_once
 
@@ -31,7 +32,7 @@ FOL_TIMEOUT = 20.0
 METHODS = [("AssocList", "put"), ("BinarySearchTree", "insert")]
 
 
-def _verify(structure: str, method: str, strategy: str, provers=("smt", "fol", "mona", "bapa")):
+def _verify(structure: str, method: str, strategy: str, provers=DEFAULT_ORDER):
     options = {
         "smt": {"timeout": 2.0},
         "fol": {

@@ -27,7 +27,6 @@ Sub-packages:
 ``repro.smt``          ground SMT-style prover (CVC3/Z3 role)
 ``repro.mona``         WS1S decision procedure (MONA role)
 ``repro.bapa``         BAPA / Presburger decision procedures
-``repro.interactive``  proof kernel and lemma store (Isabelle/Coq role)
 ``repro.core``         the verifier driver and reports
 ``repro.suite``        the ten verified data structures of Section 7
 ``repro.server``       the verify daemon: verification-as-a-service with a

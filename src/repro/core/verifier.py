@@ -9,9 +9,9 @@
     ...                 provers=["spass", "mona", "bapa"])
     >>> print(report.format())
 
-Prover names accept both this reproduction's engine names (``fol``, ``smt``,
-``mona``, ``bapa``, ``interactive``, ``syntactic``) and the paper's tool
-names (``spass``, ``e``, ``z3``, ``cvc3``, ``isabelle``, ``coq``) as aliases.
+Prover names accept both this reproduction's engine names (``syntactic``,
+``smt``, ``fol``, ``mona``, ``bapa``) and the paper's tool names (``spass``,
+``e``, ``z3``, ``cvc3``) as aliases.
 
 Dispatch settings are the fields of one frozen
 :class:`repro.provers.dispatcher.DispatchConfig`.  Pass them as keywords

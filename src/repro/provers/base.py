@@ -26,11 +26,10 @@ procedure can be cut off and the next prover tried, so time budgets are
   (:meth:`Deadline.checkpoint`): the WS1S compiler per automaton
   product/subset-construction step, BAPA per Venn-region/elimination step,
   resolution per given clause, the SMT core per DPLL(T) iteration and
-  per batch of DPLL decisions, and the interactive kernel per proof-search
-  node.  On expiry they unwind with :class:`DeadlineExpired`, which
-  :meth:`Prover.prove` converts into a genuine ``Verdict.TIMEOUT`` answer
-  whose detail records the partial work done (states built, regions
-  enumerated, clauses processed, ...).
+  per batch of DPLL decisions.  On expiry they unwind with
+  :class:`DeadlineExpired`, which :meth:`Prover.prove` converts into a
+  genuine ``Verdict.TIMEOUT`` answer whose detail records the partial work
+  done (states built, regions enumerated, clauses processed, ...).
 * A ``TIMEOUT`` answer is an "I give up" verdict like ``UNKNOWN``: the
   dispatcher simply offers the sequent to the next prover, as the paper's
   ``-usedp`` semantics prescribe.  It can never make the system unsound.

@@ -57,11 +57,9 @@ PROVER_ALIASES = {
     "e": "fol",
     "z3": "smt",
     "cvc3": "smt",
-    "isabelle": "interactive",
-    "coq": "interactive",
 }
 
-DEFAULT_ORDER = ("syntactic", "smt", "fol", "mona", "bapa", "interactive")
+DEFAULT_ORDER = ("syntactic", "smt", "fol", "mona", "bapa")
 
 
 def _register_default_provers() -> None:
@@ -69,7 +67,6 @@ def _register_default_provers() -> None:
         return
     from ..bapa.prover import BapaProver
     from ..fol.prover import FirstOrderProver
-    from ..interactive.prover import InteractiveProver
     from ..mona.prover import MonaProver
     from ..smt.prover import SmtProver
 
@@ -78,11 +75,10 @@ def _register_default_provers() -> None:
     registry.register("smt", SmtProver)
     registry.register("mona", MonaProver)
     registry.register("bapa", BapaProver)
-    registry.register("interactive", InteractiveProver)
 
 
 def resolve_prover_names(names: Sequence[str]) -> List[str]:
-    """Resolve aliases (spass, e, z3, cvc3, isabelle, coq) to engine names."""
+    """Resolve aliases (spass, e, z3, cvc3) to engine names."""
     return [PROVER_ALIASES.get(name.lower(), name.lower()) for name in names]
 
 

@@ -519,18 +519,11 @@ def _portfolio_error(config: DispatchConfig) -> Optional[str]:
     option value would otherwise fail only in the lane (for ``verify_*``,
     after parsing and splitting the source) or inside the engine."""
     try:
-        provers = config.make_provers()
+        config.make_provers()
     except KeyError as exc:
         return f"provers: {exc.args[0]}"
     except (TypeError, ValueError) as exc:
         return f"prover_options: {exc}"
-    # A constructor may take arguments that are no options (the interactive
-    # prover's lemma store and kernel): the wire sets options only.
-    for name, prover in zip(config.provers, provers):
-        fields = {f.name for f in dataclasses.fields(prover.options)}
-        unknown = sorted(set(config.prover_options.get(name, ())) - fields)
-        if unknown:
-            return f"prover_options: {name} has no option {unknown[0]!r}"
     return None
 
 

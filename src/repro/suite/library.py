@@ -1,17 +1,16 @@
 """The verified data structure suite (paper Section 7, Figure 15).
 
 Ten data structures are bundled as mini-Java sources with full functional
-specifications.  :data:`STRUCTURES` lists them together with the prover
-order used to reproduce the corresponding Figure 15 row (the paper applies
-the provers in the order of the table's columns; here the names map onto
-this reproduction's engines — see ``repro.provers.dispatcher.PROVER_ALIASES``).
+specifications.  :data:`STRUCTURES` lists them with the Figure 15 row each
+one reproduces.  Every row is verified with the same prover chain,
+``repro.provers.dispatcher.DEFAULT_ORDER``, unless the caller names another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -21,7 +20,6 @@ class SuiteEntry:
     name: str                     # class to verify
     file_name: str                # bundled source file
     description: str
-    provers: Tuple[str, ...]      # prover order for its Figure 15 row
     paper_row: str                # the corresponding row label in Figure 15
 
 
@@ -30,57 +28,57 @@ STRUCTURES: Tuple[SuiteEntry, ...] = (
     SuiteEntry(
         "AssocList", "AssocList.java",
         "association list: a map stored as a list of key/value pairs",
-        ("smt", "fol", "mona", "bapa"), "Association List",
+        "Association List",
     ),
     SuiteEntry(
         "SpaceSubdivisionTree", "SpaceSubdivisionTree.java",
         "three-dimensional space subdivision tree with eight-element child arrays",
-        ("smt", "mona", "bapa"), "Space Subdivision Tree",
+        "Space Subdivision Tree",
     ),
     SuiteEntry(
         "SpanningTree", "SpanningTree.java",
         "spanning tree of a graph",
-        ("smt", "mona", "bapa"), "Spanning Tree",
+        "Spanning Tree",
     ),
     SuiteEntry(
         "HashTable", "HashTable.java",
         "hash table: a map implemented as an array of bucket lists",
-        ("smt", "bapa", "mona"), "Hash Table",
+        "Hash Table",
     ),
     SuiteEntry(
         "BinarySearchTree", "BinarySearchTree.java",
         "binary search tree implementing a set",
-        ("smt", "mona", "bapa"), "Binary Search Tree",
+        "Binary Search Tree",
     ),
     SuiteEntry(
         "PriorityQueue", "PriorityQueue.java",
         "priority queue stored as a binary heap in a dense array",
-        ("smt", "bapa"), "Priority Queue",
+        "Priority Queue",
     ),
     SuiteEntry(
         "ArrayList", "ArrayList.java",
         "array-backed list implementing a map from a dense integer range",
-        ("smt", "bapa"), "Array List",
+        "Array List",
     ),
     SuiteEntry(
         "CircularList", "CircularList.java",
         "circular doubly-linked list implementing a set",
-        ("smt", "mona", "bapa"), "Circular List",
+        "Circular List",
     ),
     SuiteEntry(
         "SinglyLinkedList", "SinglyLinkedList.java",
         "null-terminated singly-linked list implementing a set",
-        ("smt", "mona", "bapa"), "Singly-Linked List",
+        "Singly-Linked List",
     ),
     SuiteEntry(
         "CursorList", "CursorList.java",
         "list with a removal cursor for iteration",
-        ("smt", "mona", "bapa"), "Cursor List",
+        "Cursor List",
     ),
     SuiteEntry(
         "SizedList", "SizedList.java",
         "the sized list of Section 2.2 (Figure 6), combining FOL, MONA and BAPA",
-        ("fol", "mona", "bapa", "smt"), "Sized List (Section 2.2)",
+        "Sized List (Section 2.2)",
     ),
 )
 
@@ -112,7 +110,7 @@ def names() -> List[str]:
     return [e.name for e in STRUCTURES]
 
 
-def verify_structure(name: str, provers: Optional[Sequence[str]] = None, **options):
+def verify_structure(name: str, **options):
     """Verify every contracted method of a bundled structure.
 
     Returns a :class:`repro.core.report.ClassReport` (one Figure 15 row).
@@ -130,14 +128,9 @@ def verify_structure(name: str, provers: Optional[Sequence[str]] = None, **optio
     ``cache=SequentCache(...)`` memoises verdicts per normalized sequent, so
     re-running a row (or the whole Figure 15 table) replays prior proofs
     instead of recomputing them.  See ``benchmarks/bench_parallel_dispatch.py``.
-    Without ``provers`` (or a ``config=`` naming its own chain) the row runs
-    the structure's own prover list.
+    Without ``provers`` (or a ``config=``) the row runs the default chain,
+    ``repro.provers.dispatcher.DEFAULT_ORDER``.
     """
     from ..core.verifier import verify_class
 
-    info = entry(name)
-    if provers is None and "config" not in options:
-        provers = info.provers
-    if provers is not None:
-        options["provers"] = list(provers)
-    return verify_class(source(name), class_name=info.name, **options)
+    return verify_class(source(name), class_name=entry(name).name, **options)

@@ -113,16 +113,6 @@ class Sequent:
 
     # -- identity --------------------------------------------------------------
 
-    def fingerprint(self) -> str:
-        """A stable identifier used by the interactive lemma store."""
-        parts = [to_str(a.formula) for a in self.assumptions] + ["|-", to_str(self.goal.formula)]
-        digest = hashlib.sha256("\n".join(sorted(parts[:-2]) + parts[-2:]).encode()).hexdigest()
-        return digest[:16]
-
-    def goal_fingerprint(self) -> str:
-        """A fingerprint of the goal alone (used for hint-matching lemmas)."""
-        return hashlib.sha256(to_str(self.goal.formula).encode()).hexdigest()[:16]
-
     def digest(self) -> str:
         """A structural digest stable across runs, workers and processes.
 

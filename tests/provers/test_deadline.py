@@ -14,7 +14,6 @@ import pytest
 from repro.bapa.prover import BapaProver
 from repro.fol.prover import FirstOrderProver
 from repro.form.parser import parse_formula as parse
-from repro.interactive.prover import InteractiveProver
 from repro.mona.prover import MonaProver
 from repro.provers.base import Deadline, DeadlineExpired, Verdict
 from repro.provers.dispatcher import Dispatcher, make_provers
@@ -179,20 +178,6 @@ def test_external_deadline_preempts_generous_timeout(prover, seq):
     assert elapsed <= 0.05 + EPSILON
 
 
-def test_interactive_kernel_respects_deadline():
-    """The kernel polls the deadline per proof-search node and the auto
-    tactic's sub-provers inherit it."""
-    prover = InteractiveProver(timeout=0.1)
-    # The default script ends in `auto`, which runs the (deadline-bounded)
-    # automated provers on the unprovable goal.
-    seq = _fol_adversarial()
-    start = time.perf_counter()
-    answer = prover.prove(seq, deadline=Deadline.after(0.05))
-    elapsed = time.perf_counter() - start
-    assert elapsed <= 0.05 + EPSILON + 0.15  # + one bounded sub-prover slice
-    assert not answer.proved
-
-
 def test_mona_sequent_budget_cuts_off_midflight_and_portfolio_falls_through():
     """The acceptance scenario: a sequent whose MONA attempt previously ran
     unbounded now times out within budget + epsilon, and the portfolio falls
@@ -278,15 +263,6 @@ def test_full_budget_timeouts_are_cached_even_under_sequent_budget():
     ).prove_all([seq])
     assert warm.cache_stats.hits == 1
     assert not warm.stats
-
-
-def test_interactive_timeout_is_reported_as_timeout_not_unknown():
-    """Budget expiry inside the kernel's `auto` tactic must surface as a
-    TIMEOUT verdict (budget exhausted), not UNKNOWN (cannot prove)."""
-    prover = InteractiveProver(timeout=0.05)
-    answer = prover.prove(_fol_adversarial())
-    assert answer.verdict is Verdict.TIMEOUT, answer
-    assert "auto interrupted" in answer.detail or answer.detail
 
 
 def test_timeout_counts_against_prover_stats_time():

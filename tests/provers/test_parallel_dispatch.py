@@ -192,9 +192,6 @@ def test_cache_disk_tier_survives_new_cache_instance(tmp_path):
 def test_options_signature_covers_search_bounds():
     """Verdict-affecting options beyond the timeout must rotate cache keys."""
     from repro.fol.prover import FirstOrderProver
-    from repro.interactive.kernel import ProofScript
-    from repro.interactive.lemma_store import LemmaStore
-    from repro.interactive.prover import InteractiveProver
     from repro.mona.prover import MonaProver
     from repro.smt.prover import SmtProver
 
@@ -210,11 +207,6 @@ def test_options_signature_covers_search_bounds():
         SmtProver(max_theory_iterations=5).options_signature()
         != SmtProver(max_theory_iterations=300).options_signature()
     )
-    # A grown lemma store must invalidate cached interactive verdicts.
-    store = LemmaStore()
-    empty_sig = InteractiveProver(store=store).options_signature()
-    store.add("fp", ProofScript(name="fp"))
-    assert InteractiveProver(store=store).options_signature() != empty_sig
 
 
 def test_cache_stats_hit_rate():

@@ -27,9 +27,7 @@ _INSTANTIATION = (
     "max_ematch_instances=2000,max_skolem_generation=2,max_substitution_size=8)"
 )
 
-#: ``options_signature()`` of every default prover.  The interactive key no
-#: longer carries the ``store=()`` part the reflective attribute walk left
-#: there (the lemma store is keyed by its ``lemmas=`` hash).
+#: ``options_signature()`` of every default prover.
 DEFAULT_SIGNATURES = {
     "syntactic": "",
     "smt": (
@@ -42,7 +40,6 @@ DEFAULT_SIGNATURES = {
     ),
     "mona": "timeout=2.0;max_states=20000;max_tracks=12;reach=escape-suffix-v1",
     "bapa": "timeout=10.0",
-    "interactive": "timeout=10.0;use_default_script=True;lemmas=e3b0c44298fc1c14",
 }
 
 
@@ -137,6 +134,15 @@ BAD_IDS = [f"{engine}-{option}" for engine, option, _ in BAD_OPTIONS]
 def test_make_provers_refuses_a_bad_value_naming_the_option(engine, option, value):
     with pytest.raises(ValueError, match=f"^{option} must be"):
         make_provers(["syntactic", engine], **{engine: {option: value}})
+
+
+@pytest.mark.parametrize("engine", DEFAULT_ORDER)
+def test_make_provers_refuses_an_unknown_option_key(engine):
+    """Every engine's constructor takes its options only: a key it does not
+    declare fails the build, naming the key (the daemon's admission check
+    relies on this)."""
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        make_provers([engine], **{engine: {"bogus": 1}})
 
 
 # -- internal errors are never stored ---------------------------------------------

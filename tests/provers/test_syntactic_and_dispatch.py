@@ -1,5 +1,8 @@
 """Syntactic prover, approximation, relevance selection and the dispatcher."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.form import ast as F
@@ -12,9 +15,11 @@ from repro.provers.approximation import (
     relevant_assumptions,
     rewrite_sequent,
 )
-from repro.provers.base import ProverStats, Verdict
+from repro.provers import dispatcher
+from repro.provers.base import ProverRegistry, ProverStats, Verdict
 from repro.provers.dispatcher import (
     DEFAULT_ORDER,
+    DispatchConfig,
     Dispatcher,
     PROVER_ALIASES,
     make_provers,
@@ -220,11 +225,29 @@ def test_by_hints_fall_back_when_nothing_matches():
 
 
 def test_resolve_prover_aliases():
-    assert resolve_prover_names(["spass", "e", "z3", "cvc3", "isabelle"]) == [
-        "fol", "fol", "smt", "smt", "interactive",
+    # A name with no alias (the paper's interactive provers) passes through.
+    assert resolve_prover_names(["spass", "e", "Z3", "cvc3", "isabelle"]) == [
+        "fol", "fol", "smt", "smt", "isabelle",
     ]
     for alias, engine in PROVER_ALIASES.items():
         assert resolve_prover_names([alias]) == [engine]
+
+
+@pytest.mark.parametrize("name", ["interactive", "isabelle", "coq"])
+def test_interactive_prover_names_are_unknown(name):
+    """No engine answers to the interactive engine's name or to the paper's
+    interactive provers; asking for one is an error naming it."""
+    with pytest.raises(KeyError, match=f"unknown prover '{name}'"):
+        make_provers(["smt", name])
+
+
+def test_for_verify_puts_syntactic_first_once():
+    """The default chain already starts with syntactic; a chain without it
+    gets it prepended, and no chain runs it twice."""
+    assert DispatchConfig.for_verify().provers == DEFAULT_ORDER
+    assert DispatchConfig.for_verify(DEFAULT_ORDER).provers == DEFAULT_ORDER
+    assert DispatchConfig.for_verify(DEFAULT_ORDER[1:]).provers == DEFAULT_ORDER
+    assert DispatchConfig.for_verify(["z3", "spass"]).provers == ("syntactic", "smt", "fol")
 
 
 def test_make_provers_known_names():
@@ -269,5 +292,15 @@ def test_prover_stats_accumulate():
     assert stats.time == pytest.approx(0.75)
 
 
-def test_default_order_contains_all_engines():
-    assert set(DEFAULT_ORDER) == {"syntactic", "smt", "fol", "mona", "bapa", "interactive"}
+def test_default_order_contains_all_engines(monkeypatch):
+    """The default chain is every engine, in the benchmark's order: no engine
+    is registered outside it, and the benchmark measures this chain."""
+    assert DEFAULT_ORDER == ("syntactic", "smt", "fol", "mona", "bapa")
+    monkeypatch.setattr(dispatcher, "registry", ProverRegistry())
+    dispatcher._register_default_provers()
+    assert set(dispatcher.registry.known()) == set(DEFAULT_ORDER)
+    path = Path(__file__).resolve().parents[2] / "perfbench" / "config.py"
+    spec = importlib.util.spec_from_file_location("perfbench_config", path)
+    config = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(config)
+    assert DEFAULT_ORDER == config.CHAIN

@@ -446,6 +446,10 @@ BAD_OPTIONS = [
     ("smt", "instantiation", {"ematch_rounds": 1}),
 ]
 BAD_IDS = [f"{engine}-{option}" for engine, option, _ in BAD_OPTIONS]
+#: Engines besides ``smt`` (the ``prover_options`` case) whose unknown option
+#: key must be refused by its ``Options`` constructor: admission has no
+#: per-engine key check of its own.
+UNKNOWN_KEY_ENGINES = ["syntactic", "fol", "mona", "bapa"]
 
 
 @pytest.mark.parametrize("op", ["prove_sequents", "verify_method"])
@@ -460,23 +464,31 @@ BAD_IDS = [f"{engine}-{option}" for engine, option, _ in BAD_OPTIONS]
     ({"prover_options": {"smt": {"timeout": 1.0}, "z3": {"timeout": 2.0}}},
      "^prover_options: two option sets for one prover in \\['smt', 'z3'\\]"),
     ({"provers": ["interactive"], "prover_options": {"interactive": {"store": {"a": 1}}}},
-     "^prover_options: interactive has no option 'store'"),
+     "^provers: unknown prover 'interactive'"),
     ({"provers": ["interactive"], "prover_options": {"interactive": {"store": {}}}},
-     "^prover_options: interactive has no option 'store'"),
+     "^provers: unknown prover 'interactive'"),
+    ({"provers": ["interactive"]}, "^provers: unknown prover 'interactive'"),
+    ({"provers": ["isabelle"]}, "^provers: unknown prover 'isabelle'"),
+    ({"provers": ["coq"]}, "^provers: unknown prover 'coq'"),
+] + [
+    ({"provers": [engine], "prover_options": {engine: {"bogus": 1}}},
+     f"^prover_options: .*Options.__init__\\(\\) got an unexpected keyword argument 'bogus'")
+    for engine in UNKNOWN_KEY_ENGINES
 ] + [
     ({"provers": [engine], "prover_options": {engine: {option: value}}},
      f"^prover_options: {option} must be")
     for engine, option, value in BAD_OPTIONS
 ], ids=["provers", "prover_options", "timeout-str", "timeout-nan", "timeout-true",
-        "timeout-zero", "alias-twice", "interactive-store", "interactive-store-empty"]
-    + BAD_IDS)
+        "timeout-zero", "alias-twice", "interactive-store", "interactive-store-empty",
+        "interactive", "isabelle", "coq"]
+    + [f"{engine}-bogus" for engine in UNKNOWN_KEY_ENGINES] + BAD_IDS)
 def test_unbuildable_prover_chains_are_refused_before_queueing(client, op, fields, error):
-    """An unknown prover name or option keyword (a constructor argument
-    that is no option, like the interactive prover's lemma store, included),
-    an option value its declared type does not admit, or two option sets
-    for one engine is refused with an error naming the field before anything is queued (for
-    ``verify_method``, before the source is parsed), not raised from inside
-    a lane or stored as an engine's ``internal error``."""
+    """An unknown prover name (a deleted engine or alias included, whatever
+    options it carries) or option keyword, an option value its declared type
+    does not admit, or two option sets for one engine is refused with an
+    error naming the field before anything is queued (for ``verify_method``,
+    before the source is parsed), not raised from inside a lane or stored as
+    an engine's ``internal error``."""
     from repro.server.wire import sequents_to_wire
 
     request = {"provers": ["smt"], "prover_options": OPTIONS, **fields}

@@ -25,10 +25,11 @@ import pytest
 from repro import suite, verify
 from repro.java.resolver import parse_program
 from repro.provers.cache import SequentCache
+from repro.provers.dispatcher import DEFAULT_ORDER
 from repro.smt.prover import SmtProver
 from repro.vcgen.vcgen import generate_method_vc
 
-PROVERS = ["smt", "fol", "mona", "bapa"]
+PROVERS = DEFAULT_ORDER
 #: The SMT prover carries the new reverse-content obligations (E-matching
 #: needs a few instantiation rounds), so it gets a larger slice than the
 #: PR-3 configuration gave it; the per-sequent budget still caps the chain.

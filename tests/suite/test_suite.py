@@ -24,6 +24,22 @@ def test_suite_lists_the_paper_structures():
     assert len(suite.FIGURE15_NAMES) == 10
 
 
+def test_verify_structure_hands_its_options_to_verify_class(monkeypatch):
+    """A row is ``verify_class`` on the structure's source: the chain and
+    every other setting come from the caller, none from the suite entry."""
+    from repro.core import verifier
+
+    calls = []
+    monkeypatch.setattr(verifier, "verify_class",
+                        lambda source, **kwargs: calls.append((source, kwargs)))
+    suite.verify_structure("sizedlist")
+    suite.verify_structure("SizedList", provers=["z3"], workers=1)
+    assert calls == [
+        (suite.source("SizedList"), {"class_name": "SizedList"}),
+        (suite.source("SizedList"), {"class_name": "SizedList", "provers": ["z3"], "workers": 1}),
+    ]
+
+
 def test_entry_lookup_is_case_insensitive():
     assert suite.entry("assoclist").name == "AssocList"
     with pytest.raises(KeyError):

@@ -102,14 +102,6 @@ def test_split_preserves_labels_and_hints():
 # -- sequents ---------------------------------------------------------------------------
 
 
-def test_sequent_fingerprint_is_stable_and_distinguishing():
-    s1 = sequent([parse("p")], parse("q"))
-    s2 = sequent([parse("p")], parse("q"))
-    s3 = sequent([parse("p")], parse("r"))
-    assert s1.fingerprint() == s2.fingerprint()
-    assert s1.fingerprint() != s3.fingerprint()
-
-
 def test_sequent_to_implication():
     s = sequent([parse("p"), parse("q")], parse("r"))
     assert isinstance(s.to_implication(), F.Implies)
