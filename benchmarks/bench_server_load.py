@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 from repro.form.parser import parse_formula as parse
 from repro.provers.base import Prover, ProverAnswer, Seconds, Verdict, registry
-from repro.provers.dispatcher import make_provers
 from repro.server import VerifyClient, VerifyServer
 from repro.vcgen.sequent import sequent
 
@@ -214,7 +213,6 @@ class SleepyProver(Prover):
 
 
 def _register_sleepy():
-    make_provers(["syntactic"])  # seed the default registry
     if "sleepy" not in registry.known():
         registry.register("sleepy", SleepyProver)
 

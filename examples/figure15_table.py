@@ -71,7 +71,7 @@ def main() -> None:
         "--no-cache", action="store_true", help="disable the shared disk cache"
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="worker pool size per method (default: 1)"
+        "--workers", type=int, default=1, help="worker pool size per class (default: 1)"
     )
     parser.add_argument(
         "--budget", type=float, default=None,

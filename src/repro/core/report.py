@@ -17,8 +17,14 @@ Time and budget semantics
 
 Three distinct clocks appear in a report; do not conflate them:
 
-* **wall time** (``wall_time`` / ``total_time``): elapsed real time of the
-  dispatch.  With ``workers > 1`` many provers run inside one wall-second.
+* **wall time** (``wall_time`` / ``total_time``): elapsed real time.  A
+  class is proved in one dispatch shared by its methods, so each method's
+  ``wall_time`` and ``workers`` are that dispatch's, and its ``total_time``
+  is its own VC generation plus the whole shared dispatch.  A class
+  report's ``total_time`` (Figure 15's "Total Time") is the measured wall
+  of the :func:`repro.core.verifier.verify_class` call, never a sum over
+  methods, which would count the shared dispatch once per method.  With
+  ``workers > 1`` many provers run inside one wall-second.
 * **CPU time in provers** (``cpu_time``, and per-prover
   ``ProverStats.time``): the summed durations of live prover attempts —
   cache replays and dedup fan-outs cost zero.  ``ProverStats.time`` is also
@@ -200,14 +206,13 @@ class ClassReport:
     class_name: str
     methods: List[MethodReport] = field(default_factory=list)
     prover_order: List[str] = field(default_factory=list)
+    #: Wall time of the whole class call (parse, VC generation and the one
+    #: dispatch its methods share); see the module docstring.
+    total_time: float = 0.0
 
     @property
     def succeeded(self) -> bool:
         return all(method.succeeded for method in self.methods)
-
-    @property
-    def total_time(self) -> float:
-        return sum(method.total_time for method in self.methods)
 
     @property
     def total_sequents(self) -> int:

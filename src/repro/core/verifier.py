@@ -16,7 +16,9 @@ Prover names accept both this reproduction's engine names (``syntactic``,
 Dispatch settings are the fields of one frozen
 :class:`repro.provers.dispatcher.DispatchConfig`.  Pass them as keywords
 (``verify(..., workers=4, dedup=True)``) or build the config once and pass
-``config=`` — :func:`verify_class` builds it once for all its methods:
+``config=``.  :func:`verify_class` proves a whole class in one dispatch
+(one process pool per class, largest sequents first), and :func:`verify` is
+its one-method case:
 
 * ``provers`` / ``prover_options``: the chain, as on Jahob's ``-usedp``
   command line, and each engine's options.  The syntactic prover always
@@ -33,7 +35,9 @@ Dispatch settings are the fields of one frozen
   (see the Deadline contract in :mod:`repro.provers.base`).
 * ``dedup=True`` groups the split sequents by structural digest before
   dispatch, proves one representative per group and replays its verdict for
-  the duplicates (reported like cache replays, never as live proofs).
+  the duplicates (reported like cache replays, never as live proofs).  The
+  batch is the class's, so an obligation repeated between its methods is
+  proved once.
 
 ``cache=`` is not a setting but a shared resource: a
 :class:`repro.provers.cache.SequentCache` memoises proved (and refuted)
@@ -45,7 +49,7 @@ Share one cache across calls to benefit.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..java.resolver import Program, parse_program
 from ..provers.cache import SequentCache
@@ -94,6 +98,75 @@ def _dispatch_config(config: Optional[DispatchConfig], settings: dict) -> Dispat
     return config
 
 
+def _prove_methods(
+    program: Program,
+    class_name: str,
+    names: Sequence[str],
+    config: DispatchConfig,
+    cache: Optional[SequentCache],
+    dispatch: Optional[DispatchFn],
+    parse_time: float,
+) -> List[MethodReport]:
+    """Generate each named method's VC, prove all their sequents in one
+    dispatch, and report each method from its contiguous slice of the
+    outcomes.  ``parse_time`` is credited to the first method, so a class
+    report's frontend phases count the one parse."""
+    vcs, vcgen_times = [], []
+    for name in names:
+        start = time.perf_counter()
+        vcs.append(generate_method_vc(program, class_name, name))
+        vcgen_times.append(time.perf_counter() - start)
+
+    sequents = [sequent for vc in vcs for sequent in vc.sequents]
+    start = time.perf_counter()
+    if dispatch is not None:
+        dispatched = dispatch(sequents)
+    else:
+        dispatched = Dispatcher(config, cache).prove_all(sequents)
+    dispatch_time = time.perf_counter() - start
+
+    reports = []
+    parts = dispatched.split([len(vc.sequents) for vc in vcs])
+    for name, vc, vcgen_time, part in zip(names, vcs, vcgen_times, parts):
+        reports.append(MethodReport(
+            class_name=class_name,
+            method_name=name,
+            total_sequents=len(vc.sequents),
+            proved_sequents=part.proved,
+            proved_during_splitting=vc.proved_during_splitting,
+            prover_stats=part.stats,
+            prover_order=list(config.provers),
+            unproved_origins=[outcome.sequent.origin for outcome in part.unproved()],
+            refuted=[
+                f"{outcome.sequent.origin}: {outcome.countermodel}"
+                for outcome in part.unproved()
+                if outcome.countermodel
+            ],
+            total_time=vcgen_time + dispatch_time,
+            cache_hits=part.cache_stats.hits,
+            cache_misses=part.cache_stats.misses,
+            proved_from_cache=part.proved_from_cache,
+            replayed_sequents=part.replayed,
+            wall_time=part.wall_time,
+            cpu_time=part.cpu_time,
+            workers=part.workers,
+            worker_utilization=dict(part.worker_utilization),
+            dedup_replayed=part.dedup_replayed,
+            trusted_assumes=vc.trusted_assumes,
+            frontend_phases={"parse": parse_time if not reports else 0.0, "vcgen": vcgen_time},
+        ))
+    return reports
+
+
+def _parsed(source: SourceOrProgram, class_name: Optional[str]) -> Tuple[Program, str, float]:
+    """The program, the class to verify and the parse's wall time (zero for
+    an already-parsed program)."""
+    start = time.perf_counter()
+    program = _as_program(source)
+    parse_time = time.perf_counter() - start
+    return program, class_name or _single_class_name(program), parse_time
+
+
 def verify(
     source: SourceOrProgram,
     method: str,
@@ -103,7 +176,8 @@ def verify(
     dispatch: Optional[DispatchFn] = None,
     **settings,
 ) -> MethodReport:
-    """Verify one method and return its report (Figure 7).
+    """Verify one method and return its report (Figure 7): the one-method
+    case of :func:`verify_class`.
 
     ``config`` (or the keyword ``settings`` it is built from, see the module
     docstring) says how the split sequents are dispatched; ``cache``
@@ -124,49 +198,10 @@ def verify(
     the report's ``prover_order``); the rest is the callable's concern.
     """
     config = _dispatch_config(config, settings)
-    parse_start = time.perf_counter()
-    program = _as_program(source)
-    parse_time = time.perf_counter() - parse_start
-    if class_name is None:
-        class_name = _single_class_name(program)
-
-    start = time.perf_counter()
-    method_vc = generate_method_vc(program, class_name, method)
-    vcgen_time = time.perf_counter() - start
-
-    if dispatch is not None:
-        dispatched = dispatch(method_vc.sequents)
-    else:
-        dispatched = Dispatcher(config, cache).prove_all(method_vc.sequents)
-
-    report = MethodReport(
-        class_name=class_name,
-        method_name=method,
-        total_sequents=len(method_vc.sequents),
-        proved_sequents=dispatched.proved,
-        proved_during_splitting=method_vc.proved_during_splitting,
-        prover_stats=dispatched.stats,
-        prover_order=list(config.provers),
-        unproved_origins=[outcome.sequent.origin for outcome in dispatched.unproved()],
-        refuted=[
-            f"{outcome.sequent.origin}: {outcome.countermodel}"
-            for outcome in dispatched.unproved()
-            if outcome.countermodel
-        ],
-        total_time=time.perf_counter() - start,
-        cache_hits=dispatched.cache_stats.hits,
-        cache_misses=dispatched.cache_stats.misses,
-        proved_from_cache=dispatched.proved_from_cache,
-        replayed_sequents=dispatched.replayed,
-        wall_time=dispatched.wall_time,
-        cpu_time=dispatched.cpu_time,
-        workers=dispatched.workers,
-        worker_utilization=dict(dispatched.worker_utilization),
-        dedup_replayed=dispatched.dedup_replayed,
-        trusted_assumes=method_vc.trusted_assumes,
-        frontend_phases={"parse": parse_time, "vcgen": vcgen_time},
-    )
-    return report
+    program, class_name, parse_time = _parsed(source, class_name)
+    return _prove_methods(
+        program, class_name, [method], config, cache, dispatch, parse_time
+    )[0]
 
 
 def verify_class(
@@ -180,18 +215,21 @@ def verify_class(
 ) -> ClassReport:
     """Verify every contracted method of a class (one Figure 15 row).
 
-    The dispatch config is built once and, with ``cache`` and ``dispatch``,
-    passed to :func:`verify` for each method; sharing one cache across the
-    class lets invariant obligations that repeat between methods be proved
-    once and replayed, and ``dedup`` additionally collapses duplicates
-    within each method's batch before any prover runs.  The verify daemon
-    passes its verify service as ``dispatch``.
+    The class is parsed once, every target method's VC is generated, and
+    all their sequents go to the provers in **one** dispatch — one pool per
+    class, or one ``dispatch`` call (the verify daemon passes its verify
+    service, so a class request takes one lane) — which submits the
+    largest sequents first.  Each method's report is built from its
+    contiguous slice of the outcomes; its ``wall_time`` and ``workers`` are
+    the class dispatch's, and the class report's ``total_time`` is this
+    call's wall.  ``dedup`` collapses duplicates within the class's batch
+    (an invariant obligation repeated between methods is proved once), and
+    a ``cache`` shared across classes replays what earlier calls proved.
     """
+    start = time.perf_counter()
     config = _dispatch_config(config, settings)
-    program = _as_program(source)
-    if class_name is None:
-        class_name = _single_class_name(program)
-    report = ClassReport(class_name=class_name, prover_order=list(config.provers))
+    program, class_name, parse_time = _parsed(source, class_name)
+    names = []
     for info in program.methods_of(class_name):
         if info.decl.body is None:
             continue
@@ -200,14 +238,11 @@ def verify_class(
         if not info.decl.contract_text and methods is None:
             # Un-contracted helpers are not verification targets.
             continue
-        report.methods.append(
-            verify(
-                program,
-                method=info.decl.name,
-                class_name=class_name,
-                config=config,
-                cache=cache,
-                dispatch=dispatch,
-            )
-        )
-    return report
+        names.append(info.decl.name)
+    reports = _prove_methods(program, class_name, names, config, cache, dispatch, parse_time)
+    return ClassReport(
+        class_name=class_name,
+        methods=reports,
+        prover_order=list(config.provers),
+        total_time=time.perf_counter() - start,
+    )

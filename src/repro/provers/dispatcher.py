@@ -17,7 +17,8 @@ budget, the dedup pre-pass, and the executor width (``workers``).
 
 1. the pre-pass, in the calling thread: ``dedup=True`` groups the batch by
    structural digest so only one representative per group is proved;
-2. each representative goes to an executor: inline for ``workers=1``,
+2. each representative goes to an executor, largest first (most
+   assumptions, ties in sequent order): inline for ``workers=1``,
    otherwise a process pool — the paper's provers are separate processes
    too, and the bundled pure-Python ones only scale across processes;
 3. one merge folds the outcomes back in sequent order, fanning each
@@ -63,18 +64,27 @@ DEFAULT_ORDER = ("syntactic", "smt", "fol", "mona", "bapa")
 
 
 def _register_default_provers() -> None:
-    if registry.known():
+    """Register every built-in engine the registry does not know yet, so a
+    prover registered before the first :func:`make_provers` call never hides
+    them (and one registered under a built-in name is kept)."""
+    known = set(registry.known())
+    if known.issuperset(DEFAULT_ORDER):
         return
     from ..bapa.prover import BapaProver
     from ..fol.prover import FirstOrderProver
     from ..mona.prover import MonaProver
     from ..smt.prover import SmtProver
 
-    registry.register("syntactic", SyntacticProver)
-    registry.register("fol", FirstOrderProver)
-    registry.register("smt", SmtProver)
-    registry.register("mona", MonaProver)
-    registry.register("bapa", BapaProver)
+    builtins = {
+        "syntactic": SyntacticProver,
+        "fol": FirstOrderProver,
+        "smt": SmtProver,
+        "mona": MonaProver,
+        "bapa": BapaProver,
+    }
+    for name, factory in builtins.items():
+        if name not in known:
+            registry.register(name, factory)
 
 
 def resolve_prover_names(names: Sequence[str]) -> List[str]:
@@ -179,6 +189,9 @@ class SequentOutcome:
     answers: List[ProverAnswer] = field(default_factory=list)
     #: True when the per-sequent time budget ran out before the chain ended.
     budget_exhausted: bool = False
+    #: True when the dedup pre-pass answered this sequent with a replay of
+    #: an earlier sequent's outcome in the same batch.
+    dedup_replay: bool = False
 
     @property
     def settled(self) -> bool:
@@ -225,14 +238,17 @@ class DispatchResult:
     workers: int = 1
     #: Fraction of the dispatch wall-time each worker spent proving.
     worker_utilization: Dict[str, float] = field(default_factory=dict)
-    #: Sequents answered by the dedup pre-pass (a duplicate of an earlier
-    #: sequent in the batch, by structural digest): their verdicts were fanned
-    #: out from the representative's, not computed.
-    dedup_replayed: int = 0
 
     @property
     def total(self) -> int:
         return len(self.outcomes)
+
+    @property
+    def dedup_replayed(self) -> int:
+        """Sequents answered by the dedup pre-pass (a duplicate of an earlier
+        sequent in the batch, by structural digest): their verdicts were
+        fanned out from the representative's, not computed."""
+        return sum(1 for outcome in self.outcomes if outcome.dedup_replay)
 
     @property
     def proved(self) -> int:
@@ -267,6 +283,27 @@ class DispatchResult:
 
     def proved_by(self, prover_name: str) -> int:
         return sum(1 for o in self.outcomes if o.proved and o.prover == prover_name)
+
+    def split(self, sizes: Sequence[int]) -> List["DispatchResult"]:
+        """The outcomes cut into consecutive slices of ``sizes``, each
+        accounted as a batch of its own (prover stats, cache hits and misses,
+        CPU time, dedup replays), e.g. one slice per method of a class
+        proved in one dispatch.  Every part keeps the whole dispatch's wall
+        time, width and utilization: its slice shared them."""
+        # Misses are counted only when a cache was consulted, and a dispatch
+        # without live answers has none in any slice either way.
+        cache_enabled = self.cache_stats.misses > 0
+        parts: List[DispatchResult] = []
+        start = 0
+        for size in sizes:
+            part = DispatchResult(
+                total_time=self.total_time, wall_time=self.wall_time, workers=self.workers,
+                worker_utilization=dict(self.worker_utilization),
+            )
+            _merge_outcomes(part, self.outcomes[start:start + size], cache_enabled)
+            parts.append(part)
+            start += size
+        return parts
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +345,18 @@ def _replayed_outcome(sequent: Sequent, representative: SequentOutcome) -> Seque
         answers.append(replay)
     return SequentOutcome(
         sequent, representative.proved, representative.prover, answers,
-        budget_exhausted=representative.budget_exhausted,
+        budget_exhausted=representative.budget_exhausted, dedup_replay=True,
     )
 
 
 def _fan_out_duplicates(
     sequents: Sequence[Sequent], rep: Sequence[int], outcomes: List[Optional[SequentOutcome]]
-) -> int:
+) -> None:
     """Fill each duplicate's empty slot in ``outcomes`` with a replay of its
-    representative's outcome (see :func:`_replayed_outcome`); returns how
-    many duplicates were answered that way."""
-    replayed = 0
+    representative's outcome (see :func:`_replayed_outcome`)."""
     for index, sequent in enumerate(sequents):
         if outcomes[index] is None:
             outcomes[index] = _replayed_outcome(sequent, outcomes[rep[index]])
-            replayed += 1
-    return replayed
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +408,9 @@ def _ranked(
 
 
 def _settled_outcome(sequent: Sequent, answers: List[ProverAnswer]) -> SequentOutcome:
-    """The outcome of a sequent the cache scan settled (no live run)."""
+    """The outcome ``answers`` decide: a chain stops at the answer that
+    settles it, so only the last can (a cache scan's replays, or the cached
+    prefix and live answers of a chain run on the pool)."""
     outcome = SequentOutcome(sequent=sequent, proved=False, answers=answers)
     if answers:
         _settle(outcome, answers[-1])
@@ -534,11 +569,15 @@ def _process_worker_chain(
     payload: Tuple[
         DispatchConfig, Optional[float], Sequent, Sequence[int], Sequence[Optional[float]]
     ]
-) -> SequentOutcome:
+) -> Tuple[List[ProverAnswer], bool]:
     """The chain inside a process-pool worker (a picklable top-level
     function), over exactly the provers ``order`` lists, under the
     first-pass ``slices`` beside them: the parent has already cache-scanned
-    the sequent, ranked its open provers and looked up their slices."""
+    the sequent, ranked its open provers and looked up their slices.
+
+    Returns the chain's live answers and whether its budget ran out, not the
+    outcome: the parent holds the sequent, and shipping it back would make
+    the parent unpickle a copy of every formula in it."""
     config, sequent_budget, sequent, order, slices = payload
     key = config.key()
     provers = _PROCESS_PORTFOLIOS.get(key)
@@ -548,10 +587,11 @@ def _process_worker_chain(
             _PROCESS_PORTFOLIOS.popitem(last=False)
     else:
         _PROCESS_PORTFOLIOS.move_to_end(key)
-    return _run_prover_chain(
+    outcome = _run_prover_chain(
         [provers[index] for index in order], sequent, sequent_budget=sequent_budget,
         slices=slices,
     )
+    return outcome.answers, outcome.budget_exhausted
 
 
 class Dispatcher:
@@ -628,10 +668,14 @@ class Dispatcher:
         result = DispatchResult()
         rep = _dedup_representatives(sequents) if self.config.dedup else None
         outcomes: List[Optional[SequentOutcome]] = [None] * len(sequents)
-        # Duplicates are fanned out from their representative below.
-        open_indices = [
-            index for index in range(len(sequents)) if rep is None or rep[index] == index
-        ]
+        # Duplicates are fanned out from their representative below.  The
+        # open sequents start largest first (most assumptions; a stable sort
+        # keeps ties in sequent order), so the batch's long chains do not
+        # start last and leave one worker to finish them alone.
+        open_indices = sorted(
+            (index for index in range(len(sequents)) if rep is None or rep[index] == index),
+            key=lambda index: -len(sequents[index].assumptions),
+        )
 
         busy: Dict[str, float] = {}
         if self.executor is None and self.config.workers == 1:
@@ -647,7 +691,7 @@ class Dispatcher:
             if busy:
                 result.workers = self.config.workers
 
-        result.dedup_replayed = _fan_out_duplicates(sequents, rep, outcomes)
+        _fan_out_duplicates(sequents, rep, outcomes)
         _merge_outcomes(result, outcomes, self.cache is not None)
         # Persist the learned ordering once per batch, when it has a path and
         # learned anything new (the chains record every answer as it lands).
@@ -715,25 +759,25 @@ class Dispatcher:
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in sorted(done, key=lambda done_future: running[done_future][0]):
                     index, prefix, bucket = running.pop(future)
-                    tail = future.result()
+                    fresh, budget_exhausted = future.result()
                     # The pool does not reveal which process ran the task, so
                     # report the *average* per-worker busy fraction: total
                     # prover time spread across the pool (keeps the "fraction
                     # of wall-time" semantics, never exceeding ~1).
-                    busy += sum(a.time for a in tail.answers) / self.config.workers
+                    busy += sum(a.time for a in fresh) / self.config.workers
                     # Store the fresh verdicts here and teach the ordering.
                     # The pickled answer carries what ``storable`` and
                     # ``observe`` read, so the rules of the in-process chain
                     # apply: slice cuts, budget-clipped TIMEOUTs and internal
                     # errors are never stored, and slice cuts are learned as
                     # unproved attempts.
-                    for answer in tail.answers:
+                    for answer in fresh:
                         if self.cache is not None and answer.storable:
                             signature = signatures[names.index(answer.prover)][1]
                             self.cache.store(sequents[index], answer.prover, answer, signature)
                         self.ordering.observe(sequents[index], answer, bucket)
-                    tail.answers[:0] = prefix
-                    outcomes[index] = tail
+                    outcomes[index] = _settled_outcome(sequents[index], prefix + fresh)
+                    outcomes[index].budget_exhausted = budget_exhausted
 
 
 class ParallelDispatcher(Dispatcher):

@@ -341,7 +341,6 @@ class VerifyService:
         loop = asyncio.get_running_loop()
         key = config.key()
         digests = [sequent.digest() for sequent in sequents]
-        rep = _dedup_representatives(sequents)
         outcomes: List[Optional[SequentOutcome]] = [None] * len(sequents)
         deferred: Set[str] = set()
 
@@ -413,7 +412,7 @@ class VerifyService:
             else:
                 await waiters
 
-        return _request_result(outcomes, rep, deadline)
+        return _request_result(outcomes, deadline)
 
     def _account(self, result: DispatchResult, key: str) -> None:
         """Fold one dispatch into the service counters (event-loop only).
@@ -564,7 +563,7 @@ def _store_answer(
             return None
         outcomes[index] = _settled_outcome(sequent, answers)
     _fan_out_duplicates(sequents, rep, outcomes)
-    return _request_result(outcomes, rep, deadline)
+    return _request_result(outcomes, deadline)
 
 
 def _expired_result(sequents: Sequence[Sequent]) -> DispatchResult:
@@ -577,9 +576,7 @@ def _expired_result(sequents: Sequence[Sequent]) -> DispatchResult:
 
 
 def _request_result(
-    outcomes: List[SequentOutcome],
-    rep: List[int],
-    deadline: Optional[Deadline] = None,
+    outcomes: List[SequentOutcome], deadline: Optional[Deadline] = None
 ) -> DispatchResult:
     """One request's answer: its outcomes re-accounted exactly as a local
     dispatch would account them (stats recorded answer by answer, cache
@@ -598,7 +595,6 @@ def _request_result(
                 outcome.budget_exhausted = True
     result = DispatchResult()
     _merge_outcomes(result, outcomes, cache_enabled=True)
-    result.dedup_replayed = sum(1 for i, r in enumerate(rep) if r != i)
     # The request's own answer-time sum: ``cpu_time`` was accumulated answer
     # by answer just above, so it is what a local dispatch of these
     # sequents would have measured (replays cost zero), and store-answered

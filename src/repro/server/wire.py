@@ -205,6 +205,7 @@ def class_report_to_wire(report: ClassReport) -> Dict[str, Any]:
         "class_name": report.class_name,
         "prover_order": list(report.prover_order),
         "methods": [method_report_to_wire(m) for m in report.methods],
+        "total_time": report.total_time,
     }
 
 
@@ -213,6 +214,7 @@ def class_report_from_wire(payload: Dict[str, Any]) -> ClassReport:
         class_name=payload["class_name"],
         prover_order=list(payload.get("prover_order", ())),
         methods=[method_report_from_wire(m) for m in payload.get("methods", ())],
+        total_time=payload.get("total_time", 0.0),
     )
 
 

@@ -5,8 +5,9 @@ to read every local dispatch's outcomes, and ``perfbench/spans.py`` wraps
 both ``Dispatcher.prove_all`` (local dispatch) and
 ``ParallelDispatcher.prove_all`` (the daemon's farm batches).  Pinned here:
 
-* a local ``verify`` runs exactly one ``Dispatcher.prove_all`` per method,
-  and the wrapper sees that method's outcomes;
+* a local ``verify`` runs exactly one ``Dispatcher.prove_all``, and so does
+  a local ``verify_class`` for the whole class: the wrapper sees every
+  method's outcomes in one batch;
 * a daemon batch runs ``ParallelDispatcher.prove_all`` once and never
   passes through ``Dispatcher.prove_all``, so a farm batch is counted once
   and never mistaken for a local dispatch.
@@ -39,7 +40,7 @@ def calls(monkeypatch):
     return seen
 
 
-def test_local_verify_dispatches_once_per_method(calls):
+def test_local_verify_dispatches_once_per_class(calls):
     source = suite.source("SizedList")
     report = verify(source, method="size", class_name="SizedList",
                     provers=["smt"], prover_options=OPTIONS, workers=1)
@@ -48,7 +49,7 @@ def test_local_verify_dispatches_once_per_method(calls):
     del calls[:]
     report = verify_class(source, class_name="SizedList", methods=["size", "clear"],
                           provers=["smt"], prover_options=OPTIONS, workers=1)
-    assert calls == [("Dispatcher", m.total_sequents) for m in report.methods]
+    assert calls == [("Dispatcher", sum(m.total_sequents for m in report.methods))]
 
 
 def test_daemon_batch_dispatches_through_the_farm_entry_only(calls, tmp_path):

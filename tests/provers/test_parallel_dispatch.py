@@ -125,7 +125,10 @@ def test_worker_portfolio_cache_is_a_bounded_lru(monkeypatch):
     configs = [DispatchConfig(["syntactic"], sequent_budget=k + 1.0) for k in range(40)]
 
     def run(config):
-        assert dispatcher._process_worker_chain((config, None, seq, [0], [None])).proved
+        answers, budget_exhausted = dispatcher._process_worker_chain(
+            (config, None, seq, [0], [None])
+        )
+        assert answers[-1].proved and not budget_exhausted
 
     for config in configs:
         run(config)
@@ -350,7 +353,6 @@ class _Raising(Prover):
 def fakes():
     """Registers the fake provers before any pool forks, so its workers
     can build them too."""
-    make_provers(["syntactic"])  # populate the default registry first
     for fake in (_Unknowing, _Proving, _Slow, _Raising):
         registry.register(fake.name, fake)
 

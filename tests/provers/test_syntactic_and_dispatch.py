@@ -304,3 +304,9 @@ def test_default_order_contains_all_engines(monkeypatch):
     config = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(config)
     assert DEFAULT_ORDER == config.CHAIN
+
+
+def test_a_prover_registered_first_does_not_hide_the_builtins(monkeypatch):
+    monkeypatch.setattr(dispatcher, "registry", ProverRegistry())
+    dispatcher.registry.register("mine", SyntacticProver)
+    assert [prover.name for prover in make_provers(["smt", "mine"])] == ["smt", "syntactic"]

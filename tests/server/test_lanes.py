@@ -37,7 +37,7 @@ import pytest
 from repro.form.parser import parse_formula as parse
 from repro.provers.base import Deadline, Prover, ProverAnswer, Seconds, Verdict, registry
 from repro.provers.cache import SequentCache
-from repro.provers.dispatcher import DispatchConfig, Dispatcher, make_provers
+from repro.provers.dispatcher import DispatchConfig, Dispatcher
 from repro.server import ServiceStopped, VerifyService
 from repro.server.daemon import DEFAULT_LANES
 from repro.vcgen.sequent import sequent
@@ -83,7 +83,6 @@ class TrackingProver(SleepyProver):
 
 @pytest.fixture(autouse=True)
 def _register_sleepy():
-    make_provers(["syntactic"])  # populate the default registry first
     registry.register("sleepy", SleepyProver)
     registry.register("tracking", TrackingProver)
     yield
